@@ -1,92 +1,107 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Numeric kernels for exhaustive sweeps and the classical side.
 
-Every kernel that dominates an exhaustive sweep lives here twice: a numba
-@njit version and a numpy fallback. The active implementation is chosen
-once at import from the QVERIFY_BACKEND environment variable:
-
-    QVERIFY_BACKEND=auto    use numba when importable (default)
-    QVERIFY_BACKEND=numba   require numba, fail loudly if missing
-    QVERIFY_BACKEND=numpy   force the pure-numpy path
-
-Each public dispatcher also accepts backend="numba"/"numpy" so the
-benchmark suite can time both in one process. Both paths are kept strictly
-IEEE (no fastmath): verdicts are identical and floats agree to the last
-few ulps, which the test suite pins down.
-
-Input words are passed as integers; variable k (1-based) of an n-variable
-word w is the bit (w >> (n - k)) & 1, so integer order equals
-lexicographic word order.
+Every kernel has one numpy implementation. Input words are passed as
+integers; variable k (1-based) of an n-variable word w is the bit
+(w >> (n - k)) & 1, so integer order equals lexicographic word order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "QVERIFY_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get(_ENV_FLAG, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_FLAG} must be auto, numba or numpy, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError(f"{_ENV_FLAG}=numba but numba is not importable")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _resolve_backend()
-
-
-def _pick(backend: str | None) -> str:
-    if backend is None:
-        return BACKEND
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return backend
-
+from .linalg import MATRIX_TOL
 
 # ---------------------------------------------------------------------------
 # exhaustive exactness sweep
 #
-# Runs the full unitary/query pipeline for every input integer in [lo, hi)
-# against a table of expected output bits. Queries are applied as per-column
-# sign flips, stage unitaries and the final transformation as dense matmuls
-# (BLAS either way). Returns (first_failure, min_correct_probability) where
-# first_failure is -1 when every input is computed exactly and correctly.
+# Runs the unitary/query pipeline of any algorithm on every input integer in
+# [lo, hi) against a table of expected output bits, and returns
+# (first_failure, min_correct_probability) where first_failure is -1 when
+# every input is computed exactly and correctly. Three reductions keep it
+# cheaper than one dense pipeline per word while computing the same values:
+#
+#   * shared prefixes: after stage s a word's state depends only on the
+#     variables queried so far, so each stage unitary is applied once per
+#     distinct prefix in the chunk and the result fanned out;
+#   * reachable columns: only the basis states the start state can reach
+#     through the nonzero entries of the stage unitaries are carried (sound
+#     because the model rejects non-finite matrices, so 0 * x is always 0);
+#   * labelled rows: when the final matrix is orthogonal on the reachable
+#     columns, only the output rows of the smaller label set are computed
+#     and the other probability is |s|^2 minus theirs.
 # ---------------------------------------------------------------------------
 
 
-def _sweep_range_numpy(start, stage_uts, var_maps, final_t, labels, n_vars, lo, hi, expected, tol):
-    count = hi - lo
-    n_stages = stage_uts.shape[0]
-    states = np.tile(start, (count, 1))
-    ints = np.arange(lo, hi, dtype=np.int64)
-    shifts = (n_vars - np.arange(1, n_vars + 1)).astype(np.int64)
-    signs = np.empty((count, n_vars + 1), dtype=np.float64)
-    signs[:, 0] = 1.0
-    signs[:, 1:] = 1.0 - 2.0 * ((ints[:, None] >> shifts[None, :]) & 1)
-    for s in range(n_stages):
-        states = states @ stage_uts[s]
-        states *= signs[:, var_maps[s]]
-    states = states @ final_t
-    probs = states * states
-    lab1 = labels.astype(np.float64)
-    p1 = probs @ lab1
-    p0 = probs @ (1.0 - lab1)
+def _partial_label(labels: np.ndarray) -> int:
+    """The label whose output rows a reduced final matrix keeps: the smaller
+    label set, label 1 on a tie."""
+    ones = int(np.count_nonzero(labels))
+    return 1 if ones <= labels.size - ones else 0
+
+
+def sweep_arrays(start, unitaries, var_maps, final, labels):
+    """Kernel-ready arrays for sweep_range, built once per exactness check.
+
+    Returns (start, stage_uts, var_maps, final_t, labels): the start state on
+    its support; per stage, the transposed unitary block from the previously
+    reachable columns to the newly reachable ones and the query var map on
+    the latter; the transposed final matrix on the last reachable columns,
+    keeping only the rows labelled _partial_label(labels) when it is
+    orthogonal there (within MATRIX_TOL as a bound on |s|^2 error); and the
+    unchanged labels.
+    """
+    support = np.flatnonzero(start)
+    cols = support
+    stage_uts, stage_maps = [], []
+    for unitary, var_map in zip(unitaries, var_maps):
+        rows = np.flatnonzero((unitary != 0)[:, cols].any(axis=1))
+        stage_uts.append(np.ascontiguousarray(unitary[np.ix_(rows, cols)].T))
+        stage_maps.append(var_map[rows])
+        cols = rows
+    final_cols = final[:, cols]
+    gram = final_cols.T @ final_cols
+    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    # The row-sum norm bounds the spectral norm of the symmetric gram error,
+    # hence how far |F s|^2 can be from |s|^2.
+    if float(np.abs(gram).sum(axis=1).max(initial=0.0)) <= MATRIX_TOL:
+        final_cols = final_cols[labels == _partial_label(labels)]
+    return (start[support], tuple(stage_uts), tuple(stage_maps),
+            np.ascontiguousarray(final_cols.T), labels)
+
+
+def sweep_range(start, stage_uts, var_maps, final_t, labels, n_vars, lo, hi, expected, tol):
+    """Sweep inputs [lo, hi) through arrays from sweep_arrays; see above."""
+    words = np.arange(lo, hi, dtype=np.int64)
+    # Shift of variable k; a fixed slot (k = 0) reads bit n, which is 0.
+    shifts = n_vars - np.arange(n_vars + 1, dtype=np.int64)
+    states = start[None, :]
+    row_of = np.zeros(hi - lo, dtype=np.int64)
+    mask = 0
+    for ut, var_map in zip(stage_uts, var_maps):
+        mixed = states @ ut
+        stage_mask = int(np.bitwise_or.reduce(1 << shifts[var_map[var_map > 0]]))
+        mask |= stage_mask
+        # reps: the first word of each distinct prefix, in prefix order.
+        _, reps, row_of_next = np.unique(words & mask, return_index=True, return_inverse=True)
+        # One +-1 row per distinct setting of this stage's variables.
+        patterns, pattern_of = np.unique(words[reps] & stage_mask, return_inverse=True)
+        signs = (1.0 - 2.0 * ((patterns[:, None] >> shifts) & 1))[:, var_map]
+        states = mixed[row_of[reps]] * signs[pattern_of]
+        row_of = row_of_next
+    out = states @ final_t
+    if final_t.shape[1] == labels.size:
+        probs = out * out
+        lab1 = labels.astype(np.float64)
+        p1 = probs @ lab1
+        p0 = probs @ (1.0 - lab1)
+    else:
+        kept = np.einsum("ij,ij->i", out, out)
+        rest = np.maximum(np.einsum("ij,ij->i", states, states) - kept, 0.0)
+        p1, p0 = (kept, rest) if _partial_label(labels) == 1 else (rest, kept)
+    p1 = p1[row_of]
+    p0 = p0[row_of]
     outputs = (p1 > p0).astype(np.uint8)
     p_max = np.maximum(p0, p1)
     p_correct = np.where(expected == 1, p1, p0)
@@ -95,71 +110,20 @@ def _sweep_range_numpy(start, stage_uts, var_maps, final_t, labels, n_vars, lo, 
     return first, float(p_correct.min())
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sweep_range_numba(start, stage_uts, var_maps, final_t, labels, n_vars, lo, hi, expected, tol):
-        count = hi - lo
-        dim = start.shape[0]
-        n_stages = stage_uts.shape[0]
-        states = np.empty((count, dim), dtype=np.float64)
-        for r in range(count):
-            for c in range(dim):
-                states[r, c] = start[c]
-        for s in range(n_stages):
-            states = np.dot(states, stage_uts[s])
-            vm = var_maps[s]
-            for r in range(count):
-                w = lo + r
-                for c in range(dim):
-                    k = vm[c]
-                    if k > 0 and ((w >> (n_vars - k)) & 1) == 1:
-                        states[r, c] = -states[r, c]
-        states = np.dot(states, final_t)
-        first = np.int64(-1)
-        min_prob = np.inf
-        for r in range(count):
-            p0 = 0.0
-            p1 = 0.0
-            for c in range(dim):
-                sq = states[r, c] * states[r, c]
-                if labels[c] == 1:
-                    p1 += sq
-                else:
-                    p0 += sq
-            output = 1 if p1 > p0 else 0
-            p_max = p1 if p1 > p0 else p0
-            p_correct = p1 if expected[r] == 1 else p0
-            if p_correct < min_prob:
-                min_prob = p_correct
-            if first < 0 and (output != expected[r] or p_max < 1.0 - tol):
-                first = np.int64(lo + r)
-        return first, min_prob
-
-
-def sweep_range(start, stage_uts, var_maps, final_t, labels, n_vars, lo, hi, expected, tol,
-                backend: str | None = None):
-    """Sweep inputs [lo, hi) through the pipeline; see module docstring."""
-    impl = _sweep_range_numba if _pick(backend) == "numba" else _sweep_range_numpy
-    first, min_prob = impl(start, stage_uts, var_maps, final_t, labels,
-                           np.int64(n_vars), np.int64(lo), np.int64(hi), expected, tol)
-    return int(first), float(min_prob)
-
-
 # ---------------------------------------------------------------------------
-# structure-aware single-input runner
+# structure-aware references for builder output
 #
-# The built verifier algorithms never need their dense matrices to be
-# executed: stage i only mixes 2**(i-1) pairs of amplitudes with a 2x2
-# rotation and flips signs at those pair slots, and the final transformation
-# is a fast Walsh-Hadamard pass. This runs one input in O(K log K) instead
-# of O(K^2) per stage and, more importantly, without materializing K x K
-# matrices (K = 2**(n/2) reaches 4096). Equivalence with the dense pipeline
-# is pinned by tests.
+# The built verifier never needs its dense matrices to be executed: stage i
+# only mixes 2**(i-1) pairs of amplitudes with a 2x2 rotation and flips
+# signs at those pair slots, and the final transformation is a fast
+# Walsh-Hadamard pass. string equality runs on pair_run; pair_sweep_range is
+# an independent reference that tests and the benchmark compare the general
+# sweep against. Equivalence with the dense pipeline is pinned by tests.
 # ---------------------------------------------------------------------------
 
 
-def _pair_run_numpy(n_vars, word):
+def pair_run(n_vars: int, word: int) -> np.ndarray:
+    """Final state of the built n-variable verifier on one input word."""
     t_queries = n_vars // 2
     dim = 1 << t_queries
     inv = 1.0 / math.sqrt(2.0)
@@ -189,58 +153,13 @@ def _pair_run_numpy(n_vars, word):
     return state
 
 
-if HAVE_NUMBA:
+def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol) -> tuple[int, float]:
+    """Exactness sweep of the built verifier over words [lo, hi).
 
-    @njit(cache=True)
-    def _pair_run_numba(n_vars, word):
-        t_queries = n_vars // 2
-        dim = 1 << t_queries
-        inv = 1.0 / math.sqrt(2.0)
-        state = np.zeros(dim, dtype=np.float64)
-        state[0] = 1.0
-        for i in range(1, t_queries + 1):
-            step = dim >> i
-            flip_top = (word >> (n_vars - (2 * i - 1))) & 1
-            flip_bottom = (word >> (n_vars - 2 * i)) & 1
-            for j in range(0, dim, 2 * step):
-                a = state[j]
-                b = state[j + step]
-                top = (a + b) * inv
-                bottom = (a - b) * inv
-                state[j] = -top if flip_top == 1 else top
-                state[j + step] = -bottom if flip_bottom == 1 else bottom
-        half = 1
-        while half < dim:
-            for base in range(0, dim, 2 * half):
-                for off in range(half):
-                    a = state[base + off]
-                    b = state[base + off + half]
-                    state[base + off] = a + b
-                    state[base + off + half] = a - b
-            half *= 2
-        state *= 2.0 ** (-t_queries / 2.0)
-        return state
-
-
-def pair_run(n_vars: int, word: int, backend: str | None = None) -> np.ndarray:
-    """Final state of the built n-variable verifier on one input word."""
-    impl = _pair_run_numba if _pick(backend) == "numba" else _pair_run_numpy
-    return impl(np.int64(n_vars), np.int64(word))
-
-
-# ---------------------------------------------------------------------------
-# structure-aware exactness sweep
-#
-# Same verdict logic as sweep_range, but running the paired-rotation layout
-# directly. Because the built algorithms label only basis state 0 as output
-# 1 and the final transformation's first row is uniform, p1 collapses to
-# (sum(state) * 2**(-T/2))**2 and p0 to |state|^2 - p1, so a word costs
-# O(K) instead of O(K^2) per stage. This is what makes the 2**24-word sweep
-# a minutes-scale job rather than a multi-day one.
-# ---------------------------------------------------------------------------
-
-
-def _pair_sweep_range_numpy(n_vars, lo, hi, expected, tol):
+    Only valid for builder output (paired-rotation stages, labels picking
+    out basis state 0): the final transformation's first row is uniform, so
+    p1 collapses to (sum(state) * 2**(-T/2))**2 and p0 to |state|^2 - p1.
+    """
     t_queries = n_vars // 2
     dim = 1 << t_queries
     count = hi - lo
@@ -270,71 +189,13 @@ def _pair_sweep_range_numpy(n_vars, lo, hi, expected, tol):
     return first, float(p_correct.min())
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pair_sweep_range_numba(n_vars, lo, hi, expected, tol):
-        t_queries = n_vars // 2
-        dim = 1 << t_queries
-        inv = 1.0 / math.sqrt(2.0)
-        scale = 2.0 ** (-t_queries / 2.0)
-        state = np.empty(dim, dtype=np.float64)
-        first = np.int64(-1)
-        min_prob = np.inf
-        for w in range(lo, hi):
-            state[:] = 0.0
-            state[0] = 1.0
-            for i in range(1, t_queries + 1):
-                step = dim >> i
-                flip_top = (w >> (n_vars - (2 * i - 1))) & 1
-                flip_bottom = (w >> (n_vars - 2 * i)) & 1
-                for j in range(0, dim, 2 * step):
-                    a = state[j]
-                    b = state[j + step]
-                    top = (a + b) * inv
-                    bottom = (a - b) * inv
-                    state[j] = -top if flip_top == 1 else top
-                    state[j + step] = -bottom if flip_bottom == 1 else bottom
-            total = 0.0
-            norm2 = 0.0
-            for c in range(dim):
-                total += state[c]
-                norm2 += state[c] * state[c]
-            amp0 = total * scale
-            p1 = amp0 * amp0
-            p0 = norm2 - p1
-            if p0 < 0.0:
-                p0 = 0.0
-            output = 1 if p1 > p0 else 0
-            p_max = p1 if p1 > p0 else p0
-            e = expected[w - lo]
-            p_correct = p1 if e == 1 else p0
-            if p_correct < min_prob:
-                min_prob = p_correct
-            if first < 0 and (output != e or p_max < 1.0 - tol):
-                first = np.int64(w)
-        return first, min_prob
-
-
-def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol,
-                     backend: str | None = None) -> tuple[int, float]:
-    """Exactness sweep of the built verifier over words [lo, hi).
-
-    Only valid for builder output (paired-rotation stages, labels picking
-    out basis state 0); equivalence with sweep_range on the dense matrices
-    is pinned by tests.
-    """
-    impl = _pair_sweep_range_numba if _pick(backend) == "numba" else _pair_sweep_range_numpy
-    first, min_prob = impl(np.int64(n_vars), np.int64(lo), np.int64(hi), expected, tol)
-    return int(first), float(min_prob)
-
-
 # ---------------------------------------------------------------------------
 # classical side: truth values, sensitivity, decision-tree query counts
 # ---------------------------------------------------------------------------
 
 
-def _verify_values_range_numpy(n_vars, lo, hi):
+def verify_values_range(n_vars: int, lo: int, hi: int) -> np.ndarray:
+    """Pair-equality verifier outputs for every input integer in [lo, hi)."""
     ints = np.arange(lo, hi, dtype=np.int64)
     acc = np.ones(hi - lo, dtype=np.uint8)
     for j in range(n_vars // 2):
@@ -343,67 +204,19 @@ def _verify_values_range_numpy(n_vars, lo, hi):
     return acc
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _verify_values_range_numba(n_vars, lo, hi):
-        out = np.empty(hi - lo, dtype=np.uint8)
-        for r in range(hi - lo):
-            w = lo + r
-            value = 1
-            for j in range(n_vars // 2):
-                b1 = (w >> (n_vars - (2 * j + 1))) & 1
-                b2 = (w >> (n_vars - (2 * j + 2))) & 1
-                if b1 != b2:
-                    value = 0
-                    break
-            out[r] = value
-        return out
-
-
-def verify_values_range(n_vars: int, lo: int, hi: int, backend: str | None = None) -> np.ndarray:
-    """Pair-equality verifier outputs for every input integer in [lo, hi)."""
-    impl = _verify_values_range_numba if _pick(backend) == "numba" else _verify_values_range_numpy
-    return impl(np.int64(n_vars), np.int64(lo), np.int64(hi))
-
-
-def _table_sensitivity_numpy(table, n_vars):
-    size = table.shape[0]
-    idx = np.arange(size, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
+def table_sensitivity(table: np.ndarray, n_vars: int) -> tuple[int, int]:
+    """(max sensitivity, lexicographically first maximizing input)."""
+    table = np.ascontiguousarray(table, dtype=np.uint8)
+    idx = np.arange(table.shape[0], dtype=np.int64)
+    counts = np.zeros(table.shape[0], dtype=np.int64)
     for pos in range(n_vars):
         counts += table != table[idx ^ (1 << pos)]
     best = int(np.argmax(counts))
     return int(counts[best]), best
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _table_sensitivity_numba(table, n_vars):
-        size = table.shape[0]
-        best_count = np.int64(-1)
-        best_input = np.int64(0)
-        for w in range(size):
-            fw = table[w]
-            count = 0
-            for pos in range(n_vars):
-                if table[w ^ (1 << pos)] != fw:
-                    count += 1
-            if count > best_count:
-                best_count = count
-                best_input = w
-        return best_count, best_input
-
-
-def table_sensitivity(table: np.ndarray, n_vars: int, backend: str | None = None) -> tuple[int, int]:
-    """(max sensitivity, lexicographically first maximizing input)."""
-    impl = _table_sensitivity_numba if _pick(backend) == "numba" else _table_sensitivity_numpy
-    value, witness = impl(np.ascontiguousarray(table, dtype=np.uint8), np.int64(n_vars))
-    return int(value), int(witness)
-
-
-def _classical_query_counts_numpy(n_vars):
+def classical_query_counts(n_vars: int) -> np.ndarray:
+    """Queries used by the left-to-right pair scan, for every input word."""
     size = 1 << n_vars
     ints = np.arange(size, dtype=np.int64)
     counts = np.full(size, n_vars, dtype=np.int64)
@@ -415,27 +228,3 @@ def _classical_query_counts_numpy(n_vars):
         counts[newly] = 2 * (j + 1)
         decided |= newly
     return counts
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _classical_query_counts_numba(n_vars):
-        size = 1 << n_vars
-        counts = np.empty(size, dtype=np.int64)
-        for w in range(size):
-            used = n_vars
-            for j in range(n_vars // 2):
-                b1 = (w >> (n_vars - (2 * j + 1))) & 1
-                b2 = (w >> (n_vars - (2 * j + 2))) & 1
-                if b1 != b2:
-                    used = 2 * (j + 1)
-                    break
-            counts[w] = used
-        return counts
-
-
-def classical_query_counts(n_vars: int, backend: str | None = None) -> np.ndarray:
-    """Queries used by the left-to-right pair scan, for every input word."""
-    impl = _classical_query_counts_numba if _pick(backend) == "numba" else _classical_query_counts_numpy
-    return impl(np.int64(n_vars))

@@ -41,12 +41,13 @@ class BooleanFunction:
             if self.arity % 2 != 0:
                 raise ValueError(f"the pair verifier needs an even arity, got {self.arity}")
         else:
-            table = np.ascontiguousarray(self.table, dtype=np.uint8)
+            table = np.asarray(self.table)
             if table.ndim != 1 or table.shape[0] != (1 << self.arity):
                 raise ValueError(
                     f"truth table must have 2**{self.arity} entries, got shape {table.shape}")
-            if table.max(initial=0) > 1:
+            if not np.isin(table, (0, 1)).all():
                 raise ValueError("truth table entries must be 0 or 1")
+            table = np.ascontiguousarray(table, dtype=np.uint8)
             table.setflags(write=False)
             object.__setattr__(self, "table", table)
 
@@ -57,7 +58,7 @@ class BooleanFunction:
 
     @classmethod
     def from_table(cls, bits) -> "BooleanFunction":
-        table = np.asarray(bits, dtype=np.uint8)
+        table = np.asarray(bits)
         n = int(table.shape[0]).bit_length() - 1
         return cls(arity=n, table=table)
 

@@ -94,9 +94,5 @@ def build_algorithm(n: int) -> QueryAlgorithm:
     labels = np.zeros(k, dtype=np.uint8)
     labels[0] = 1
     stages = [(build_stage_unitary(i, k), build_stage_query(i, k)) for i in range(1, t + 1)]
-    alg = QueryAlgorithm(n_vars=n, start=start, stages=stages,
-                         final_unitary=hadamard_power(t), labels=labels)
-    # Marks the paired-rotation layout so exactness sweeps may run the
-    # structure-aware engine; only this constructor sets it.
-    alg._pair_structured = True
-    return alg
+    return QueryAlgorithm(n_vars=n, start=start, stages=stages,
+                          final_unitary=hadamard_power(t), labels=labels)

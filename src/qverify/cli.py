@@ -15,7 +15,7 @@ import sys
 
 from .boolfunc import BooleanFunction, bit_oracle, classical_verify, sensitivity
 from .builder import build_algorithm
-from .model import check_exact, measure, run
+from .model import EXACT_TOL, check_exact, measure, run
 from .serialize import dumps_algorithm, load_algorithm, load_function
 from .strings import StringPair, interleave, strings_equal
 from .words import parse_word
@@ -74,7 +74,7 @@ def _cmd_run(args) -> int:
     p0, p1 = measure(trace.final, alg.labels)
     output = 1 if p1 > p0 else 0
     probability = max(p0, p1)
-    exact = probability >= 1.0 - 1e-9
+    exact = probability >= 1.0 - EXACT_TOL
     if args.json:
         payload = {
             "command": "run",
@@ -108,7 +108,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     alg = build_algorithm(args.n)
-    workers = os.cpu_count() if args.parallel else None
+    workers = len(os.sched_getaffinity(0)) if args.parallel else None
     report = check_exact(alg, BooleanFunction.verify(args.n), workers=workers)
     if args.json:
         _emit({

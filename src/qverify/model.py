@@ -107,33 +107,37 @@ class Stage(NamedTuple):
     query: QuerySpec
 
 
+def _locked(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
+    a.setflags(write=False)
+    return a
+
+
 def _locked_matrix(m, dim: int, what: str) -> np.ndarray:
     a = np.array(as_matrix(m), dtype=np.float64)
     if a.shape[0] != dim:
         raise ValueError(f"{what} has dimension {a.shape[0]}, expected {dim}")
-    a.setflags(write=False)
-    return a
+    return _locked(a, what)
 
 
 class QueryAlgorithm:
     """A complete query algorithm over n_vars Boolean variables.
 
     Construction validates structure: a unit-norm power-of-two start state,
-    matching dimensions everywhere, variable indices within [1, n_vars],
-    and binary labels. Unitarity of the matrices is a behavioral property
-    checked separately (`unitary_within`); keeping it out of the
-    constructor lets damaged algorithms be loaded and then convicted by
-    `check_exact` with a concrete counterexample.
+    finite entries and matching dimensions everywhere, variable indices
+    within [1, n_vars], and binary labels. Unitarity of the matrices is a
+    behavioral property checked separately (`unitary_within`); keeping it
+    out of the constructor lets damaged algorithms be loaded and then
+    convicted by `check_exact` with a concrete counterexample.
     """
 
-    __slots__ = ("n_vars", "start", "stages", "final_unitary", "labels",
-                 "_pair_structured")
+    __slots__ = ("n_vars", "start", "stages", "final_unitary", "labels")
 
     def __init__(self, n_vars: int, start, stages, final_unitary, labels) -> None:
         if n_vars < 1:
             raise ValueError(f"n_vars must be positive, got {n_vars}")
-        start_arr = np.array(as_state(start), dtype=np.float64)
-        start_arr.setflags(write=False)
+        start_arr = _locked(np.array(as_state(start), dtype=np.float64), "start state")
         dim = start_arr.shape[0]
 
         built: list[Stage] = []
@@ -149,11 +153,12 @@ class QueryAlgorithm:
         if not built:
             raise ValueError("an algorithm needs at least one stage")
 
-        labels_arr = np.array(labels, dtype=np.uint8)
+        labels_arr = np.asarray(labels)
         if labels_arr.shape != (dim,):
             raise ValueError(f"labels must have shape ({dim},), got {labels_arr.shape}")
-        if labels_arr.max(initial=0) > 1:
+        if not np.isin(labels_arr, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        labels_arr = labels_arr.astype(np.uint8)
         labels_arr.setflags(write=False)
 
         self.n_vars = int(n_vars)
@@ -161,9 +166,6 @@ class QueryAlgorithm:
         self.stages = tuple(built)
         self.final_unitary = _locked_matrix(final_unitary, dim, "final unitary")
         self.labels = labels_arr
-        # Set by the builder only: marks the paired-rotation layout so
-        # check_exact may use the equivalent structure-aware sweep engine.
-        self._pair_structured = False
 
     @property
     def dim(self) -> int:
@@ -321,11 +323,10 @@ def run_batch(alg: QueryAlgorithm, words: np.ndarray) -> list[np.ndarray]:
 
 
 def _sweep_arrays(alg: QueryAlgorithm):
-    """Kernel-ready views: transposed contiguous unitaries and var maps."""
-    stage_uts = np.stack([np.ascontiguousarray(st.unitary.T) for st in alg.stages])
-    var_maps = np.stack([st.query.var_map for st in alg.stages])
-    final_t = np.ascontiguousarray(alg.final_unitary.T)
-    return alg.start, stage_uts, var_maps, final_t, alg.labels
+    """Kernel-ready arrays for _kernels.sweep_range (see sweep_arrays there)."""
+    return _kernels.sweep_arrays(alg.start, [st.unitary for st in alg.stages],
+                                 [st.query.var_map for st in alg.stages],
+                                 alg.final_unitary, alg.labels)
 
 
 def _chunk_grid(n_vars: int, dim: int) -> list[tuple[int, int]]:
@@ -334,12 +335,19 @@ def _chunk_grid(n_vars: int, dim: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
 
 
-_POOL_STATE: dict | None = None
+def _sweep_chunk(payload: dict, span: tuple[int, int]) -> tuple[int, float]:
+    lo, hi = span
+    table = payload["table"]
+    if table is None:
+        expected = _kernels.verify_values_range(payload["n_vars"], lo, hi)
+    else:
+        expected = table[lo:hi]
+    return _kernels.sweep_range(*payload["arrays"], payload["n_vars"], lo, hi, expected,
+                                payload["tol"])
 
-# Above this many variables the dense sweep stops being an interactive job
-# (cost grows as 2**n * dim**2), so tagged builder output switches to the
-# structure-aware engine under engine="auto".
-_PAIR_ENGINE_THRESHOLD = 18
+
+# Pool workers only: each worker process receives the payload once.
+_POOL_STATE: dict | None = None
 
 
 def _pool_init(payload: dict) -> None:
@@ -348,55 +356,30 @@ def _pool_init(payload: dict) -> None:
 
 
 def _pool_task(span: tuple[int, int]) -> tuple[int, float]:
-    lo, hi = span
-    state = _POOL_STATE
-    table = state["table"]
-    if table is None:
-        expected = _kernels.verify_values_range(state["n_vars"], lo, hi)
-    else:
-        expected = table[lo:hi]
-    if state["engine"] == "pair":
-        return _kernels.pair_sweep_range(state["n_vars"], lo, hi, expected, state["tol"])
-    start, stage_uts, var_maps, final_t, labels = state["arrays"]
-    return _kernels.sweep_range(start, stage_uts, var_maps, final_t, labels,
-                                state["n_vars"], lo, hi, expected, state["tol"])
+    return _sweep_chunk(_POOL_STATE, span)
 
 
 def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
-                workers: int | None = None, engine: str = "auto") -> ExactnessReport:
+                workers: int | None = None) -> ExactnessReport:
     """Exhaustively check that the algorithm computes f exactly.
 
-    Every word is swept (no early exit), so the report is identical whether
-    the work runs serially or across `workers` processes: chunks are laid
+    Every word is swept through the algorithm's own matrices (no early
+    exit), so the report is identical whether the work runs serially,
+    across `workers` processes or from concurrent threads: chunks are laid
     on a fixed absolute grid, the first counterexample is the minimum over
     chunk results, and min_probability is an order-independent minimum.
-
-    `engine` picks how the pipeline is executed: "dense" multiplies the
-    algorithm's matrices; "pair" runs the builder's paired-rotation layout
-    directly and is only accepted for builder output (anything loaded or
-    hand-assembled is always convicted or cleared through its actual
-    matrices); "auto" uses "pair" for builder output from 18 variables up,
-    where the dense sweep stops being a minutes-scale job.
     """
     if alg.n_vars != f.arity:
         raise ValueError(f"algorithm has {alg.n_vars} variables, function has {f.arity}")
     if f.arity > MAX_SWEEP_VARS:
         raise ValueError(
             f"exhaustive check capped at {MAX_SWEEP_VARS} variables, got {f.arity}")
-    if engine not in ("auto", "dense", "pair"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "pair" and not alg._pair_structured:
-        raise ValueError("the pair engine only applies to builder-produced algorithms")
-    if engine == "auto":
-        engine = "pair" if alg._pair_structured and alg.n_vars >= _PAIR_ENGINE_THRESHOLD \
-            else "dense"
 
     payload = {
-        "engine": engine,
         "n_vars": alg.n_vars,
         "table": f.table,
         "tol": EXACT_TOL,
-        "arrays": _sweep_arrays(alg) if engine == "dense" else None,
+        "arrays": _sweep_arrays(alg),
     }
     grid = _chunk_grid(alg.n_vars, alg.dim)
 
@@ -405,11 +388,7 @@ def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
                                  initargs=(payload,)) as pool:
             results = list(pool.map(_pool_task, grid))
     else:
-        _pool_init(payload)
-        try:
-            results = [_pool_task(span) for span in grid]
-        finally:
-            globals()["_POOL_STATE"] = None
+        results = [_sweep_chunk(payload, span) for span in grid]
 
     fails = [first for first, _ in results if first >= 0]
     min_prob = min(prob for _, prob in results)

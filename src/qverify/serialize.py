@@ -20,8 +20,8 @@ Variable indices in documents are 1-based; basis states are positional
 round-trip form, so dump -> load -> dump is byte-stable and loaded
 algorithms run bitwise identically to the originals.
 
-Loading validates structure and dimensions but deliberately not matrix
-unitarity: a damaged document should load and then lose in `check_exact`
+Loading validates structure, dimensions and finite entries but
+deliberately not matrix unitarity: a damaged document should load and then lose in `check_exact`
 with a concrete counterexample instead of being rejected up front. Whether
 the matrices are in fact unitary is reported by the `check` CLI command.
 """
@@ -42,6 +42,11 @@ SCHEMA_VERSION = 1
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(f"invalid document: {message}")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def algorithm_to_document(alg: QueryAlgorithm) -> dict:
@@ -69,7 +74,7 @@ def _parse_diagonal(raw, dim: int, stage_no: int) -> QuerySpec:
     for pos, entry in enumerate(raw):
         if isinstance(entry, dict) and entry == {"fixed": True}:
             var_map.append(0)
-        elif isinstance(entry, dict) and set(entry) == {"var"} and isinstance(entry["var"], int):
+        elif isinstance(entry, dict) and set(entry) == {"var"} and _is_int(entry["var"]):
             _require(entry["var"] >= 1, f"stage {stage_no} slot {pos}: variable index must be >= 1")
             var_map.append(entry["var"])
         else:
@@ -85,8 +90,10 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
              f"unsupported schema_version {doc.get('schema_version')!r}")
     for key in ("n_vars", "t_queries", "dim", "start", "stages", "final_unitary", "labels"):
         _require(key in doc, f"missing key {key!r}")
+    for key in ("n_vars", "t_queries", "dim"):
+        _require(_is_int(doc[key]), f"{key} must be an integer")
     dim = doc["dim"]
-    _require(isinstance(dim, int) and dim >= 2, "dim must be an integer >= 2")
+    _require(dim >= 2, "dim must be >= 2")
     _require(isinstance(doc["stages"], list) and len(doc["stages"]) == doc["t_queries"],
              "t_queries must match the number of stages")
     stages = []
@@ -128,7 +135,7 @@ def document_to_function(doc: dict) -> BooleanFunction:
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema_version") == SCHEMA_VERSION,
              f"unsupported schema_version {doc.get('schema_version')!r}")
-    _require(isinstance(doc.get("arity"), int), "arity must be an integer")
+    _require(_is_int(doc.get("arity")), "arity must be an integer")
     table = doc.get("table")
     _require(isinstance(table, list) and len(table) == (1 << doc["arity"]),
              f"table must list 2**{doc.get('arity')} bits")

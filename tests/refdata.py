@@ -4,9 +4,28 @@ FOUR_BIT_RUNS holds, for every 4-bit word, the state after stage 1
 (unitary + query), the state after stage 2, the final state, and the output
 bit. The 6-bit fixtures are the stage matrices and query layouts written
 out entry by entry, independent of the builder's index arithmetic.
+`naive_check` is the word-by-word reference for exhaustive sweeps.
 """
 
 import numpy as np
+
+from qverify import measure, run
+from qverify.model import EXACT_TOL
+
+
+def naive_check(alg, f):
+    """(counterexample, min correct probability) computed word by word with
+    the naive `run`: the values check_exact must reproduce."""
+    counterexample, probs = None, []
+    for w in range(1 << alg.n_vars):
+        word = format(w, f"0{alg.n_vars}b")
+        p0, p1 = measure(run(alg, word).final, alg.labels)
+        expected = f.evaluate(word)
+        probs.append(p1 if expected else p0)
+        if counterexample is None and \
+                ((p1 > p0) != bool(expected) or max(p0, p1) < 1.0 - EXACT_TOL):
+            counterexample = word
+    return counterexample, min(probs)
 
 R = 1.0 / np.sqrt(2.0)   # 1/sqrt(2)
 H = 0.5

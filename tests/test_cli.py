@@ -1,11 +1,12 @@
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from qverify import load_algorithm
+from qverify import algorithm_to_document, build_algorithm, load_algorithm
 from qverify.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -18,6 +19,20 @@ GOLDEN_CASES = [
     ("classical_n4_0100.json", ["classical", "--n", "4", "--input", "0100", "--json"], 0),
     ("equal_10_01.json", ["equal", "--y", "10", "--z", "01", "--json"], 1),
     ("build_n2.json", ["build", "--n", "2"], 0),
+]
+
+
+# (document, path of the damaged entry, bad value): each must exit 2.
+BAD_INPUTS = [
+    ("algorithm", ["start", 1], float("nan")),
+    ("algorithm", ["stages", 0, "unitary", 1, 1], float("nan")),
+    ("algorithm", ["final_unitary", 0, 0], float("inf")),
+    ("algorithm", ["labels", 1], -1),
+    ("algorithm", ["n_vars"], True),
+    ("algorithm", ["dim"], True),
+    ("algorithm", ["stages", 0, "query_diagonal", 0, "var"], True),
+    ("function", ["arity"], True),
+    ("function", ["table", 0], -1),
 ]
 
 
@@ -167,6 +182,28 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--algorithm", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document,keys,value", BAD_INPUTS,
+                             ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]}" for c in BAD_INPUTS])
+    def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, document, keys, value):
+        docs = {"algorithm": algorithm_to_document(build_algorithm(4)),
+                "function": {"schema_version": 1, "arity": 4, "table": [0] * 16}}
+        target = docs[document]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--algorithm", str(paths["algorithm"]),
+                         "--function", str(paths["function"]), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestUsage:

@@ -1,143 +1,56 @@
-"""Cross-checks between the numba kernels and their numpy fallbacks."""
+"""Tests of the numpy kernels against dense execution and plain Python."""
 
 import numpy as np
 import pytest
 
+import qverify
 from qverify import BooleanFunction, build_algorithm, run
 from qverify import _kernels
 from qverify.model import EXACT_TOL, _sweep_arrays
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
-
-
-def _sweep(alg, n, backend, expected=None):
-    arrays = _sweep_arrays(alg)
-    if expected is None:
-        expected = _kernels.verify_values_range(n, 0, 1 << n, backend="numpy")
-    return _kernels.sweep_range(*arrays, n, 0, 1 << n, expected, EXACT_TOL,
-                                backend=backend)
-
 
 class TestBackendSelection:
     def test_active_backend_is_known(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    def test_env_flag_parsing(self, monkeypatch):
-        monkeypatch.setenv("QVERIFY_BACKEND", "numpy")
-        assert _kernels._resolve_backend() == "numpy"
-        monkeypatch.setenv("QVERIFY_BACKEND", "auto")
-        assert _kernels._resolve_backend() in ("numba", "numpy")
-        monkeypatch.setenv("QVERIFY_BACKEND", "plutonium")
-        with pytest.raises(ValueError):
-            _kernels._resolve_backend()
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError):
-            _kernels.verify_values_range(2, 0, 4, backend="gpu")
-
-
-@needs_numba
-class TestSweepEquivalence:
-    def test_passing_sweep(self):
-        alg = build_algorithm(8)
-        first_np, prob_np = _sweep(alg, 8, "numpy")
-        first_nb, prob_nb = _sweep(alg, 8, "numba")
-        assert first_np == first_nb == -1
-        assert prob_np == pytest.approx(prob_nb, abs=1e-12)
-
-    def test_failing_sweep_agrees_on_first_counterexample(self):
-        alg = build_algorithm(6)
-        # Wrong expectations: complement of the truth table.
-        expected = 1 - _kernels.verify_values_range(6, 0, 64, backend="numpy")
-        first_np, _ = _sweep(alg, 6, "numpy", expected)
-        first_nb, _ = _sweep(alg, 6, "numba", expected)
-        assert first_np == first_nb == 0
+        # The benchmark records these; numpy is the only backend.
+        assert qverify.BACKEND == "numpy"
+        assert qverify.HAVE_NUMBA is False
 
 
 class TestPairRun:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
-    def test_matches_dense_execution(self, backend, n):
+    def test_matches_dense_execution(self, n):
         alg = build_algorithm(n)
         for w in range(1 << n):
-            fast = _kernels.pair_run(n, w, backend=backend)
+            fast = _kernels.pair_run(n, w)
             dense = run(alg, format(w, f"0{n}b")).final
             assert np.abs(fast - dense).max() <= 1e-9
 
-    @needs_numba
-    def test_backends_agree_on_large_instance(self):
-        rng = np.random.default_rng(7)
-        for w in rng.integers(0, 1 << 24, size=50):
-            a = _kernels.pair_run(24, int(w), backend="numpy")
-            b = _kernels.pair_run(24, int(w), backend="numba")
-            assert np.abs(a - b).max() <= 1e-12
-
 
 class TestPairSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n", [2, 6, 10])
-    def test_matches_dense_sweep(self, backend, n):
+    def test_matches_dense_sweep(self, n):
         alg = build_algorithm(n)
-        expected = _kernels.verify_values_range(n, 0, 1 << n, backend="numpy")
-        dense = _sweep(alg, n, backend, expected)
-        pair = _kernels.pair_sweep_range(n, 0, 1 << n, expected, EXACT_TOL,
-                                         backend=backend)
+        expected = _kernels.verify_values_range(n, 0, 1 << n)
+        dense = _kernels.sweep_range(*_sweep_arrays(alg), n, 0, 1 << n, expected, EXACT_TOL)
+        pair = _kernels.pair_sweep_range(n, 0, 1 << n, expected, EXACT_TOL)
         assert dense[0] == pair[0] == -1
         assert dense[1] == pytest.approx(pair[1], abs=1e-12)
 
-    @needs_numba
-    def test_backends_agree(self):
-        n = 12
-        expected = _kernels.verify_values_range(n, 0, 1 << n, backend="numpy")
-        a = _kernels.pair_sweep_range(n, 0, 1 << n, expected, EXACT_TOL, backend="numpy")
-        b = _kernels.pair_sweep_range(n, 0, 1 << n, expected, EXACT_TOL, backend="numba")
-        assert a[0] == b[0]
-        assert a[1] == pytest.approx(b[1], abs=1e-12)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_first_failure_in_subrange(self, backend):
+    def test_first_failure_in_subrange(self):
         n = 6
         # Complemented expectations make every word a failure; the reported
-        # one must be the range start.
-        expected = 1 - _kernels.verify_values_range(n, 0, 1 << n, backend="numpy")
-        first, _ = _kernels.pair_sweep_range(n, 17, 40, expected[17:40], EXACT_TOL,
-                                             backend=backend)
+        # one must be the range start, for the reference and the kernel.
+        expected = 1 - _kernels.verify_values_range(n, 0, 1 << n)
+        first, _ = _kernels.pair_sweep_range(n, 17, 40, expected[17:40], EXACT_TOL)
         assert first == 17
-
-
-@needs_numba
-class TestClassicalKernels:
-    @pytest.mark.parametrize("n", [2, 6, 10, 14])
-    def test_verify_values(self, n):
-        a = _kernels.verify_values_range(n, 0, 1 << n, backend="numpy")
-        b = _kernels.verify_values_range(n, 0, 1 << n, backend="numba")
-        assert np.array_equal(a, b)
-
-    def test_verify_values_subrange(self):
-        full = _kernels.verify_values_range(10, 0, 1 << 10, backend="numba")
-        part = _kernels.verify_values_range(10, 100, 300, backend="numba")
-        assert np.array_equal(part, full[100:300])
-
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_table_sensitivity(self, n, rng):
-        table = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-        assert (_kernels.table_sensitivity(table, n, backend="numpy")
-                == _kernels.table_sensitivity(table, n, backend="numba"))
-
-    @pytest.mark.parametrize("n", [2, 6, 12])
-    def test_classical_query_counts(self, n):
-        a = _kernels.classical_query_counts(n, backend="numpy")
-        b = _kernels.classical_query_counts(n, backend="numba")
-        assert np.array_equal(a, b)
+        arrays = _sweep_arrays(build_algorithm(n))
+        assert _kernels.sweep_range(*arrays, n, 17, 40, expected[17:40], EXACT_TOL)[0] == 17
 
 
 class TestVerifyValuesOracle:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_against_python_pair_scan(self, backend):
+    def test_against_python_pair_scan(self):
         n = 8
-        values = _kernels.verify_values_range(n, 0, 1 << n, backend=backend)
+        values = _kernels.verify_values_range(n, 0, 1 << n)
         for w in range(1 << n):
             word = format(w, f"0{n}b")
             expected = all(word[i] == word[i + 1] for i in range(0, n, 2))

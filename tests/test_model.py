@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +19,7 @@ from qverify import (
     run,
     run_batch,
 )
-from qverify.model import FIXED
+from qverify.model import FIXED, _sweep_arrays
 
 import refdata
 
@@ -232,45 +235,118 @@ class TestCheckExact:
         assert serial == parallel
 
 
-class TestSweepEngines:
-    @pytest.mark.parametrize("n", [2, 4, 8, 12])
-    def test_pair_engine_matches_dense_engine(self, n):
-        alg = build_algorithm(n)
+def _flipped_at_last_word(f):
+    table = f.values().copy()
+    table[-1] ^= 1
+    return BooleanFunction.from_table(table)
+
+
+def _variables_permuted(n, seed):
+    """The n-variable builder output with its variables renamed by a seeded
+    permutation, so that stage 1 no longer queries x1 and x2; and the
+    verifier function renamed the same way, which it computes."""
+    alg = build_algorithm(n)
+    perm = np.concatenate(([0], np.random.default_rng(seed).permutation(n) + 1))
+    stages = [(st.unitary, QuerySpec(perm[st.query.var_map])) for st in alg.stages]
+    renamed = QueryAlgorithm(n, alg.start, stages, alg.final_unitary, alg.labels)
+    words = np.arange(1 << n)
+    bits = (words[:, None] >> (n - np.arange(1, n + 1))) & 1
+    # Variable k of the renamed algorithm plays the role of variable perm[k].
+    original = np.zeros_like(words)
+    for k in range(1, n + 1):
+        original |= bits[:, k - 1] << (n - perm[k])
+    return renamed, BooleanFunction.from_table(BooleanFunction.verify(n).values()[original])
+
+
+def _final_scaled(n, factor):
+    alg = build_algorithm(n)
+    return QueryAlgorithm(n, alg.start, alg.stages, alg.final_unitary * factor, alg.labels)
+
+
+def _labels_complemented(n):
+    alg = build_algorithm(n)
+    return QueryAlgorithm(n, alg.start, alg.stages, alg.final_unitary, 1 - alg.labels)
+
+
+def _sweep_cases():
+    for n in (2, 4, 8, 12):
         f = BooleanFunction.verify(n)
-        dense = check_exact(alg, f, engine="dense")
-        pair = check_exact(alg, f, engine="pair")
-        assert (dense.exact, dense.counterexample) == (pair.exact, pair.counterexample)
-        assert dense.min_probability == pytest.approx(pair.min_probability, abs=1e-12)
+        yield f"builder-n{n}", build_algorithm(n), f, True
+        yield f"builder-n{n}-flipped", build_algorithm(n), _flipped_at_last_word(f), True
+    renamed, g = _variables_permuted(8, seed=3)
+    yield "out-of-order", renamed, g, True
+    # Fails; the counterexample must still be the lexicographically first.
+    yield "out-of-order-vs-verify", renamed, BooleanFunction.verify(8), True
+    # Labels 0 are the smaller set here: p0 is computed, p1 derived.
+    yield "complemented-labels", _labels_complemented(6), \
+        BooleanFunction.from_table(1 - BooleanFunction.verify(6).values()), True
+    yield "final-scaled", _final_scaled(6, 1.0 + 1e-6), BooleanFunction.verify(6), False
+    alg = build_algorithm(6)
+    final = np.array(alg.final_unitary)
+    final[3, 5] *= -1.0
+    yield "final-sign-flip", QueryAlgorithm(6, alg.start, alg.stages, final, alg.labels), \
+        BooleanFunction.verify(6), False
+    base = build_algorithm(4)
+    for row, col in [(0, 0), (0, 2), (2, 0), (2, 2)]:
+        mutated = np.array(base.stages[0].unitary)
+        mutated[row, col] *= -1.0
+        yield f"stage-flip-{row}{col}", QueryAlgorithm(
+            4, base.start, [(mutated, base.stages[0].query), base.stages[1]],
+            base.final_unitary, base.labels), BooleanFunction.verify(4), True
 
-    def test_pair_engine_agrees_on_failures(self):
-        alg = build_algorithm(8)
-        # An algorithm for 8 variables checked against the wrong function.
-        wrong = BooleanFunction.from_table(1 - BooleanFunction.verify(8).values())
-        dense = check_exact(alg, wrong, engine="dense")
-        pair = check_exact(alg, wrong, engine="pair")
-        assert not dense.exact and not pair.exact
-        assert dense.counterexample == pair.counterexample == "00000000"
 
-    def test_pair_engine_rejected_for_hand_built_algorithms(self, alg4):
-        clone = QueryAlgorithm(4, alg4.start, alg4.stages, alg4.final_unitary,
-                               alg4.labels)
-        with pytest.raises(ValueError, match="pair engine"):
-            check_exact(clone, BooleanFunction.verify(4), engine="pair")
+_SWEEP_CASES = list(_sweep_cases())
 
-    def test_auto_uses_dense_below_threshold(self, alg4):
-        # Auto on small builder output must behave exactly like dense.
-        f = BooleanFunction.verify(4)
-        assert check_exact(alg4, f) == check_exact(alg4, f, engine="dense")
 
-    def test_pair_engine_parallel_equals_serial(self):
-        alg = build_algorithm(12)
-        f = BooleanFunction.verify(12)
-        assert check_exact(alg, f, engine="pair") == \
-            check_exact(alg, f, engine="pair", workers=2)
+class TestSweepKernel:
+    """check_exact runs one kernel for every algorithm; pin it to `run`."""
 
-    def test_unknown_engine(self, alg4):
-        with pytest.raises(ValueError):
-            check_exact(alg4, BooleanFunction.verify(4), engine="sparse")
+    @pytest.mark.parametrize("alg,f,orthogonal_final", [c[1:] for c in _SWEEP_CASES],
+                             ids=[c[0] for c in _SWEEP_CASES])
+    def test_matches_naive_run(self, alg, f, orthogonal_final):
+        final_t = _sweep_arrays(alg)[3]
+        # An orthogonal final matrix keeps only the smaller label set's rows.
+        assert (final_t.shape[1] < alg.dim) == orthogonal_final
+        report = check_exact(alg, f)
+        counterexample, min_prob = refdata.naive_check(alg, f)
+        assert report.counterexample == counterexample
+        assert report.exact == (counterexample is None)
+        assert report.min_probability == pytest.approx(min_prob, abs=1e-12)
+
+    def test_only_reachable_columns_are_carried(self, alg4):
+        start, stage_uts, var_maps, _, _ = _sweep_arrays(alg4)
+        # Stage 1 mixes basis states 0 and 2; stage 2 reaches all four.
+        assert start.shape == (1,)
+        assert [ut.shape for ut in stage_uts] == [(1, 2), (2, 4)]
+        assert var_maps[0].tolist() == [1, 2]
+
+    def test_concurrent_callers_get_their_own_reports(self):
+        # n = 16 sweeps in 8 chunks, so two concurrent checks interleave.
+        n = 16
+        alg = build_algorithm(n)
+        functions = [BooleanFunction.verify(n), _flipped_at_last_word(BooleanFunction.verify(n))]
+        serial = [check_exact(alg, f) for f in functions]
+        assert serial[1].counterexample == "1" * n
+        results = [None, None]
+        barrier = threading.Barrier(2)
+
+        def call(i):
+            barrier.wait()
+            results[i] = check_exact(alg, functions[i])
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+        assert check_exact(alg, functions[1], workers=2) == serial[1]
 
 
 class TestQueryAlgorithmValidation:
@@ -293,6 +369,17 @@ class TestQueryAlgorithmValidation:
         with pytest.raises(ValueError):
             QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([1, 2]))],
                            np.eye(2), [1, 2])
+        with pytest.raises(ValueError):
+            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([1, 2]))],
+                           np.eye(2), [1, -1])
+
+    @pytest.mark.parametrize("where", ["start", "stage", "final"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, where, value):
+        start, unitary, final = np.array([1.0, 0.0]), np.eye(2), np.eye(2)
+        {"start": start, "stage": unitary[1], "final": final[1]}[where][1] = value
+        with pytest.raises(ValueError):
+            QueryAlgorithm(2, start, [(unitary, QuerySpec([1, 2]))], final, [1, 0])
 
     def test_rejects_empty_stage_list(self):
         with pytest.raises(ValueError):

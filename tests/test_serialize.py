@@ -70,15 +70,19 @@ class TestAlgorithmDocuments:
         again = dumps_algorithm(document_to_algorithm(json.loads(text)))
         assert text == again
 
-    def test_loaded_algorithms_always_use_their_matrices(self, alg6, tmp_path):
-        # The structure-aware sweep engine is reserved for builder output;
-        # anything loaded must be checked through its actual matrices.
-        path = tmp_path / "alg6.json"
-        save_algorithm(alg6, path)
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_loaded_documents_match_naive_run(self, n, tmp_path):
+        path = tmp_path / "alg.json"
+        save_algorithm(build_algorithm(n), path)
         loaded = load_algorithm(path)
-        assert not loaded._pair_structured
-        with pytest.raises(ValueError, match="pair engine"):
-            check_exact(loaded, BooleanFunction.verify(6), engine="pair")
+        table = BooleanFunction.verify(n).values().copy()
+        table[-1] ^= 1
+        for f in (BooleanFunction.verify(n), BooleanFunction.from_table(table)):
+            report = check_exact(loaded, f)
+            counterexample, min_prob = refdata.naive_check(loaded, f)
+            assert report.counterexample == counterexample
+            assert report.exact == (counterexample is None)
+            assert report.min_probability == pytest.approx(min_prob, abs=1e-12)
 
     def test_loader_accepts_non_unitary_matrices(self, alg4, tmp_path):
         # A damaged document must load so the behavioral check can convict
