@@ -19,7 +19,7 @@ from .linalg import MATRIX_TOL
 # Runs the unitary/query pipeline of any algorithm on every input integer in
 # [lo, hi) against a table of expected output bits, and returns
 # (first_failure, min_correct_probability) where first_failure is -1 when
-# every input is computed exactly and correctly. Three reductions keep it
+# every input is computed exactly and correctly. Four reductions keep it
 # cheaper than one dense pipeline per word while computing the same values:
 #
 #   * shared prefixes: after stage s a word's state depends only on the
@@ -30,7 +30,13 @@ from .linalg import MATRIX_TOL
 #     because the model rejects non-finite matrices, so 0 * x is always 0);
 #   * labelled rows: when the final matrix is orthogonal on the reachable
 #     columns, only the output rows of the smaller label set are computed
-#     and the other probability is |s|^2 minus theirs.
+#     and the other probability is |s|^2 minus theirs;
+#   * last query folded into the final map: the final amplitudes are linear
+#     in the last query's signs, so with that stage's columns grouped by
+#     queried variable v (v = 0 for fixed slots),
+#         out[w] = sum_v (-1)**x_v(w) * (mixed[prefix(w), cols_v] @ final_t[cols_v]),
+#     where mixed is the state before that query, and |s|^2 is the row norm
+#     of mixed. No word's post-query state is ever formed.
 # ---------------------------------------------------------------------------
 
 
@@ -47,16 +53,19 @@ def sweep_arrays(start, unitaries, var_maps, final, labels):
     Returns (start, stage_uts, var_maps, final_t, labels): the start state on
     its support; per stage, the transposed unitary block from the previously
     reachable columns to the newly reachable ones and the query var map on
-    the latter; the transposed final matrix on the last reachable columns,
-    keeping only the rows labelled _partial_label(labels) when it is
-    orthogonal there (within MATRIX_TOL as a bound on |s|^2 error); and the
-    unchanged labels.
+    the latter, those ordered by a stable sort on their variable so that
+    each variable's columns form one contiguous slice (a relabelling of
+    basis states that changes no probability); the transposed final matrix
+    on the last reachable columns, keeping only the rows labelled
+    _partial_label(labels) when it is orthogonal there (within MATRIX_TOL as
+    a bound on |s|^2 error); and the unchanged labels.
     """
     support = np.flatnonzero(start)
     cols = support
     stage_uts, stage_maps = [], []
     for unitary, var_map in zip(unitaries, var_maps):
         rows = np.flatnonzero((unitary != 0)[:, cols].any(axis=1))
+        rows = rows[np.argsort(var_map[rows], kind="stable")]
         stage_uts.append(np.ascontiguousarray(unitary[np.ix_(rows, cols)].T))
         stage_maps.append(var_map[rows])
         cols = rows
@@ -79,18 +88,25 @@ def sweep_range(start, stage_uts, var_maps, final_t, labels, n_vars, lo, hi, exp
     states = start[None, :]
     row_of = np.zeros(hi - lo, dtype=np.int64)
     mask = 0
-    for ut, var_map in zip(stage_uts, var_maps):
+    last = len(stage_uts) - 1
+    for stage, (ut, var_map) in enumerate(zip(stage_uts, var_maps)):
         mixed = states @ ut
         stage_mask = int(np.bitwise_or.reduce(1 << shifts[var_map[var_map > 0]]))
         mask |= stage_mask
         # reps: the first word of each distinct prefix, in prefix order.
         _, reps, row_of_next = np.unique(words & mask, return_index=True, return_inverse=True)
-        # One +-1 row per distinct setting of this stage's variables.
+        # One row of +-1 per variable for each distinct setting of this
+        # stage's variables; src: the mixed row each new prefix comes from.
         patterns, pattern_of = np.unique(words[reps] & stage_mask, return_inverse=True)
-        signs = (1.0 - 2.0 * ((patterns[:, None] >> shifts) & 1))[:, var_map]
-        states = mixed[row_of[reps]] * signs[pattern_of]
-        row_of = row_of_next
-    out = states @ final_t
+        signs = 1.0 - 2.0 * ((patterns[:, None] >> shifts) & 1)
+        src, row_of = row_of[reps], row_of_next
+        if stage < last:
+            states = mixed[src] * signs[:, var_map][pattern_of]
+    # The last query, folded into the final map one variable slice at a time.
+    out = np.zeros((src.size, final_t.shape[1]))
+    starts = np.flatnonzero(np.diff(var_map, prepend=-1))
+    for a, b in zip(starts, np.append(starts[1:], var_map.size)):
+        out += (mixed[:, a:b] @ final_t[a:b])[src] * signs[pattern_of, var_map[a], None]
     if final_t.shape[1] == labels.size:
         probs = out * out
         lab1 = labels.astype(np.float64)
@@ -98,7 +114,8 @@ def sweep_range(start, stage_uts, var_maps, final_t, labels, n_vars, lo, hi, exp
         p0 = probs @ (1.0 - lab1)
     else:
         kept = np.einsum("ij,ij->i", out, out)
-        rest = np.maximum(np.einsum("ij,ij->i", states, states) - kept, 0.0)
+        norms = np.einsum("ij,ij->i", mixed, mixed)[src]
+        rest = np.maximum(norms - kept, 0.0)
         p1, p0 = (kept, rest) if _partial_label(labels) == 1 else (rest, kept)
     p1 = p1[row_of]
     p0 = p0[row_of]

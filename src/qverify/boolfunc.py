@@ -16,11 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .limits import MAX_SENSITIVITY_VARS, MAX_SWEEP_VARS
 from .words import index_to_word, parse_word
-
-# Sensitivity costs N * 2**N table lookups; above 20 variables that stops
-# being an interactive operation.
-MAX_SENSITIVITY_VARS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +144,9 @@ def classical_query_counts(n: int) -> np.ndarray:
     """Queries used by classical_verify on every n-bit word, by word value."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"verifier arity must be even and >= 2, got {n}")
-    if n > 24:
-        raise ValueError(f"exhaustive classical sweep capped at 24 variables, got {n}")
+    if n > MAX_SWEEP_VARS:
+        raise ValueError(
+            f"exhaustive classical sweep capped at {MAX_SWEEP_VARS} variables, got {n}")
     return _kernels.classical_query_counts(n)
 
 

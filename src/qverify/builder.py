@@ -21,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .limits import MAX_BUILD_VARS
 from .linalg import hadamard_power, is_power_of_two
 from .model import QueryAlgorithm, QuerySpec
-
-# Exhaustive verification of larger instances stops being a minutes-scale
-# desk job, so the builder refuses them outright.
-MAX_BUILD_VARS = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -1,0 +1,27 @@
+"""Size caps, gathered in one place.
+
+Every cap is enforced with a loud ValueError at the call that would exceed
+it, never by silent truncation. The modules that enforce a cap re-export it
+under its old name (`builder.MAX_BUILD_VARS`, `model.MAX_SWEEP_VARS`,
+`linalg.MAX_DIM`, `boolfunc.MAX_SENSITIVITY_VARS`, `strings.MAX_STRING_LEN`).
+"""
+
+# Exhaustive verification of larger instances stops being a desk job, so
+# the builder refuses them outright.
+MAX_BUILD_VARS = 24
+
+# 2**24 pipeline executions is the loud upper limit for exhaustive sweeps,
+# quantum (check_exact) and classical (classical_query_counts) alike.
+MAX_SWEEP_VARS = 24
+
+# Largest matrix dimension hadamard_power builds; a dense float64 matrix of
+# this dimension already takes 32 GiB.
+MAX_DIM = 1 << 16
+
+# Sensitivity costs N * 2**N table lookups; above 20 variables that stops
+# being an interactive operation.
+MAX_SENSITIVITY_VARS = 20
+
+# Keeps the 2**k amplitude vector of string equality small; longer strings
+# are out of scope.
+MAX_STRING_LEN = 12

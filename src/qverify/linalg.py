@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .limits import MAX_DIM
+
 MATRIX_TOL = 1e-12
 NORM_TOL = 1e-9
-
-# Exhaustive sweeps above this many variables would silently take hours;
-# callers reject larger instances loudly instead.
-MAX_DIM = 1 << 16
 
 
 def is_power_of_two(n: int) -> bool:

@@ -27,13 +27,11 @@ import numpy as np
 
 from . import _kernels
 from .boolfunc import BooleanFunction
+from .limits import MAX_SWEEP_VARS
 from .linalg import as_matrix, as_state, is_unitary
 from .words import index_to_word, parse_word
 
 EXACT_TOL = 1e-9
-
-# 2**24 pipeline executions is the loud upper limit for exhaustive sweeps.
-MAX_SWEEP_VARS = 24
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,11 @@ round-trip form, so dump -> load -> dump is byte-stable and loaded
 algorithms run bitwise identically to the originals.
 
 Loading validates structure, dimensions and finite entries but
-deliberately not matrix unitarity: a damaged document should load and then lose in `check_exact`
-with a concrete counterexample instead of being rejected up front. Whether
-the matrices are in fact unitary is reported by the `check` CLI command.
+deliberately not matrix unitarity, so a damaged document loads instead of
+being rejected up front. Damage that changes some run then loses in
+`check_exact` with a concrete counterexample; damage confined to columns
+the start state never reaches changes no run and shows only in
+`"unitary"`, the unitarity report of the `check` CLI command.
 """
 
 from __future__ import annotations

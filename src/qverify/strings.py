@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
+from .limits import MAX_STRING_LEN
 from .model import EXACT_TOL
 from .words import parse_word
-
-# Keeps the 2**k amplitude vector small; longer strings are out of scope.
-MAX_STRING_LEN = 12
 
 
 @dataclass(frozen=True)

@@ -139,3 +139,16 @@ class TestClassicalVerify:
     def test_decision_tree_bounded_below_by_sensitivity(self, n):
         value, _ = sensitivity(BooleanFunction.verify(n))
         assert classical_worst_case(n) >= value
+
+    def test_query_count_cap(self):
+        with pytest.raises(ValueError, match="^exhaustive classical sweep capped at 24 "
+                                             "variables, got 26$"):
+            classical_query_counts(26)
+
+
+def test_size_caps_live_in_one_module():
+    from qverify import boolfunc, builder, limits, linalg, model, strings
+    assert (builder.MAX_BUILD_VARS, model.MAX_SWEEP_VARS, linalg.MAX_DIM,
+            boolfunc.MAX_SENSITIVITY_VARS, strings.MAX_STRING_LEN) == \
+        (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DIM,
+         limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 20, 12)

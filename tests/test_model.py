@@ -19,6 +19,7 @@ from qverify import (
     run,
     run_batch,
 )
+from qverify._kernels import sweep_range
 from qverify.model import FIXED, _sweep_arrays
 
 import refdata
@@ -268,6 +269,46 @@ def _labels_complemented(n):
     return QueryAlgorithm(n, alg.start, alg.stages, alg.final_unitary, 1 - alg.labels)
 
 
+def _last_stage_requeried(n, var_map):
+    """Builder output whose last stage queries by `var_map` instead."""
+    alg = build_algorithm(n)
+    stages = list(alg.stages[:-1]) + [(alg.stages[-1].unitary, QuerySpec(var_map))]
+    return QueryAlgorithm(n, alg.start, stages, alg.final_unitary, alg.labels)
+
+
+def _random_orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def _random_algorithm(seed, perturbed=()):
+    """A seeded 7-variable, 3-query algorithm on 8 amplitudes: random
+    orthogonal stage and final matrices, a start state with zero entries,
+    random var maps that never query x4 or x7, and a random truth table.
+    The matrices named in `perturbed` ("stages", "final") get 1e-3 noise,
+    so they are no longer orthogonal."""
+    rng = np.random.default_rng(seed)
+    n, dim = 7, 8
+
+    def matrix(kind):
+        m = _random_orthogonal(rng, dim)
+        return m + 1e-3 * rng.standard_normal((dim, dim)) if kind in perturbed else m
+
+    start = np.zeros(dim)
+    start[[1, 4, 6]] = rng.standard_normal(3)
+    start /= np.linalg.norm(start)
+    queried = np.array([0, 1, 2, 3, 5, 6])
+    stages = [(matrix("stages"), QuerySpec(rng.choice(queried, size=dim))) for _ in range(3)]
+    labels = np.zeros(dim, dtype=np.uint8)
+    labels[rng.permutation(dim)[:3]] = 1
+    alg = QueryAlgorithm(n, start, stages, matrix("final"), labels)
+    return alg, BooleanFunction.from_table(rng.integers(0, 2, size=1 << n))
+
+
+_RANDOM_VARIANTS = {"orthogonal": (), "perturbed-final": ("final",),
+                    "perturbed-stages": ("stages",)}
+
+
 def _sweep_cases():
     for n in (2, 4, 8, 12):
         f = BooleanFunction.verify(n)
@@ -293,6 +334,21 @@ def _sweep_cases():
         yield f"stage-flip-{row}{col}", QueryAlgorithm(
             4, base.start, [(mutated, base.stages[0].query), base.stages[1]],
             base.final_unitary, base.labels), BooleanFunction.verify(4), True
+    # The last query folds into the final map one variable slice at a time.
+    yield "last-stage-requeries-x1", _last_stage_requeried(6, [5, 1, 6, 5, 1, 6, 5, 6]), \
+        BooleanFunction.verify(6), True
+    # No new variable in the last stage: its prefixes are those before it.
+    yield "last-stage-only-earlier-vars", _last_stage_requeried(6, [3, 1, 4, 2, 4, 1, 3, 2]), \
+        BooleanFunction.verify(6), True
+    yield "last-stage-interleaved", _last_stage_requeried(6, [6, 0, 5, 3, 0, 6, 4, 5]), \
+        BooleanFunction.verify(6), True
+    for name, perturbed in _RANDOM_VARIANTS.items():
+        yield f"random-{name}", *_random_algorithm(11, perturbed), "final" not in perturbed
+    # Non-orthogonal stages give each prefix its own |s|^2; against the zero
+    # function the minimum is over p0 = |s|^2 - p1 alone.
+    alg, _ = _random_algorithm(11, ("stages",))
+    yield "random-perturbed-stages-vs-zero", alg, \
+        BooleanFunction.from_table(np.zeros(1 << alg.n_vars, dtype=np.uint8)), True
 
 
 _SWEEP_CASES = list(_sweep_cases())
@@ -304,14 +360,28 @@ class TestSweepKernel:
     @pytest.mark.parametrize("alg,f,orthogonal_final", [c[1:] for c in _SWEEP_CASES],
                              ids=[c[0] for c in _SWEEP_CASES])
     def test_matches_naive_run(self, alg, f, orthogonal_final):
-        final_t = _sweep_arrays(alg)[3]
+        _, _, var_maps, final_t, _ = _sweep_arrays(alg)
         # An orthogonal final matrix keeps only the smaller label set's rows.
         assert (final_t.shape[1] < alg.dim) == orthogonal_final
+        # Each variable's last-stage columns form one contiguous slice.
+        assert (np.diff(var_maps[-1]) >= 0).all()
         report = check_exact(alg, f)
         counterexample, min_prob = refdata.naive_check(alg, f)
         assert report.counterexample == counterexample
         assert report.exact == (counterexample is None)
         assert report.min_probability == pytest.approx(min_prob, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", list(_RANDOM_VARIANTS))
+    def test_every_word_matches_run(self, variant):
+        # Single-word sweeps expose both probabilities of each word.
+        alg, _ = _random_algorithm(11, _RANDOM_VARIANTS[variant])
+        arrays = _sweep_arrays(alg)
+        for w in range(1 << alg.n_vars):
+            p0, p1 = measure(run(alg, format(w, f"0{alg.n_vars}b")).final, alg.labels)
+            for bit, p in ((0, p0), (1, p1)):
+                _, swept = sweep_range(*arrays, alg.n_vars, w, w + 1,
+                                       np.array([bit], dtype=np.uint8), 1e-9)
+                assert swept == pytest.approx(p, abs=1e-12)
 
     def test_only_reachable_columns_are_carried(self, alg4):
         start, stage_uts, var_maps, _, _ = _sweep_arrays(alg4)
