@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import MATRIX_TOL
+from .limits import MATRIX_TOL
 
 # ---------------------------------------------------------------------------
 # exhaustive exactness sweep
@@ -29,14 +29,17 @@ from .linalg import MATRIX_TOL
 #     through the nonzero entries of the stage unitaries are carried (sound
 #     because the model rejects non-finite matrices, so 0 * x is always 0);
 #   * labelled rows: when the final matrix is orthogonal on the reachable
-#     columns, only the output rows of the smaller label set are computed
-#     and the other probability is |s|^2 minus theirs;
-#   * last query folded into the final map: the final amplitudes are linear
-#     in the last query's signs, so with that stage's columns grouped by
-#     queried variable v (v = 0 for fixed slots),
-#         out[w] = sum_v (-1)**x_v(w) * (mixed[prefix(w), cols_v] @ final_t[cols_v]),
-#     where mixed is the state before that query, and |s|^2 is the row norm
-#     of mixed. No word's post-query state is ever formed.
+#     columns and the last stage's block is an isometry, only the output
+#     rows of the smaller label set are computed and the other probability
+#     is |s|^2 minus theirs, with s the state before the last stage;
+#   * last stage folded into the final map at set-up: the final amplitudes
+#     are linear in the last query's signs, so with that stage's reachable
+#     columns grouped by queried variable v (v = 0 for fixed slots),
+#     transposed block ut_T and transposed final matrix final_t,
+#         G_v = ut_T[:, cols_v] @ final_t[cols_v],
+#         out[w] = sum_v (-1)**x_v(w) * (states[prefix(w)] @ G_v),
+#     where states holds the prefixes before the last stage. Neither that
+#     stage's product nor any word's post-query state is ever formed.
 # ---------------------------------------------------------------------------
 
 
@@ -47,40 +50,50 @@ def _partial_label(labels: np.ndarray) -> int:
     return 1 if ones <= labels.size - ones else 0
 
 
+def _keeps_norms(m: np.ndarray) -> bool:
+    """True iff m's columns are orthonormal within MATRIX_TOL, as a bound on
+    how far |m s|^2 can be from |s|^2."""
+    gram = m.T @ m
+    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    # The row-sum norm bounds the spectral norm of the symmetric gram error.
+    return float(np.abs(gram).sum(axis=1).max(initial=0.0)) <= MATRIX_TOL
+
+
 def sweep_arrays(start, unitaries, var_maps, final, labels):
     """Kernel-ready arrays for sweep_range, built once per exactness check.
 
-    Returns (start, stage_uts, var_maps, final_t, labels): the start state on
-    its support; per stage, the transposed unitary block from the previously
-    reachable columns to the newly reachable ones and the query var map on
-    the latter, those ordered by a stable sort on their variable so that
-    each variable's columns form one contiguous slice (a relabelling of
-    basis states that changes no probability); the transposed final matrix
-    on the last reachable columns, keeping only the rows labelled
-    _partial_label(labels) when it is orthogonal there (within MATRIX_TOL as
-    a bound on |s|^2 error); and the unchanged labels.
+    Returns (start, stage_uts, var_maps, finals, labels): the start state on
+    its support; for stages 1..T-1, the transposed unitary block from the
+    previously reachable columns to the newly reachable ones, and the query
+    var map on the latter; then, as the last var map, the distinct variables
+    v the last stage queries (0 for fixed slots) and, stacked in that order,
+    finals[i] = G_v, the last stage's block on the columns it signs by x_v
+    composed with the final matrix on them. The final matrix keeps only the
+    rows labelled _partial_label(labels) when both it and the last stage's
+    block keep norms on the reachable columns; the labels are unchanged.
     """
     support = np.flatnonzero(start)
     cols = support
-    stage_uts, stage_maps = [], []
+    blocks, maps = [], []
     for unitary, var_map in zip(unitaries, var_maps):
         rows = np.flatnonzero((unitary != 0)[:, cols].any(axis=1))
-        rows = rows[np.argsort(var_map[rows], kind="stable")]
-        stage_uts.append(np.ascontiguousarray(unitary[np.ix_(rows, cols)].T))
-        stage_maps.append(var_map[rows])
+        blocks.append(unitary[np.ix_(rows, cols)])
+        maps.append(var_map[rows])
         cols = rows
     final_cols = final[:, cols]
-    gram = final_cols.T @ final_cols
-    np.fill_diagonal(gram, gram.diagonal() - 1.0)
-    # The row-sum norm bounds the spectral norm of the symmetric gram error,
-    # hence how far |F s|^2 can be from |s|^2.
-    if float(np.abs(gram).sum(axis=1).max(initial=0.0)) <= MATRIX_TOL:
+    if _keeps_norms(blocks[-1]) and _keeps_norms(final_cols):
         final_cols = final_cols[labels == _partial_label(labels)]
-    return (start[support], tuple(stage_uts), tuple(stage_maps),
-            np.ascontiguousarray(final_cols.T), labels)
+    last, last_map = blocks.pop(), maps.pop()
+    slice_vars = np.unique(last_map)
+    # No slices when a damaged last stage reaches no column.
+    finals = np.zeros((slice_vars.size, last.shape[1], final_cols.shape[0]))
+    for g, v in zip(finals, slice_vars):
+        g[:] = (final_cols[:, last_map == v] @ last[last_map == v]).T
+    return (start[support], tuple(np.ascontiguousarray(b.T) for b in blocks),
+            tuple(maps) + (slice_vars,), finals, labels)
 
 
-def sweep_range(start, stage_uts, var_maps, final_t, labels, n_vars, lo, hi, expected, tol):
+def sweep_range(start, stage_uts, var_maps, finals, labels, n_vars, lo, hi, expected, tol):
     """Sweep inputs [lo, hi) through arrays from sweep_arrays; see above."""
     words = np.arange(lo, hi, dtype=np.int64)
     # Shift of variable k; a fixed slot (k = 0) reads bit n, which is 0.
@@ -88,33 +101,30 @@ def sweep_range(start, stage_uts, var_maps, final_t, labels, n_vars, lo, hi, exp
     states = start[None, :]
     row_of = np.zeros(hi - lo, dtype=np.int64)
     mask = 0
-    last = len(stage_uts) - 1
-    for stage, (ut, var_map) in enumerate(zip(stage_uts, var_maps)):
-        mixed = states @ ut
+    for stage, var_map in enumerate(var_maps):
         stage_mask = int(np.bitwise_or.reduce(1 << shifts[var_map[var_map > 0]]))
         mask |= stage_mask
         # reps: the first word of each distinct prefix, in prefix order.
         _, reps, row_of_next = np.unique(words & mask, return_index=True, return_inverse=True)
         # One row of +-1 per variable for each distinct setting of this
-        # stage's variables; src: the mixed row each new prefix comes from.
+        # stage's variables; src: the state row each new prefix comes from.
         patterns, pattern_of = np.unique(words[reps] & stage_mask, return_inverse=True)
         signs = 1.0 - 2.0 * ((patterns[:, None] >> shifts) & 1)
         src, row_of = row_of[reps], row_of_next
-        if stage < last:
-            states = mixed[src] * signs[:, var_map][pattern_of]
-    # The last query, folded into the final map one variable slice at a time.
-    out = np.zeros((src.size, final_t.shape[1]))
-    starts = np.flatnonzero(np.diff(var_map, prepend=-1))
-    for a, b in zip(starts, np.append(starts[1:], var_map.size)):
-        out += (mixed[:, a:b] @ final_t[a:b])[src] * signs[pattern_of, var_map[a], None]
-    if final_t.shape[1] == labels.size:
+        if stage < len(stage_uts):
+            states = (states @ stage_uts[stage])[src] * signs[:, var_map][pattern_of]
+    # The last stage, composed with the final map one variable at a time.
+    out = np.zeros((src.size, finals.shape[2]))
+    for v, g in zip(var_maps[-1], finals):
+        out += (states @ g)[src] * signs[pattern_of, v, None]
+    if finals.shape[2] == labels.size:
         probs = out * out
         lab1 = labels.astype(np.float64)
         p1 = probs @ lab1
         p0 = probs @ (1.0 - lab1)
     else:
         kept = np.einsum("ij,ij->i", out, out)
-        norms = np.einsum("ij,ij->i", mixed, mixed)[src]
+        norms = np.einsum("ij,ij->i", states, states)[src]
         rest = np.maximum(norms - kept, 0.0)
         p1, p0 = (kept, rest) if _partial_label(labels) == 1 else (rest, kept)
     p1 = p1[row_of]

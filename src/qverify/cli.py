@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively check exactness over all words")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--parallel", action="store_true", help="sweep with one worker per CPU")
+    p.add_argument("--parallel", action="store_true",
+                   help="sweep with one worker process per CPU, each on one BLAS thread")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

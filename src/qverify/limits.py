@@ -1,9 +1,11 @@
-"""Size caps, gathered in one place.
+"""Size caps and numeric tolerances, gathered in one place.
 
 Every cap is enforced with a loud ValueError at the call that would exceed
-it, never by silent truncation. The modules that enforce a cap re-export it
-under its old name (`builder.MAX_BUILD_VARS`, `model.MAX_SWEEP_VARS`,
-`linalg.MAX_DIM`, `boolfunc.MAX_SENSITIVITY_VARS`, `strings.MAX_STRING_LEN`).
+it, never by silent truncation. The modules that use a cap or a tolerance
+re-export it under its old name (`builder.MAX_BUILD_VARS`,
+`model.MAX_SWEEP_VARS`, `linalg.MAX_DIM`, `boolfunc.MAX_SENSITIVITY_VARS`,
+`strings.MAX_STRING_LEN`, `linalg.MATRIX_TOL`, `linalg.NORM_TOL`,
+`model.EXACT_TOL`).
 """
 
 # Exhaustive verification of larger instances stops being a desk job, so
@@ -25,3 +27,13 @@ MAX_SENSITIVITY_VARS = 20
 # Keeps the 2**k amplitude vector of string equality small; longer strings
 # are out of scope.
 MAX_STRING_LEN = 12
+
+# Exact values like 1/sqrt(2) are not representable in binary floating
+# point. MATRIX_TOL bounds matrix identities (is_unitary, and whether a
+# sweep may take a probability as |s|^2 minus the others); NORM_TOL bounds
+# the norm of a start state.
+MATRIX_TOL = 1e-12
+NORM_TOL = 1e-9
+
+# An output counts as exact when its probability is at least 1 - EXACT_TOL.
+EXACT_TOL = 1e-9

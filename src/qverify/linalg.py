@@ -5,8 +5,8 @@ norm; matrices are square 2-D float64 arrays. Everything is real on
 purpose: the constructions in this package only ever need entries from
 {0, +-2**(-k/2)}, so complex support is deliberately omitted. Exact values
 like 1/sqrt(2) are not representable in binary floating point, hence the
-two tolerances below: MATRIX_TOL for matrix identities and NORM_TOL for
-norms and probabilities.
+two tolerances from qverify.limits: MATRIX_TOL for matrix identities and
+NORM_TOL for norms.
 
 All functions are pure and never mutate their arguments, so they are safe
 to call from multiple threads.
@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .limits import MAX_DIM
-
-MATRIX_TOL = 1e-12
-NORM_TOL = 1e-9
+from .limits import MATRIX_TOL, MAX_DIM, NORM_TOL
 
 
 def is_power_of_two(n: int) -> bool:

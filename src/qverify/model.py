@@ -19,6 +19,7 @@ identical traces.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,11 +28,9 @@ import numpy as np
 
 from . import _kernels
 from .boolfunc import BooleanFunction
-from .limits import MAX_SWEEP_VARS
+from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
 from .linalg import as_matrix, as_state, is_unitary
 from .words import index_to_word, parse_word
-
-EXACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ class QueryAlgorithm:
     def t_queries(self) -> int:
         return len(self.stages)
 
-    def unitary_within(self, tol: float = 1e-12) -> bool:
+    def unitary_within(self, tol: float = MATRIX_TOL) -> bool:
         """True iff every stage unitary and the final unitary pass is_unitary."""
         return all(is_unitary(st.unitary, tol) for st in self.stages) and \
             is_unitary(self.final_unitary, tol)
@@ -346,13 +345,49 @@ def _sweep_chunk(payload: dict, span: tuple[int, int]) -> tuple[int, float]:
                                 payload["tol"])
 
 
+# Symbol prefixes and suffixes of the OpenBLAS builds numpy ships: numpy >= 2
+# wheels (scipy-openblas, 64-bit ints), then older wheels.
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of an OpenBLAS library this process
+    has loaded, as ctypes functions; None when there is none."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps
+                     if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            try:
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
 # Pool workers only: each worker process receives the payload once.
 _POOL_STATE: dict | None = None
 
 
 def _pool_init(payload: dict) -> None:
+    """Pool worker start-up: keep the payload, and run BLAS on one thread,
+    since the workers already use the CPUs that BLAS's own threads would."""
     global _POOL_STATE
     _POOL_STATE = payload
+    calls = _openblas_threads()
+    if calls is not None:
+        calls[1](1)
 
 
 def _pool_task(span: tuple[int, int]) -> tuple[int, float]:

@@ -152,3 +152,13 @@ def test_size_caps_live_in_one_module():
             boolfunc.MAX_SENSITIVITY_VARS, strings.MAX_STRING_LEN) == \
         (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DIM,
          limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 20, 12)
+
+
+def test_tolerances_live_in_one_module():
+    from qverify import limits, linalg, model
+    assert (limits.MATRIX_TOL, limits.NORM_TOL, limits.EXACT_TOL) == (1e-12, 1e-9, 1e-9)
+    # The same float objects: re-exported, not defined again with equal values.
+    assert linalg.MATRIX_TOL is limits.MATRIX_TOL
+    assert linalg.NORM_TOL is limits.NORM_TOL
+    assert model.EXACT_TOL is limits.EXACT_TOL
+    assert model.QueryAlgorithm.unitary_within.__defaults__ == (limits.MATRIX_TOL,)

@@ -1,5 +1,6 @@
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from qverify import (
     run,
     run_batch,
 )
+from qverify import model
 from qverify._kernels import sweep_range
 from qverify.model import FIXED, _sweep_arrays
+from qverify.serialize import load_algorithm, save_algorithm
 
 import refdata
 
@@ -285,28 +288,29 @@ def _random_algorithm(seed, perturbed=()):
     """A seeded 7-variable, 3-query algorithm on 8 amplitudes: random
     orthogonal stage and final matrices, a start state with zero entries,
     random var maps that never query x4 or x7, and a random truth table.
-    The matrices named in `perturbed` ("stages", "final") get 1e-3 noise,
-    so they are no longer orthogonal."""
+    The matrices named in `perturbed` ("stages"; "early-stages", all but
+    the last; "final") get 1e-3 noise, so they are no longer orthogonal."""
     rng = np.random.default_rng(seed)
     n, dim = 7, 8
 
-    def matrix(kind):
+    def matrix(noisy):
         m = _random_orthogonal(rng, dim)
-        return m + 1e-3 * rng.standard_normal((dim, dim)) if kind in perturbed else m
+        return m + 1e-3 * rng.standard_normal((dim, dim)) if noisy else m
 
     start = np.zeros(dim)
     start[[1, 4, 6]] = rng.standard_normal(3)
     start /= np.linalg.norm(start)
     queried = np.array([0, 1, 2, 3, 5, 6])
-    stages = [(matrix("stages"), QuerySpec(rng.choice(queried, size=dim))) for _ in range(3)]
+    stages = [(matrix("stages" in perturbed or ("early-stages" in perturbed and i < 2)),
+               QuerySpec(rng.choice(queried, size=dim))) for i in range(3)]
     labels = np.zeros(dim, dtype=np.uint8)
     labels[rng.permutation(dim)[:3]] = 1
-    alg = QueryAlgorithm(n, start, stages, matrix("final"), labels)
+    alg = QueryAlgorithm(n, start, stages, matrix("final" in perturbed), labels)
     return alg, BooleanFunction.from_table(rng.integers(0, 2, size=1 << n))
 
 
 _RANDOM_VARIANTS = {"orthogonal": (), "perturbed-final": ("final",),
-                    "perturbed-stages": ("stages",)}
+                    "perturbed-stages": ("stages",), "perturbed-early-stages": ("early-stages",)}
 
 
 def _sweep_cases():
@@ -342,13 +346,22 @@ def _sweep_cases():
         BooleanFunction.verify(6), True
     yield "last-stage-interleaved", _last_stage_requeried(6, [6, 0, 5, 3, 0, 6, 4, 5]), \
         BooleanFunction.verify(6), True
+    # A zeroed last stage reaches no column: every word fails with p = 0.
+    alg = build_algorithm(6)
+    yield "last-stage-zero", QueryAlgorithm(
+        6, alg.start, [*alg.stages[:-1], (np.zeros((8, 8)), alg.stages[-1].query)],
+        alg.final_unitary, alg.labels), BooleanFunction.verify(6), False
+    # A perturbed last stage or final matrix takes the full-final path.
     for name, perturbed in _RANDOM_VARIANTS.items():
-        yield f"random-{name}", *_random_algorithm(11, perturbed), "final" not in perturbed
+        yield f"random-{name}", *_random_algorithm(11, perturbed), \
+            not {"stages", "final"} & set(perturbed)
     # Non-orthogonal stages give each prefix its own |s|^2; against the zero
-    # function the minimum is over p0 = |s|^2 - p1 alone.
-    alg, _ = _random_algorithm(11, ("stages",))
-    yield "random-perturbed-stages-vs-zero", alg, \
-        BooleanFunction.from_table(np.zeros(1 << alg.n_vars, dtype=np.uint8)), True
+    # function the minimum is over p0 alone, which the labelled-rows path
+    # takes as |s|^2 - p1 from the state before the last stage.
+    zero = BooleanFunction.from_table(np.zeros(1 << 7, dtype=np.uint8))
+    yield "random-perturbed-stages-vs-zero", _random_algorithm(11, ("stages",))[0], zero, False
+    yield "random-perturbed-early-stages-vs-zero", \
+        _random_algorithm(11, ("early-stages",))[0], zero, True
 
 
 _SWEEP_CASES = list(_sweep_cases())
@@ -357,14 +370,18 @@ _SWEEP_CASES = list(_sweep_cases())
 class TestSweepKernel:
     """check_exact runs one kernel for every algorithm; pin it to `run`."""
 
-    @pytest.mark.parametrize("alg,f,orthogonal_final", [c[1:] for c in _SWEEP_CASES],
+    @pytest.mark.parametrize("alg,f,labelled_rows", [c[1:] for c in _SWEEP_CASES],
                              ids=[c[0] for c in _SWEEP_CASES])
-    def test_matches_naive_run(self, alg, f, orthogonal_final):
-        _, _, var_maps, final_t, _ = _sweep_arrays(alg)
-        # An orthogonal final matrix keeps only the smaller label set's rows.
-        assert (final_t.shape[1] < alg.dim) == orthogonal_final
-        # Each variable's last-stage columns form one contiguous slice.
-        assert (np.diff(var_maps[-1]) >= 0).all()
+    def test_matches_naive_run(self, alg, f, labelled_rows):
+        _, stage_uts, var_maps, finals, _ = _sweep_arrays(alg)
+        # The labelled-rows path keeps only the smaller label set's rows; it
+        # needs an orthogonal final and an isometric last-stage block.
+        assert (finals.shape[2] < alg.dim) == labelled_rows
+        # The last stage is composed with the final map, once per distinct
+        # variable it queries.
+        assert len(stage_uts) == len(var_maps) - 1 == alg.t_queries - 1
+        assert len(finals) == var_maps[-1].size
+        assert (np.diff(var_maps[-1]) > 0).all()
         report = check_exact(alg, f)
         counterexample, min_prob = refdata.naive_check(alg, f)
         assert report.counterexample == counterexample
@@ -384,11 +401,15 @@ class TestSweepKernel:
                 assert swept == pytest.approx(p, abs=1e-12)
 
     def test_only_reachable_columns_are_carried(self, alg4):
-        start, stage_uts, var_maps, _, _ = _sweep_arrays(alg4)
-        # Stage 1 mixes basis states 0 and 2; stage 2 reaches all four.
+        start, stage_uts, var_maps, finals, _ = _sweep_arrays(alg4)
+        # Stage 1 mixes basis states 0 and 2. Stage 2 reaches all four; it
+        # is composed with the final map's one row labelled 1 into a block
+        # on those two columns per variable it queries, x3 and x4.
         assert start.shape == (1,)
-        assert [ut.shape for ut in stage_uts] == [(1, 2), (2, 4)]
+        assert [ut.shape for ut in stage_uts] == [(1, 2)]
         assert var_maps[0].tolist() == [1, 2]
+        assert var_maps[1].tolist() == [3, 4]
+        assert finals.shape == (2, 2, 1)
 
     def test_concurrent_callers_get_their_own_reports(self):
         # n = 16 sweeps in 8 chunks, so two concurrent checks interleave.
@@ -417,6 +438,59 @@ class TestSweepKernel:
         assert not any(t.is_alive() for t in threads)
         assert results == serial
         assert check_exact(alg, functions[1], workers=2) == serial[1]
+
+
+def _blas_threads(_):
+    """This process's OpenBLAS thread count, None without a thread setter."""
+    calls = model._openblas_threads()
+    return None if calls is None else calls[0]()
+
+
+def _fine_grid(n_vars, dim):
+    """16-word chunks, so that small sweeps are spread over a pool too."""
+    total = 1 << n_vars
+    return [(lo, min(lo + 16, total)) for lo in range(0, total, 16)]
+
+
+class TestPoolWorkers:
+    def test_workers_run_blas_on_one_thread(self):
+        calls = model._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS here is not an OpenBLAS with a thread setter")
+        get, set_ = calls
+        before = get()
+        # Two threads in the parent, so that a worker reading 1 shows the
+        # pool initializer's doing wherever the workers inherit it.
+        set_(2)
+        try:
+            with ProcessPoolExecutor(max_workers=2, initializer=model._pool_init,
+                                     initargs=({},)) as pool:
+                assert list(pool.map(_blas_threads, range(4))) == [1] * 4
+            # The serial path, in the caller's process, keeps BLAS's threads.
+            assert check_exact(build_algorithm(12), BooleanFunction.verify(12)).exact
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_builder_n16_reports_equal_serial(self):
+        alg = build_algorithm(16)
+        for f in (BooleanFunction.verify(16), _flipped_at_last_word(BooleanFunction.verify(16))):
+            assert check_exact(alg, f, workers=2) == check_exact(alg, f)
+
+    def test_loaded_document_reports_equal_serial(self, tmp_path, monkeypatch):
+        path = tmp_path / "alg10.json"
+        save_algorithm(build_algorithm(10), path)
+        alg = load_algorithm(path)
+        monkeypatch.setattr(model, "_chunk_grid", _fine_grid)
+        for f in (BooleanFunction.verify(10), _flipped_at_last_word(BooleanFunction.verify(10))):
+            assert check_exact(alg, f, workers=2) == check_exact(alg, f)
+
+    def test_non_orthogonal_last_stage_reports_equal_serial(self, monkeypatch):
+        alg, f = _random_algorithm(11, ("stages",))
+        monkeypatch.setattr(model, "_chunk_grid", _fine_grid)
+        report = check_exact(alg, f, workers=2)
+        assert report == check_exact(alg, f)
+        assert report.counterexample == refdata.naive_check(alg, f)[0]
 
 
 class TestQueryAlgorithmValidation:
