@@ -8,46 +8,47 @@ integers; variable k (1-based) of an n-variable word w is the bit
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .limits import MATRIX_TOL
+from .limits import MATRIX_TOL, SWEEP_BUDGET
 
 # ---------------------------------------------------------------------------
-# exhaustive exactness sweep
+# exhaustive exactness sweep: the polynomial method
 #
-# Runs the unitary/query pipeline of any algorithm on every input integer in
-# [lo, hi) against a table of expected output bits, and returns
-# (first_failure, min_correct_probability) where first_failure is -1 when
-# every input is computed exactly and correctly. Four reductions keep it
-# cheaper than one dense pipeline per word while computing the same values:
+# Checks any algorithm on every input integer in [lo, hi) against a table of
+# expected output bits. After T queries every amplitude is a polynomial of
+# degree <= T in the signs s_k = (-1)**x_k (Beals, Buhrman, Cleve, Mosca and
+# de Wolf 2001). With a monomial stored as the word mask S of its variables,
+# one unnormalized Walsh-Hadamard transform of the coefficients indexed by S
+# gives the amplitude on every word, in word order (Fino and Algazi 1976).
 #
-#   * shared prefixes: after stage s a word's state depends only on the
-#     variables queried so far, so each stage unitary is applied once per
-#     distinct prefix in the chunk and the result fanned out;
-#   * reachable columns: only the basis states the start state can reach
-#     through the nonzero entries of the stage unitaries are carried (sound
-#     because the model rejects non-finite matrices, so 0 * x is always 0);
-#   * labelled rows: when the final matrix is orthogonal on the reachable
-#     columns and the last stage's block is an isometry, only the output
-#     rows of the smaller label set are computed and the other probability
-#     is |s|^2 minus theirs, with s the state before the last stage;
-#   * last stage folded into the final map at set-up: the final amplitudes
-#     are linear in the last query's signs, so with that stage's reachable
-#     columns grouped by queried variable v (v = 0 for fixed slots),
-#     transposed block ut_T and transposed final matrix final_t,
-#         G_v = ut_T[:, cols_v] @ final_t[cols_v],
-#         out[w] = sum_v (-1)**x_v(w) * (states[prefix(w)] @ G_v),
-#     where states holds the prefixes before the last stage. Neither that
-#     stage's product nor any word's post-query state is ever formed.
+#   * propagation, once per check: the start state runs through the
+#     algorithm's own matrices as (monomial masks, block), one block row per
+#     monomial and one column per basis state the start state reaches
+#     through nonzero entries (sound because the model rejects non-finite
+#     matrices, so 0 * x is always 0). A stage is one product with its
+#     block; a query moves each column's coefficients from S to S ^ (the bit
+#     it reads), so a re-queried variable cancels, and equal S are merged;
+#   * labelled rows: when every stage block and the final matrix keep norms
+#     on the reachable columns, only the output rows of the smaller label
+#     set are kept, and the other probability is |start|^2 minus theirs;
+#   * evaluation: [lo, hi) is split into aligned power-of-two blocks. Fixing
+#     a block's top bits turns each monomial into a signed monomial of its
+#     low bits, which are scattered with np.bincount and transformed.
+#
+# A live coefficient block holds at most _block_bound floats. Past that, each
+# block is propagated on its own with its top variables substituted by their
+# signs, and halved until it fits.
 # ---------------------------------------------------------------------------
 
 
-def _partial_label(labels: np.ndarray) -> int:
-    """The label whose output rows a reduced final matrix keeps: the smaller
-    label set, label 1 on a tie."""
-    ones = int(np.count_nonzero(labels))
-    return 1 if ones <= labels.size - ones else 0
+def parity(x):
+    """popcount(x) & 1 for each int64 in x (numpy < 2 has no bitwise_count)."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
 
 
 def _keeps_norms(m: np.ndarray) -> bool:
@@ -59,82 +60,143 @@ def _keeps_norms(m: np.ndarray) -> bool:
     return float(np.abs(gram).sum(axis=1).max(initial=0.0)) <= MATRIX_TOL
 
 
-def sweep_arrays(start, unitaries, var_maps, final, labels):
-    """Kernel-ready arrays for sweep_range, built once per exactness check.
+def _block_bound(t_queries: int, dim: int) -> int:
+    """Most floats a live coefficient block may hold: the sweep budget, or
+    what the algorithm's own T + 1 matrices hold when that is more."""
+    return max(SWEEP_BUDGET, (t_queries + 1) * dim * dim)
 
-    Returns (start, stage_uts, var_maps, finals, labels): the start state on
-    its support; for stages 1..T-1, the transposed unitary block from the
-    previously reachable columns to the newly reachable ones, and the query
-    var map on the latter; then, as the last var map, the distinct variables
-    v the last stage queries (0 for fixed slots) and, stacked in that order,
-    finals[i] = G_v, the last stage's block on the columns it signs by x_v
-    composed with the final matrix on them. The final matrix keeps only the
-    rows labelled _partial_label(labels) when both it and the last stage's
-    block keep norms on the reachable columns; the labels are unchanged.
+
+class SweepArrays(NamedTuple):
+    """What sweep_range needs: per stage, the transposed block from the
+    columns reachable before it to those after it and the word bit each of
+    the latter's query reads (0: fixed); the transposed final matrix on the
+    kept output rows, and their labels; rest = (label, |start|^2) when only
+    the other label's rows are kept; poly = the whole cube's (masks, kept
+    rows x monomials coefficients), None when it would exceed bound floats.
     """
+
+    start: np.ndarray
+    stages: tuple
+    final_t: np.ndarray
+    row_labels: np.ndarray
+    rest: tuple | None
+    bound: int
+    poly: tuple | None
+
+
+def sweep_arrays(n_vars, start, unitaries, var_maps, final, labels) -> SweepArrays:
+    """Reachable blocks, kept rows and the propagated polynomial; see above."""
     support = np.flatnonzero(start)
     cols = support
-    blocks, maps = [], []
+    blocks, stages = [], []
+    bit_of = np.array([0] + [1 << (n_vars - k) for k in range(1, n_vars + 1)])
     for unitary, var_map in zip(unitaries, var_maps):
         rows = np.flatnonzero((unitary != 0)[:, cols].any(axis=1))
         blocks.append(unitary[np.ix_(rows, cols)])
-        maps.append(var_map[rows])
+        stages.append((np.ascontiguousarray(blocks[-1].T), bit_of[var_map[rows]]))
         cols = rows
-    final_cols = final[:, cols]
-    if _keeps_norms(blocks[-1]) and _keeps_norms(final_cols):
-        final_cols = final_cols[labels == _partial_label(labels)]
-    last, last_map = blocks.pop(), maps.pop()
-    slice_vars = np.unique(last_map)
-    # No slices when a damaged last stage reaches no column.
-    finals = np.zeros((slice_vars.size, last.shape[1], final_cols.shape[0]))
-    for g, v in zip(finals, slice_vars):
-        g[:] = (final_cols[:, last_map == v] @ last[last_map == v]).T
-    return (start[support], tuple(np.ascontiguousarray(b.T) for b in blocks),
-            tuple(maps) + (slice_vars,), finals, labels)
+    final_cols, row_labels, rest = final[:, cols], labels, None
+    if all(_keeps_norms(b) for b in blocks) and _keeps_norms(final_cols):
+        # Keep the smaller label set, label 1 on a tie.
+        label = int(2 * np.count_nonzero(labels) <= labels.size)
+        final_cols, row_labels = final_cols[labels == label], labels[labels == label]
+        rest = (1 - label, float(start @ start))
+    arrays = SweepArrays(start[support], tuple(stages), np.ascontiguousarray(final_cols.T),
+                         row_labels, rest, _block_bound(len(stages), start.size), None)
+    return arrays._replace(poly=_propagate(arrays, 0, 1 << n_vars))
 
 
-def sweep_range(start, stage_uts, var_maps, finals, labels, n_vars, lo, hi, expected, tol):
-    """Sweep inputs [lo, hi) through arrays from sweep_arrays; see above."""
-    words = np.arange(lo, hi, dtype=np.int64)
-    # Shift of variable k; a fixed slot (k = 0) reads bit n, which is 0.
-    shifts = n_vars - np.arange(n_vars + 1, dtype=np.int64)
-    states = start[None, :]
-    row_of = np.zeros(hi - lo, dtype=np.int64)
-    mask = 0
-    for stage, var_map in enumerate(var_maps):
-        stage_mask = int(np.bitwise_or.reduce(1 << shifts[var_map[var_map > 0]]))
-        mask |= stage_mask
-        # reps: the first word of each distinct prefix, in prefix order.
-        _, reps, row_of_next = np.unique(words & mask, return_index=True, return_inverse=True)
-        # One row of +-1 per variable for each distinct setting of this
-        # stage's variables; src: the state row each new prefix comes from.
-        patterns, pattern_of = np.unique(words[reps] & stage_mask, return_inverse=True)
-        signs = 1.0 - 2.0 * ((patterns[:, None] >> shifts) & 1)
-        src, row_of = row_of[reps], row_of_next
-        if stage < len(stage_uts):
-            states = (states @ stage_uts[stage])[src] * signs[:, var_map][pattern_of]
-    # The last stage, composed with the final map one variable at a time.
-    out = np.zeros((src.size, finals.shape[2]))
-    for v, g in zip(var_maps[-1], finals):
-        out += (states @ g)[src] * signs[pattern_of, v, None]
-    if finals.shape[2] == labels.size:
-        probs = out * out
-        lab1 = labels.astype(np.float64)
-        p1 = probs @ lab1
-        p0 = probs @ (1.0 - lab1)
-    else:
-        kept = np.einsum("ij,ij->i", out, out)
-        norms = np.einsum("ij,ij->i", states, states)[src]
-        rest = np.maximum(norms - kept, 0.0)
-        p1, p0 = (kept, rest) if _partial_label(labels) == 1 else (rest, kept)
-    p1 = p1[row_of]
-    p0 = p0[row_of]
-    outputs = (p1 > p0).astype(np.uint8)
-    p_max = np.maximum(p0, p1)
-    p_correct = np.where(expected == 1, p1, p0)
-    ok = (outputs == expected) & (p_max >= 1.0 - tol)
-    first = -1 if bool(ok.all()) else lo + int(np.argmin(ok))
-    return first, float(p_correct.min())
+def _propagate(arrays: SweepArrays, base: int, size: int):
+    """(masks, coefficients) of the kept output rows on the words
+    [base, base + size), size a power of two dividing base: every variable
+    above the low log2(size) bits is substituted by its sign in base. None
+    when a live block would exceed arrays.bound floats, never for one word.
+    """
+    bound = arrays.bound if size > 1 else math.inf
+    masks = np.zeros(1, dtype=np.int64)
+    block = arrays.start[None, :]
+    for ut, bits in (*arrays.stages, (arrays.final_t, None)):
+        if masks.size * ut.shape[1] > bound:
+            return None
+        block = block @ ut
+        if bits is None:
+            return masks, np.ascontiguousarray(block.T)
+        block *= 1.0 - 2.0 * ((bits & base) != 0)
+        bits = bits & (size - 1)
+        # Each query bit moves the live monomials of its columns by one XOR.
+        groups = [np.flatnonzero(bits == b) for b in np.unique(bits)]
+        live = [np.flatnonzero(block[:, cols].any(axis=1)) for cols in groups]
+        moved = [masks[rows] ^ bits[cols[0]] for cols, rows in zip(groups, live)]
+        masks, where = np.unique(np.concatenate([masks[:0], *moved]), return_inverse=True)
+        if masks.size * bits.size > bound:
+            return None
+        merged = np.zeros((masks.size, bits.size))
+        at = 0
+        for cols, rows in zip(groups, live):
+            merged[where[at:at + rows.size, None], cols] = block[np.ix_(rows, cols)]
+            at += rows.size
+        block = merged
+
+
+def _pieces(arrays: SweepArrays, base: int, size: int):
+    """(base, size, polynomial) covering [base, base + size) in order: the
+    whole cube's, or pieces propagated on their own, halved until they fit."""
+    poly = arrays.poly or _propagate(arrays, base, size)
+    if poly is not None:
+        yield base, size, poly
+        return
+    half = size // 2
+    yield from _pieces(arrays, base, half)
+    yield from _pieces(arrays, base + half, half)
+
+
+def _wht(a: np.ndarray) -> None:
+    """In-place unnormalized Walsh-Hadamard transform of each row of the
+    C-contiguous 2-D array a, whose row length is a power of two; one
+    product with a 64 x 64 sign matrix does six radix-2 passes."""
+    rows, size = a.shape
+    step = 1
+    while step < size:
+        width = min(64, size // step)
+        index = np.arange(width)
+        signs = 1.0 - 2.0 * parity(index[:, None] & index)
+        if step == 1:
+            view = a.reshape(rows * size // width, width)
+            view[...] = view @ signs
+        else:
+            view = a.reshape(rows * size // (width * step), width, step)
+            view[...] = signs @ view
+        step *= width
+
+
+def sweep_range(start, stages, final_t, row_labels, rest, bound, poly,
+                n_vars, lo, hi, expected, tol):
+    """(first input in [lo, hi) not computed exactly as expected, or -1; the
+    least correct-output probability) for the fields of sweep_arrays."""
+    arrays = SweepArrays(start, stages, final_t, row_labels, rest, bound, poly)
+    first, p_min = -1, math.inf
+    block_lo = lo
+    while block_lo < hi:
+        # block_lo & -block_lo: the largest power of two dividing block_lo.
+        size = min(1 << ((hi - block_lo).bit_length() - 1), block_lo & -block_lo or hi)
+        for base, width, (masks, coeffs) in _pieces(arrays, block_lo, size):
+            weights = coeffs * (1.0 - 2.0 * parity(masks & base))
+            amps = np.array([np.bincount(masks & (width - 1), weights=w, minlength=width)
+                             for w in weights]).reshape(-1, width)
+            _wht(amps)
+            probs = amps * amps
+            p = [probs[row_labels == b].sum(axis=0) for b in (0, 1)]
+            if rest is not None:
+                label, norm2 = rest
+                p[label] = np.maximum(norm2 - p[1 - label], 0.0)
+            p0, p1 = p
+            want = expected[base - lo:base - lo + width]
+            ok = ((p1 > p0) == (want == 1)) & (np.maximum(p0, p1) >= 1.0 - tol)
+            p_min = min(p_min, float(np.where(want == 1, p1, p0).min()))
+            if first < 0 and not ok.all():
+                first = base + int(np.argmin(ok))
+        block_lo += size
+    return first, p_min
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +286,9 @@ def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol) -> tuple[int,
 def verify_values_range(n_vars: int, lo: int, hi: int) -> np.ndarray:
     """Pair-equality verifier outputs for every input integer in [lo, hi)."""
     ints = np.arange(lo, hi, dtype=np.int64)
-    acc = np.ones(hi - lo, dtype=np.uint8)
-    for j in range(n_vars // 2):
-        delta = (ints >> (n_vars - (2 * j + 1))) ^ (ints >> (n_vars - (2 * j + 2)))
-        acc &= ((delta & 1) == 0)
-    return acc
+    # Bit n - 2j - 2 of w ^ (w >> 1) compares pair j's two variables.
+    low_bits = sum(1 << (n_vars - 2 * j - 2) for j in range(n_vars // 2))
+    return (((ints ^ (ints >> 1)) & low_bits) == 0).astype(np.uint8)
 
 
 def table_sensitivity(table: np.ndarray, n_vars: int) -> tuple[int, int]:

@@ -2,20 +2,21 @@
 
 Subcommands: build, run, verify, sensitivity, classical, equal, check.
 Exit codes: 0 success/pass, 1 verification failure (or unequal strings),
-2 usage or input errors. Human output rounds amplitudes to 6 decimals;
---json emits one machine-readable line at full precision.
+2 usage or input errors. `check` exits 0 whenever no word is wrong, even
+when the matrices fail the unitarity test; it reports that as "unitary":
+false, which callers must read too. Human output rounds amplitudes to 6
+decimals; --json emits one machine-readable line at full precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .boolfunc import BooleanFunction, bit_oracle, classical_verify, sensitivity
 from .builder import build_algorithm
-from .model import EXACT_TOL, check_exact, measure, run
+from .model import check_exact, decide, run
 from .serialize import dumps_algorithm, load_algorithm, load_function
 from .strings import StringPair, interleave, strings_equal
 from .words import parse_word
@@ -71,20 +72,17 @@ def _cmd_run(args) -> int:
     parse_word(args.input)
     alg = build_algorithm(args.n)
     trace = run(alg, args.input)
-    p0, p1 = measure(trace.final, alg.labels)
-    output = 1 if p1 > p0 else 0
-    probability = max(p0, p1)
-    exact = probability >= 1.0 - EXACT_TOL
+    result = decide(trace.final, alg.labels)
     if args.json:
         payload = {
             "command": "run",
             "n_vars": alg.n_vars,
             "input": args.input,
-            "output": output,
-            "probability": probability,
-            "exact": exact,
-            "p0": p0,
-            "p1": p1,
+            "output": result.output,
+            "probability": result.probability,
+            "exact": result.exact,
+            "p0": result.p0,
+            "p1": result.p1,
             "final_state": trace.final.tolist(),
         }
         if args.trace:
@@ -102,14 +100,14 @@ def _cmd_run(args) -> int:
             print(f"{label:<{width}}{_fmt_state(state)}")
     else:
         print(f"final:  {_fmt_state(trace.final)}")
-    print(f"output: {output}  probability: {probability:.6f}  exact: {'yes' if exact else 'no'}")
+    print(f"output: {result.output}  probability: {result.probability:.6f}  "
+          f"exact: {'yes' if result.exact else 'no'}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     alg = build_algorithm(args.n)
-    workers = len(os.sched_getaffinity(0)) if args.parallel else None
-    report = check_exact(alg, BooleanFunction.verify(args.n), workers=workers)
+    report = check_exact(alg, BooleanFunction.verify(args.n))
     if args.json:
         _emit({
             "command": "verify",
@@ -225,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively check exactness over all words")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--parallel", action="store_true",
-                   help="sweep with one worker process per CPU, each on one BLAS thread")
+                   help="accepted for compatibility; has no effect, the sweep runs in one process")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -246,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_equal)
 
-    p = sub.add_parser("check", help="check a stored algorithm against a function")
+    p = sub.add_parser("check", help="check a stored algorithm against a function",
+                       description="Exits 0 when no word is wrong, even if the matrices fail "
+                                   "the unitarity test (\"unitary\": false).")
     p.add_argument("--algorithm", required=True, help="path to an algorithm document")
     p.add_argument("--function", default="verify",
                    help="'verify' or a path to a truth-table document")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import parity
 from .limits import MATRIX_TOL, MAX_DIM, NORM_TOL
 
 
@@ -70,15 +71,14 @@ def hadamard_power(t: int) -> np.ndarray:
     k = 1 << t
     if k > MAX_DIM:
         raise ValueError(f"dimension 2**{t} exceeds the supported maximum {MAX_DIM}")
-    scale = 2.0 ** (-t / 2.0)
-    out = np.empty((k, k), dtype=np.float64)
     cols = np.arange(k, dtype=np.int64)
+    # Entry (i, j) is entries[i & j]: i & j < k.
+    entries = 2.0 ** (-t / 2.0) * (1.0 - 2.0 * parity(cols))
+    out = np.empty((k, k), dtype=np.float64)
     block = 512
     for lo in range(0, k, block):
         hi = min(lo + block, k)
-        rows = np.arange(lo, hi, dtype=np.int64)
-        parity = np.bitwise_count(rows[:, None] & cols[None, :]) & 1
-        out[lo:hi] = scale * (1.0 - 2.0 * parity)
+        out[lo:hi] = entries[cols[lo:hi, None] & cols[None, :]]
     return out
 
 

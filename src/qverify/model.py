@@ -19,8 +19,6 @@ identical traces.
 
 from __future__ import annotations
 
-import ctypes
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .boolfunc import BooleanFunction
-from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
+from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS, SWEEP_BUDGET
 from .linalg import as_matrix, as_state, is_unitary
 from .words import index_to_word, parse_word
 
@@ -204,6 +202,8 @@ class ComputeResult:
     output: int
     probability: float
     exact: bool
+    p0: float
+    p1: float
 
 
 @dataclass(frozen=True)
@@ -277,18 +277,19 @@ def measure(final: np.ndarray, labels) -> tuple[float, float]:
     return p0, p1
 
 
-def compute(alg: QueryAlgorithm, word: str) -> ComputeResult:
-    """Run, measure, and report (output bit, its probability, exact flag).
-
-    Output is the more probable label; the exact flag requires probability
-    >= 1 - EXACT_TOL. A dead tie reports output 0 with probability 0.5 and
-    exact False rather than raising.
-    """
-    p0, p1 = measure(run(alg, word).final, alg.labels)
-    output = 1 if p1 > p0 else 0
+def decide(final: np.ndarray, labels) -> ComputeResult:
+    """Measure a final state: output is the more probable label, exact needs
+    probability >= 1 - EXACT_TOL. A dead tie reports output 0 with
+    probability 0.5 and exact False rather than raising."""
+    p0, p1 = measure(final, labels)
     probability = max(p0, p1)
-    return ComputeResult(output=output, probability=probability,
-                         exact=probability >= 1.0 - EXACT_TOL)
+    return ComputeResult(output=1 if p1 > p0 else 0, probability=probability,
+                         exact=probability >= 1.0 - EXACT_TOL, p0=p0, p1=p1)
+
+
+def compute(alg: QueryAlgorithm, word: str) -> ComputeResult:
+    """Run the algorithm on one word and decide its output (see decide)."""
+    return decide(run(alg, word).final, alg.labels)
 
 
 def run_batch(alg: QueryAlgorithm, words: np.ndarray) -> list[np.ndarray]:
@@ -321,77 +322,19 @@ def run_batch(alg: QueryAlgorithm, words: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_arrays(alg: QueryAlgorithm):
+def _sweep_arrays(alg: QueryAlgorithm) -> _kernels.SweepArrays:
     """Kernel-ready arrays for _kernels.sweep_range (see sweep_arrays there)."""
-    return _kernels.sweep_arrays(alg.start, [st.unitary for st in alg.stages],
+    return _kernels.sweep_arrays(alg.n_vars, alg.start, [st.unitary for st in alg.stages],
                                  [st.query.var_map for st in alg.stages],
                                  alg.final_unitary, alg.labels)
 
 
-def _chunk_grid(n_vars: int, dim: int) -> list[tuple[int, int]]:
+def _chunk_grid(n_vars: int, width: int) -> list[tuple[int, int]]:
+    """Aligned chunks of all n_vars-bit words: the most words, a power of two,
+    whose `width` floats each fit in SWEEP_BUDGET."""
     total = 1 << n_vars
-    rows = max(1, min(total, (1 << 21) // dim))
-    return [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
-
-
-def _sweep_chunk(payload: dict, span: tuple[int, int]) -> tuple[int, float]:
-    lo, hi = span
-    table = payload["table"]
-    if table is None:
-        expected = _kernels.verify_values_range(payload["n_vars"], lo, hi)
-    else:
-        expected = table[lo:hi]
-    return _kernels.sweep_range(*payload["arrays"], payload["n_vars"], lo, hi, expected,
-                                payload["tol"])
-
-
-# Symbol prefixes and suffixes of the OpenBLAS builds numpy ships: numpy >= 2
-# wheels (scipy-openblas, 64-bit ints), then older wheels.
-_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of an OpenBLAS library this process
-    has loaded, as ctypes functions; None when there is none."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[5].strip() for line in maps
-                     if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in _OPENBLAS_SYMBOLS:
-            try:
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
-                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-# Pool workers only: each worker process receives the payload once.
-_POOL_STATE: dict | None = None
-
-
-def _pool_init(payload: dict) -> None:
-    """Pool worker start-up: keep the payload, and run BLAS on one thread,
-    since the workers already use the CPUs that BLAS's own threads would."""
-    global _POOL_STATE
-    _POOL_STATE = payload
-    calls = _openblas_threads()
-    if calls is not None:
-        calls[1](1)
-
-
-def _pool_task(span: tuple[int, int]) -> tuple[int, float]:
-    return _sweep_chunk(_POOL_STATE, span)
+    rows = min(total, 1 << max(0, (SWEEP_BUDGET // max(width, 1)).bit_length() - 1))
+    return [(lo, lo + rows) for lo in range(0, total, rows)]
 
 
 def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
@@ -399,10 +342,10 @@ def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
     """Exhaustively check that the algorithm computes f exactly.
 
     Every word is swept through the algorithm's own matrices (no early
-    exit), so the report is identical whether the work runs serially,
-    across `workers` processes or from concurrent threads: chunks are laid
-    on a fixed absolute grid, the first counterexample is the minimum over
-    chunk results, and min_probability is an order-independent minimum.
+    exit), in chunks on a fixed grid: the first counterexample is the
+    minimum over chunk results, and min_probability an order-independent
+    minimum. `workers` is accepted and has no effect; the sweep runs in the
+    calling process, so concurrent callers each get their own report.
     """
     if alg.n_vars != f.arity:
         raise ValueError(f"algorithm has {alg.n_vars} variables, function has {f.arity}")
@@ -410,20 +353,10 @@ def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
         raise ValueError(
             f"exhaustive check capped at {MAX_SWEEP_VARS} variables, got {f.arity}")
 
-    payload = {
-        "n_vars": alg.n_vars,
-        "table": f.table,
-        "tol": EXACT_TOL,
-        "arrays": _sweep_arrays(alg),
-    }
-    grid = _chunk_grid(alg.n_vars, alg.dim)
-
-    if workers is not None and workers > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(payload,)) as pool:
-            results = list(pool.map(_pool_task, grid))
-    else:
-        results = [_sweep_chunk(payload, span) for span in grid]
+    arrays = _sweep_arrays(alg)
+    # Evaluating a word allocates one float per kept output row.
+    results = [_kernels.sweep_range(*arrays, alg.n_vars, lo, hi, f.values_range(lo, hi), EXACT_TOL)
+               for lo, hi in _chunk_grid(alg.n_vars, arrays.row_labels.size)]
 
     fails = [first for first, _ in results if first >= 0]
     min_prob = min(prob for _, prob in results)

@@ -147,11 +147,20 @@ class TestClassicalVerify:
 
 
 def test_size_caps_live_in_one_module():
-    from qverify import boolfunc, builder, limits, linalg, model, strings
+    from qverify import _kernels, boolfunc, builder, limits, linalg, model, strings
     assert (builder.MAX_BUILD_VARS, model.MAX_SWEEP_VARS, linalg.MAX_DIM,
             boolfunc.MAX_SENSITIVITY_VARS, strings.MAX_STRING_LEN) == \
         (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DIM,
          limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 20, 12)
+    # One sweep budget sizes check_exact's chunks and bounds a propagated
+    # coefficient block, unless the algorithm's own matrices hold more.
+    assert limits.SWEEP_BUDGET == 1 << 21
+    assert model.SWEEP_BUDGET is _kernels.SWEEP_BUDGET is limits.SWEEP_BUDGET
+    assert model._chunk_grid(24, 4)[:2] == [(0, 1 << 19), (1 << 19, 1 << 20)]
+    assert model._chunk_grid(24, 3)[0] == (0, 1 << 19)
+    assert model._chunk_grid(10, 1) == [(0, 1 << 10)]
+    assert _kernels._block_bound(3, 8) == limits.SWEEP_BUDGET
+    assert _kernels._block_bound(12, 1 << 12) == 13 << 24
 
 
 def test_tolerances_live_in_one_module():

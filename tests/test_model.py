@@ -1,6 +1,6 @@
+import itertools
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from qverify import (
     run,
     run_batch,
 )
-from qverify import model
+from qverify import _kernels, model
 from qverify._kernels import sweep_range
 from qverify.model import FIXED, _sweep_arrays
 from qverify.serialize import load_algorithm, save_algorithm
@@ -338,10 +338,10 @@ def _sweep_cases():
         yield f"stage-flip-{row}{col}", QueryAlgorithm(
             4, base.start, [(mutated, base.stages[0].query), base.stages[1]],
             base.final_unitary, base.labels), BooleanFunction.verify(4), True
-    # The last query folds into the final map one variable slice at a time.
+    # Re-queried variables cancel (s**2 = 1) and equal monomials merge.
     yield "last-stage-requeries-x1", _last_stage_requeried(6, [5, 1, 6, 5, 1, 6, 5, 6]), \
         BooleanFunction.verify(6), True
-    # No new variable in the last stage: its prefixes are those before it.
+    # No new variable in the last stage.
     yield "last-stage-only-earlier-vars", _last_stage_requeried(6, [3, 1, 4, 2, 4, 1, 3, 2]), \
         BooleanFunction.verify(6), True
     yield "last-stage-interleaved", _last_stage_requeried(6, [6, 0, 5, 3, 0, 6, 4, 5]), \
@@ -351,17 +351,15 @@ def _sweep_cases():
     yield "last-stage-zero", QueryAlgorithm(
         6, alg.start, [*alg.stages[:-1], (np.zeros((8, 8)), alg.stages[-1].query)],
         alg.final_unitary, alg.labels), BooleanFunction.verify(6), False
-    # A perturbed last stage or final matrix takes the full-final path.
+    # Any perturbed matrix keeps every output row.
     for name, perturbed in _RANDOM_VARIANTS.items():
-        yield f"random-{name}", *_random_algorithm(11, perturbed), \
-            not {"stages", "final"} & set(perturbed)
-    # Non-orthogonal stages give each prefix its own |s|^2; against the zero
-    # function the minimum is over p0 alone, which the labelled-rows path
-    # takes as |s|^2 - p1 from the state before the last stage.
+        yield f"random-{name}", *_random_algorithm(11, perturbed), not perturbed
+    # Non-orthogonal stages change each word's |s|^2; against the zero
+    # function the minimum is over p0 alone.
     zero = BooleanFunction.from_table(np.zeros(1 << 7, dtype=np.uint8))
     yield "random-perturbed-stages-vs-zero", _random_algorithm(11, ("stages",))[0], zero, False
     yield "random-perturbed-early-stages-vs-zero", \
-        _random_algorithm(11, ("early-stages",))[0], zero, True
+        _random_algorithm(11, ("early-stages",))[0], zero, False
 
 
 _SWEEP_CASES = list(_sweep_cases())
@@ -373,20 +371,31 @@ class TestSweepKernel:
     @pytest.mark.parametrize("alg,f,labelled_rows", [c[1:] for c in _SWEEP_CASES],
                              ids=[c[0] for c in _SWEEP_CASES])
     def test_matches_naive_run(self, alg, f, labelled_rows):
-        _, stage_uts, var_maps, finals, _ = _sweep_arrays(alg)
-        # The labelled-rows path keeps only the smaller label set's rows; it
-        # needs an orthogonal final and an isometric last-stage block.
-        assert (finals.shape[2] < alg.dim) == labelled_rows
-        # The last stage is composed with the final map, once per distinct
-        # variable it queries.
-        assert len(stage_uts) == len(var_maps) - 1 == alg.t_queries - 1
-        assert len(finals) == var_maps[-1].size
-        assert (np.diff(var_maps[-1]) > 0).all()
+        arrays = _sweep_arrays(alg)
+        # Only the smaller label set's rows are kept, with the other
+        # probability taken as |start|^2 minus theirs, when every stage
+        # block and the final matrix keep norms on the reachable columns.
+        assert (arrays.rest is not None) == labelled_rows
+        # Degree bound: T queries multiply in at most T signs.
+        masks, _ = arrays.poly
+        assert max((bin(m).count("1") for m in masks.tolist()), default=0) <= alg.t_queries
         report = check_exact(alg, f)
         counterexample, min_prob = refdata.naive_check(alg, f)
         assert report.counterexample == counterexample
         assert report.exact == (counterexample is None)
         assert report.min_probability == pytest.approx(min_prob, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_builder_amplitude_is_pair_product(self, n):
+        # The one kept amplitude is prod_i (s_{2i-1} + s_{2i}) / 2: one
+        # monomial per choice of a variable from each pair, each at 2**-T.
+        t = n // 2
+        masks, coeffs = _sweep_arrays(build_algorithm(n)).poly
+        expected = sorted(sum(1 << (n - 2 * i - pick) for i, pick in enumerate(picks))
+                          for picks in itertools.product((1, 2), repeat=t))
+        assert masks.tolist() == expected
+        assert coeffs.shape == (1, 1 << t)
+        np.testing.assert_allclose(coeffs, 2.0 ** -t, rtol=1e-12)
 
     @pytest.mark.parametrize("variant", list(_RANDOM_VARIANTS))
     def test_every_word_matches_run(self, variant):
@@ -401,18 +410,24 @@ class TestSweepKernel:
                 assert swept == pytest.approx(p, abs=1e-12)
 
     def test_only_reachable_columns_are_carried(self, alg4):
-        start, stage_uts, var_maps, finals, _ = _sweep_arrays(alg4)
-        # Stage 1 mixes basis states 0 and 2. Stage 2 reaches all four; it
-        # is composed with the final map's one row labelled 1 into a block
-        # on those two columns per variable it queries, x3 and x4.
-        assert start.shape == (1,)
-        assert [ut.shape for ut in stage_uts] == [(1, 2)]
-        assert var_maps[0].tolist() == [1, 2]
-        assert var_maps[1].tolist() == [3, 4]
-        assert finals.shape == (2, 2, 1)
+        arrays = _sweep_arrays(alg4)
+        # Stage 1 mixes basis states 0 and 2 and queries x1 and x2 there;
+        # stage 2 reaches all four and queries x3 and x4. One final row is
+        # labelled 1, and the other probability is |start|^2 minus its.
+        assert arrays.start.shape == (1,)
+        assert [ut.shape for ut, _ in arrays.stages] == [(1, 2), (2, 4)]
+        assert [bits.tolist() for _, bits in arrays.stages] == [[0b1000, 0b0100],
+                                                                [0b0010, 0b0001] * 2]
+        assert arrays.final_t.shape == (4, 1)
+        assert arrays.rest == (0, 1.0)
+        # The monomials {x1,x3}, {x2,x3}, {x1,x4} and {x2,x4}, each at 1/4.
+        masks, coeffs = arrays.poly
+        assert sorted(masks.tolist()) == sorted([0b1010, 0b0110, 0b1001, 0b0101])
+        np.testing.assert_allclose(coeffs, 0.25, rtol=1e-12)
 
-    def test_concurrent_callers_get_their_own_reports(self):
-        # n = 16 sweeps in 8 chunks, so two concurrent checks interleave.
+    def test_concurrent_callers_get_their_own_reports(self, monkeypatch):
+        # 16-word chunks, so that two concurrent checks interleave.
+        monkeypatch.setattr(model, "_chunk_grid", _fine_grid)
         n = 16
         alg = build_algorithm(n)
         functions = [BooleanFunction.verify(n), _flipped_at_last_word(BooleanFunction.verify(n))]
@@ -440,37 +455,24 @@ class TestSweepKernel:
         assert check_exact(alg, functions[1], workers=2) == serial[1]
 
 
-def _blas_threads(_):
-    """This process's OpenBLAS thread count, None without a thread setter."""
-    calls = model._openblas_threads()
-    return None if calls is None else calls[0]()
-
-
-def _fine_grid(n_vars, dim):
-    """16-word chunks, so that small sweeps are spread over a pool too."""
+def _fine_grid(n_vars, width):
+    """16-word chunks, so that small sweeps fold in the signs of many
+    different top bits."""
     total = 1 << n_vars
     return [(lo, min(lo + 16, total)) for lo in range(0, total, 16)]
 
 
+def _assert_same_verdict(report, other):
+    """Equal reports up to min_probability, whose sums run in another order
+    when the words are chunked or the polynomial split differently."""
+    assert (report.exact, report.counterexample, report.inputs_checked) == \
+        (other.exact, other.counterexample, other.inputs_checked)
+    assert report.min_probability == pytest.approx(other.min_probability, abs=1e-12)
+
+
 class TestPoolWorkers:
-    def test_workers_run_blas_on_one_thread(self):
-        calls = model._openblas_threads()
-        if calls is None:
-            pytest.skip("numpy's BLAS here is not an OpenBLAS with a thread setter")
-        get, set_ = calls
-        before = get()
-        # Two threads in the parent, so that a worker reading 1 shows the
-        # pool initializer's doing wherever the workers inherit it.
-        set_(2)
-        try:
-            with ProcessPoolExecutor(max_workers=2, initializer=model._pool_init,
-                                     initargs=({},)) as pool:
-                assert list(pool.map(_blas_threads, range(4))) == [1] * 4
-            # The serial path, in the caller's process, keeps BLAS's threads.
-            assert check_exact(build_algorithm(12), BooleanFunction.verify(12)).exact
-            assert get() == 2
-        finally:
-            set_(before)
+    """`workers=` is accepted and has no effect, and reports do not depend
+    on how the words are chunked or the polynomial split."""
 
     def test_builder_n16_reports_equal_serial(self):
         alg = build_algorithm(16)
@@ -481,16 +483,52 @@ class TestPoolWorkers:
         path = tmp_path / "alg10.json"
         save_algorithm(build_algorithm(10), path)
         alg = load_algorithm(path)
-        monkeypatch.setattr(model, "_chunk_grid", _fine_grid)
         for f in (BooleanFunction.verify(10), _flipped_at_last_word(BooleanFunction.verify(10))):
-            assert check_exact(alg, f, workers=2) == check_exact(alg, f)
+            whole = check_exact(alg, f)
+            with monkeypatch.context() as m:
+                m.setattr(model, "_chunk_grid", _fine_grid)
+                chunked = check_exact(alg, f)
+                assert check_exact(alg, f, workers=2) == chunked
+            _assert_same_verdict(chunked, whole)
+            assert whole.counterexample == refdata.naive_check(alg, f)[0]
 
     def test_non_orthogonal_last_stage_reports_equal_serial(self, monkeypatch):
         alg, f = _random_algorithm(11, ("stages",))
+        whole = check_exact(alg, f)
         monkeypatch.setattr(model, "_chunk_grid", _fine_grid)
         report = check_exact(alg, f, workers=2)
         assert report == check_exact(alg, f)
+        _assert_same_verdict(report, whole)
         assert report.counterexample == refdata.naive_check(alg, f)[0]
+
+    @pytest.mark.parametrize("case", ["builder-n10", "builder-n10-flipped",
+                                      "random-perturbed-stages"])
+    def test_split_propagation_matches_whole(self, case, monkeypatch):
+        alg, f = {
+            "builder-n10": (build_algorithm(10), BooleanFunction.verify(10)),
+            "builder-n10-flipped": (build_algorithm(10),
+                                    _flipped_at_last_word(BooleanFunction.verify(10))),
+            "random-perturbed-stages": _random_algorithm(11, ("stages",)),
+        }[case]
+        whole = check_exact(alg, f)
+        assert _sweep_arrays(alg).poly is not None
+        # A bound below the whole cube's blocks: every chunk is propagated
+        # on its own, with its top variables substituted, halved until it fits.
+        calls = []
+        propagate = _kernels._propagate
+
+        def counted(arrays, base, size):
+            poly = propagate(arrays, base, size)
+            calls.append((base, size, poly is not None))
+            return poly
+
+        monkeypatch.setattr(_kernels, "_block_bound", lambda t_queries, dim: 4 * dim)
+        monkeypatch.setattr(_kernels, "_propagate", counted)
+        split = check_exact(alg, f)
+        assert calls[0] == (0, 1 << alg.n_vars, False)
+        assert sum(fits for _, _, fits in calls) >= 2
+        _assert_same_verdict(split, whole)
+        assert split.counterexample == refdata.naive_check(alg, f)[0]
 
 
 class TestQueryAlgorithmValidation:
