@@ -34,9 +34,9 @@ from .limits import MATRIX_TOL, SWEEP_BUDGET
 #   * labelled rows: when every stage block and the final matrix keep norms
 #     on the reachable columns, only the output rows of the smaller label
 #     set are kept, and the other probability is |start|^2 minus theirs;
-#   * evaluation: [lo, hi) is split into aligned power-of-two blocks. Fixing
-#     a block's top bits turns each monomial into a signed monomial of its
-#     low bits, which are scattered with np.bincount and transformed.
+#   * evaluation: _blocks walks [lo, hi) in aligned power-of-two blocks.
+#     Fixing a block's top bits turns each monomial into a signed monomial
+#     of its low bits, which are scattered with np.bincount and transformed.
 #
 # A live coefficient block holds at most _block_bound floats. Past that, each
 # block is propagated on its own with its top variables substituted by their
@@ -138,16 +138,24 @@ def _propagate(arrays: SweepArrays, base: int, size: int):
         block = merged
 
 
-def _pieces(arrays: SweepArrays, base: int, size: int):
-    """(base, size, polynomial) covering [base, base + size) in order: the
-    whole cube's, or pieces propagated on their own, halved until they fit."""
-    poly = arrays.poly or _propagate(arrays, base, size)
-    if poly is not None:
-        yield base, size, poly
-        return
-    half = size // 2
-    yield from _pieces(arrays, base, half)
-    yield from _pieces(arrays, base + half, half)
+def _block_words(rows: int) -> int:
+    """Most words one evaluation block holds: the largest power of two whose
+    output amplitudes, `rows` floats a word, fit in SWEEP_BUDGET; at least 1."""
+    return 1 << max(0, (SWEEP_BUDGET // max(rows, 1)).bit_length() - 1)
+
+
+def _blocks(arrays: SweepArrays, lo: int, hi: int):
+    """(base, size, polynomial) for aligned blocks of at most _block_words
+    words covering [lo, hi) in order: the whole cube's polynomial, or the
+    block's own, halved at the same base until it fits."""
+    most = _block_words(arrays.row_labels.size)
+    while lo < hi:
+        # lo & -lo: the largest power of two dividing lo.
+        size = min(most, 1 << ((hi - lo).bit_length() - 1), lo & -lo or most)
+        while (poly := arrays.poly or _propagate(arrays, lo, size)) is None:
+            size //= 2
+        yield lo, size, poly
+        lo += size
 
 
 def _wht(a: np.ndarray) -> None:
@@ -171,31 +179,27 @@ def _wht(a: np.ndarray) -> None:
 
 def sweep_range(start, stages, final_t, row_labels, rest, bound, poly,
                 n_vars, lo, hi, expected, tol):
-    """(first input in [lo, hi) not computed exactly as expected, or -1; the
-    least correct-output probability) for the fields of sweep_arrays."""
+    """(first input w in [lo, hi) not computed exactly as expected[w - lo],
+    or -1; the least correct-output probability) for the fields of
+    sweep_arrays. Words are walked in _blocks, one block live at a time."""
     arrays = SweepArrays(start, stages, final_t, row_labels, rest, bound, poly)
     first, p_min = -1, math.inf
-    block_lo = lo
-    while block_lo < hi:
-        # block_lo & -block_lo: the largest power of two dividing block_lo.
-        size = min(1 << ((hi - block_lo).bit_length() - 1), block_lo & -block_lo or hi)
-        for base, width, (masks, coeffs) in _pieces(arrays, block_lo, size):
-            weights = coeffs * (1.0 - 2.0 * parity(masks & base))
-            amps = np.array([np.bincount(masks & (width - 1), weights=w, minlength=width)
-                             for w in weights]).reshape(-1, width)
-            _wht(amps)
-            probs = amps * amps
-            p = [probs[row_labels == b].sum(axis=0) for b in (0, 1)]
-            if rest is not None:
-                label, norm2 = rest
-                p[label] = np.maximum(norm2 - p[1 - label], 0.0)
-            p0, p1 = p
-            want = expected[base - lo:base - lo + width]
-            ok = ((p1 > p0) == (want == 1)) & (np.maximum(p0, p1) >= 1.0 - tol)
-            p_min = min(p_min, float(np.where(want == 1, p1, p0).min()))
-            if first < 0 and not ok.all():
-                first = base + int(np.argmin(ok))
-        block_lo += size
+    for base, width, (masks, coeffs) in _blocks(arrays, lo, hi):
+        weights = coeffs * (1.0 - 2.0 * parity(masks & base))
+        amps = np.array([np.bincount(masks & (width - 1), weights=w, minlength=width)
+                         for w in weights]).reshape(-1, width)
+        _wht(amps)
+        probs = amps * amps
+        p = [probs[row_labels == b].sum(axis=0) for b in (0, 1)]
+        if rest is not None:
+            label, norm2 = rest
+            p[label] = np.maximum(norm2 - p[1 - label], 0.0)
+        p0, p1 = p
+        want = expected[base - lo:base - lo + width]
+        ok = ((p1 > p0) == (want == 1)) & (np.maximum(p0, p1) >= 1.0 - tol)
+        p_min = min(p_min, float(np.where(want == 1, p1, p0).min()))
+        if first < 0 and not ok.all():
+            first = base + int(np.argmin(ok))
     return first, p_min
 
 

@@ -59,17 +59,11 @@ class BooleanFunction:
         n = int(table.shape[0]).bit_length() - 1
         return cls(arity=n, table=table)
 
-    @property
-    def kind(self) -> str:
-        return "verify" if self.table is None else "table"
-
     def evaluate(self, word: str) -> int:
         """Function value on one word; raises ValueError on a length mismatch."""
-        bits = parse_word(word, self.arity)
-        if self.table is not None:
-            return int(self.table[int(word, 2)])
-        pairs_equal = bits[0::2] == bits[1::2]
-        return int(pairs_equal.all())
+        parse_word(word, self.arity)
+        w = int(word, 2)
+        return int(self.values_range(w, w + 1)[0])
 
     __call__ = evaluate
 

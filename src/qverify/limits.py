@@ -38,7 +38,7 @@ NORM_TOL = 1e-9
 # An output counts as exact when its probability is at least 1 - EXACT_TOL.
 EXACT_TOL = 1e-9
 
-# Floats (16 MiB) an exhaustive sweep keeps live: check_exact's chunks hold
-# this many output amplitudes, and a propagated coefficient block this many,
-# or as many as the algorithm's own matrices when that is more.
+# Floats (16 MiB) an exhaustive sweep keeps live: the output amplitudes of
+# one block of sweep_range's words, and a propagated coefficient block, or
+# as many as the algorithm's own matrices when that is more.
 SWEEP_BUDGET = 1 << 21

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .boolfunc import BooleanFunction
-from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS, SWEEP_BUDGET
+from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
 from .linalg import as_matrix, as_state, is_unitary
 from .words import index_to_word, parse_word
 
@@ -330,10 +330,10 @@ def _sweep_arrays(alg: QueryAlgorithm) -> _kernels.SweepArrays:
 
 
 def _chunk_grid(n_vars: int, width: int) -> list[tuple[int, int]]:
-    """Aligned chunks of all n_vars-bit words: the most words, a power of two,
-    whose `width` floats each fit in SWEEP_BUDGET."""
+    """Aligned chunks of all n_vars-bit words, one sweep_range block each
+    for `width` kept output rows: the benchmark replays check_exact on them."""
     total = 1 << n_vars
-    rows = min(total, 1 << max(0, (SWEEP_BUDGET // max(width, 1)).bit_length() - 1))
+    rows = min(total, _kernels._block_words(width))
     return [(lo, lo + rows) for lo in range(0, total, rows)]
 
 
@@ -342,10 +342,10 @@ def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
     """Exhaustively check that the algorithm computes f exactly.
 
     Every word is swept through the algorithm's own matrices (no early
-    exit), in chunks on a fixed grid: the first counterexample is the
-    minimum over chunk results, and min_probability an order-independent
-    minimum. `workers` is accepted and has no effect; the sweep runs in the
-    calling process, so concurrent callers each get their own report.
+    exit) by one _kernels.sweep_range call, in blocks of bounded size: the
+    counterexample is the first failing word. `workers` is accepted and has
+    no effect; the sweep runs in the calling process, so concurrent callers
+    each get their own report.
     """
     if alg.n_vars != f.arity:
         raise ValueError(f"algorithm has {alg.n_vars} variables, function has {f.arity}")
@@ -353,13 +353,8 @@ def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
         raise ValueError(
             f"exhaustive check capped at {MAX_SWEEP_VARS} variables, got {f.arity}")
 
-    arrays = _sweep_arrays(alg)
-    # Evaluating a word allocates one float per kept output row.
-    results = [_kernels.sweep_range(*arrays, alg.n_vars, lo, hi, f.values_range(lo, hi), EXACT_TOL)
-               for lo, hi in _chunk_grid(alg.n_vars, arrays.row_labels.size)]
-
-    fails = [first for first, _ in results if first >= 0]
-    min_prob = min(prob for _, prob in results)
-    counterexample = index_to_word(min(fails), alg.n_vars) if fails else None
-    return ExactnessReport(exact=not fails, counterexample=counterexample,
+    first, min_prob = _kernels.sweep_range(*_sweep_arrays(alg), alg.n_vars, 0, 1 << alg.n_vars,
+                                           f.values(), EXACT_TOL)
+    counterexample = index_to_word(first, alg.n_vars) if first >= 0 else None
+    return ExactnessReport(exact=first < 0, counterexample=counterexample,
                            min_probability=min_prob, inputs_checked=1 << alg.n_vars)

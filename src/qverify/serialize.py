@@ -51,6 +51,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _reals(value, what: str) -> np.ndarray:
+    """value as float64 if it nests JSON numbers only: numpy would read "1"
+    as 1, and fail on objects and on integers past 64 bits."""
+    a = np.asarray(value)
+    _require(a.dtype.kind in "iuf", f"{what} must hold only numbers")
+    return a.astype(np.float64, copy=False)
+
+
 def algorithm_to_document(alg: QueryAlgorithm) -> dict:
     stages = []
     for stage in alg.stages:
@@ -69,7 +77,7 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
     }
 
 
-def _parse_diagonal(raw, dim: int, stage_no: int) -> QuerySpec:
+def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> QuerySpec:
     _require(isinstance(raw, list) and len(raw) == dim,
              f"stage {stage_no} query_diagonal must list {dim} entries")
     var_map = []
@@ -77,7 +85,8 @@ def _parse_diagonal(raw, dim: int, stage_no: int) -> QuerySpec:
         if isinstance(entry, dict) and entry == {"fixed": True}:
             var_map.append(0)
         elif isinstance(entry, dict) and set(entry) == {"var"} and _is_int(entry["var"]):
-            _require(entry["var"] >= 1, f"stage {stage_no} slot {pos}: variable index must be >= 1")
+            _require(1 <= entry["var"] <= n_vars,
+                     f"stage {stage_no} slot {pos}: variable index must be in [1, n_vars]")
             var_map.append(entry["var"])
         else:
             raise ValueError(
@@ -94,6 +103,7 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
         _require(key in doc, f"missing key {key!r}")
     for key in ("n_vars", "t_queries", "dim"):
         _require(_is_int(doc[key]), f"{key} must be an integer")
+    _require(doc["n_vars"] <= np.iinfo(np.int64).max, "n_vars must fit in int64")
     dim = doc["dim"]
     _require(dim >= 2, "dim must be >= 2")
     _require(isinstance(doc["stages"], list) and len(doc["stages"]) == doc["t_queries"],
@@ -102,13 +112,13 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
     for stage_no, raw in enumerate(doc["stages"], start=1):
         _require(isinstance(raw, dict) and {"unitary", "query_diagonal"} <= set(raw),
                  f"stage {stage_no} must carry 'unitary' and 'query_diagonal'")
-        stages.append((np.asarray(raw["unitary"], dtype=np.float64),
-                       _parse_diagonal(raw["query_diagonal"], dim, stage_no)))
+        stages.append((_reals(raw["unitary"], f"stage {stage_no} unitary"),
+                       _parse_diagonal(raw["query_diagonal"], dim, doc["n_vars"], stage_no)))
     return QueryAlgorithm(
         n_vars=doc["n_vars"],
-        start=np.asarray(doc["start"], dtype=np.float64),
+        start=_reals(doc["start"], "start"),
         stages=stages,
-        final_unitary=np.asarray(doc["final_unitary"], dtype=np.float64),
+        final_unitary=_reals(doc["final_unitary"], "final_unitary"),
         labels=doc["labels"],
     )
 
@@ -137,10 +147,11 @@ def document_to_function(doc: dict) -> BooleanFunction:
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema_version") == SCHEMA_VERSION,
              f"unsupported schema_version {doc.get('schema_version')!r}")
-    _require(_is_int(doc.get("arity")), "arity must be an integer")
-    table = doc.get("table")
-    _require(isinstance(table, list) and len(table) == (1 << doc["arity"]),
-             f"table must list 2**{doc.get('arity')} bits")
+    arity, table = doc.get("arity"), doc.get("table")
+    _require(_is_int(arity) and arity >= 1, "arity must be a positive integer")
+    # Bit lengths first, so that 1 << arity is never built for a huge arity.
+    _require(isinstance(table, list) and len(table).bit_length() == arity + 1
+             and len(table) == 1 << arity, f"table must list 2**{arity} bits")
     return BooleanFunction.from_table(table)
 
 

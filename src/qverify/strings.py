@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels
 from .limits import MAX_STRING_LEN
-from .model import EXACT_TOL
+from .model import decide
 from .words import parse_word
 
 
@@ -51,7 +53,8 @@ def strings_equal(pair: StringPair) -> bool:
     """Decide y == z by running the 2k-variable verifier on the interleaving.
 
     Uses the structure-aware runner (observably identical to executing the
-    dense built algorithm, without its K x K matrices). The run is exact by
+    dense built algorithm, without its K x K matrices) and measures it as
+    model.decide does, with basis state 0 labelled 1. The run is exact by
     construction; a non-exact outcome would mean a broken build and raises.
     """
     k = pair.length
@@ -59,9 +62,7 @@ def strings_equal(pair: StringPair) -> bool:
         raise ValueError(f"string length capped at {MAX_STRING_LEN}, got {k}")
     word = interleave(pair)
     final = _kernels.pair_run(2 * k, int(word, 2))
-    probs = final * final
-    p1 = float(probs[0])
-    p0 = float(probs[1:].sum())
-    if max(p0, p1) < 1.0 - EXACT_TOL:
-        raise RuntimeError(f"equality run was not exact on {word!r} (p={max(p0, p1)!r})")
-    return p1 > p0
+    result = decide(final, np.arange(final.size) == 0)
+    if not result.exact:
+        raise RuntimeError(f"equality run was not exact on {word!r} (p={result.probability!r})")
+    return result.output == 1

@@ -28,13 +28,8 @@ def parse_word(word: str, length: int | None = None) -> np.ndarray:
     return bits
 
 
-def word_to_index(word: str) -> int:
-    """Integer value of a word, leftmost bit most significant."""
-    return int(word, 2)
-
-
 def index_to_word(index: int, length: int) -> str:
-    """Inverse of word_to_index for a fixed word length."""
+    """The length-bit word of an integer, leftmost bit most significant."""
     if index < 0 or index >= (1 << length):
         raise ValueError(f"index {index} out of range for {length}-bit words")
     return format(index, f"0{length}b")

@@ -152,10 +152,14 @@ def test_size_caps_live_in_one_module():
             boolfunc.MAX_SENSITIVITY_VARS, strings.MAX_STRING_LEN) == \
         (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DIM,
          limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 20, 12)
-    # One sweep budget sizes check_exact's chunks and bounds a propagated
+    # One sweep budget sizes sweep_range's blocks and bounds a propagated
     # coefficient block, unless the algorithm's own matrices hold more.
+    # model._chunk_grid is built on the same block size.
     assert limits.SWEEP_BUDGET == 1 << 21
-    assert model.SWEEP_BUDGET is _kernels.SWEEP_BUDGET is limits.SWEEP_BUDGET
+    assert _kernels.SWEEP_BUDGET is limits.SWEEP_BUDGET
+    assert (_kernels._block_words(4), _kernels._block_words(3)) == (1 << 19, 1 << 19)
+    assert _kernels._block_words(0) == _kernels._block_words(1) == limits.SWEEP_BUDGET
+    assert _kernels._block_words(limits.SWEEP_BUDGET + 1) == 1
     assert model._chunk_grid(24, 4)[:2] == [(0, 1 << 19), (1 << 19, 1 << 20)]
     assert model._chunk_grid(24, 3)[0] == (0, 1 << 19)
     assert model._chunk_grid(10, 1) == [(0, 1 << 10)]

@@ -33,6 +33,16 @@ BAD_INPUTS = [
     ("algorithm", ["stages", 0, "query_diagonal", 0, "var"], True),
     ("function", ["arity"], True),
     ("function", ["table", 0], -1),
+    # Objects, strings and integers past int64 are rejected at the document
+    # boundary: numpy would raise TypeError or OverflowError on them, or read
+    # "1" as the number 1.
+    ("algorithm", ["start", 1], {}),
+    ("algorithm", ["stages", 0, "unitary", 1, 1], {"re": 0.5}),
+    ("algorithm", ["final_unitary", 0, 0], {}),
+    ("algorithm", ["final_unitary", 0, 0], "1"),
+    ("algorithm", ["final_unitary", 0, 0], 10**30),
+    ("algorithm", ["stages", 0, "query_diagonal", 0, "var"], 10**30),
+    ("function", ["arity"], 10**30),
 ]
 
 

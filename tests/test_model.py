@@ -22,7 +22,7 @@ from qverify import (
 )
 from qverify import _kernels, model
 from qverify._kernels import sweep_range
-from qverify.model import FIXED, _sweep_arrays
+from qverify.model import EXACT_TOL, FIXED, _sweep_arrays
 from qverify.serialize import load_algorithm, save_algorithm
 
 import refdata
@@ -426,13 +426,14 @@ class TestSweepKernel:
         np.testing.assert_allclose(coeffs, 0.25, rtol=1e-12)
 
     def test_concurrent_callers_get_their_own_reports(self, monkeypatch):
-        # 16-word chunks, so that two concurrent checks interleave.
-        monkeypatch.setattr(model, "_chunk_grid", _fine_grid)
+        # 16-word blocks, so that two concurrent checks interleave.
+        walked = _record_blocks(monkeypatch, 16)
         n = 16
         alg = build_algorithm(n)
         functions = [BooleanFunction.verify(n), _flipped_at_last_word(BooleanFunction.verify(n))]
         serial = [check_exact(alg, f) for f in functions]
         assert serial[1].counterexample == "1" * n
+        assert len(walked) == 2 * (1 << n) // 16
         results = [None, None]
         barrier = threading.Barrier(2)
 
@@ -455,24 +456,65 @@ class TestSweepKernel:
         assert check_exact(alg, functions[1], workers=2) == serial[1]
 
 
-def _fine_grid(n_vars, width):
-    """16-word chunks, so that small sweeps fold in the signs of many
-    different top bits."""
-    total = 1 << n_vars
-    return [(lo, min(lo + 16, total)) for lo in range(0, total, 16)]
+def _record_blocks(monkeypatch, words=None):
+    """Record the (base, size) of each block sweep_range walks. With
+    `words`, blocks hold at most that many words, so that small sweeps fold
+    in the signs of many different top bits."""
+    walked = []
+    blocks = _kernels._blocks
+
+    def counted(arrays, lo, hi):
+        for block in blocks(arrays, lo, hi):
+            walked.append(block[:2])
+            yield block
+
+    if words is not None:
+        monkeypatch.setattr(_kernels, "_block_words", lambda rows: words)
+    monkeypatch.setattr(_kernels, "_blocks", counted)
+    return walked
 
 
 def _assert_same_verdict(report, other):
     """Equal reports up to min_probability, whose sums run in another order
-    when the words are chunked or the polynomial split differently."""
+    when the words are walked in other blocks or the polynomial split
+    differently."""
     assert (report.exact, report.counterexample, report.inputs_checked) == \
         (other.exact, other.counterexample, other.inputs_checked)
     assert report.min_probability == pytest.approx(other.min_probability, abs=1e-12)
 
 
-class TestPoolWorkers:
-    """`workers=` is accepted and has no effect, and reports do not depend
-    on how the words are chunked or the polynomial split."""
+_SPLIT_CASES = ("builder-n10", "builder-n10-flipped", "random-perturbed-stages")
+
+
+def _split_case(case):
+    return {
+        "builder-n10": (build_algorithm(10), BooleanFunction.verify(10)),
+        "builder-n10-flipped": (build_algorithm(10),
+                                _flipped_at_last_word(BooleanFunction.verify(10))),
+        "random-perturbed-stages": _random_algorithm(11, ("stages",)),
+    }[case]
+
+
+def _count_propagations(monkeypatch, factor=4):
+    """Bound live blocks at factor * dim floats, below the whole cube's, so
+    that every block is propagated on its own; returns the list of
+    (base, size, fits) calls."""
+    calls = []
+    propagate = _kernels._propagate
+
+    def counted(arrays, base, size):
+        poly = propagate(arrays, base, size)
+        calls.append((base, size, poly is not None))
+        return poly
+
+    monkeypatch.setattr(_kernels, "_block_bound", lambda t_queries, dim: factor * dim)
+    monkeypatch.setattr(_kernels, "_propagate", counted)
+    return calls
+
+
+class TestBlockWalk:
+    """Reports do not depend on how sweep_range's blocks split the words or
+    the polynomial, and `workers=` is accepted and has no effect."""
 
     def test_builder_n16_reports_equal_serial(self):
         alg = build_algorithm(16)
@@ -486,49 +528,79 @@ class TestPoolWorkers:
         for f in (BooleanFunction.verify(10), _flipped_at_last_word(BooleanFunction.verify(10))):
             whole = check_exact(alg, f)
             with monkeypatch.context() as m:
-                m.setattr(model, "_chunk_grid", _fine_grid)
-                chunked = check_exact(alg, f)
-                assert check_exact(alg, f, workers=2) == chunked
-            _assert_same_verdict(chunked, whole)
+                walked = _record_blocks(m, 16)
+                blocked = check_exact(alg, f)
+                assert len(walked) == (1 << 10) // 16
+                assert check_exact(alg, f, workers=2) == blocked
+            _assert_same_verdict(blocked, whole)
             assert whole.counterexample == refdata.naive_check(alg, f)[0]
 
     def test_non_orthogonal_last_stage_reports_equal_serial(self, monkeypatch):
         alg, f = _random_algorithm(11, ("stages",))
         whole = check_exact(alg, f)
-        monkeypatch.setattr(model, "_chunk_grid", _fine_grid)
+        walked = _record_blocks(monkeypatch, 16)
         report = check_exact(alg, f, workers=2)
+        assert len(walked) >= 2
         assert report == check_exact(alg, f)
         _assert_same_verdict(report, whole)
         assert report.counterexample == refdata.naive_check(alg, f)[0]
 
-    @pytest.mark.parametrize("case", ["builder-n10", "builder-n10-flipped",
-                                      "random-perturbed-stages"])
+    @pytest.mark.parametrize("case", _SPLIT_CASES)
+    @pytest.mark.parametrize("words", [None, 16])
+    def test_check_exact_equals_chunked_replay(self, case, words, monkeypatch):
+        # The benchmark replays check_exact as sweep_range over the
+        # _chunk_grid chunks, reduced to the first failure and the least
+        # probability; chunks are then whole blocks, so reports are equal.
+        alg, f = _split_case(case)
+        if words is not None:
+            monkeypatch.setattr(_kernels, "_block_words", lambda rows: words)
+        arrays = _sweep_arrays(alg)
+        chunks = model._chunk_grid(alg.n_vars, alg.dim)
+        assert len(chunks) == (1 if words is None else (1 << alg.n_vars) // words)
+        results = [sweep_range(*arrays, alg.n_vars, lo, hi, f.values_range(lo, hi), EXACT_TOL)
+                   for lo, hi in chunks]
+        fails = [first for first, _ in results if first >= 0]
+        report = check_exact(alg, f)
+        assert report.counterexample == (format(min(fails), f"0{alg.n_vars}b") if fails else None)
+        assert report.min_probability == min(p for _, p in results)
+
+    @pytest.mark.parametrize("case", _SPLIT_CASES)
     def test_split_propagation_matches_whole(self, case, monkeypatch):
-        alg, f = {
-            "builder-n10": (build_algorithm(10), BooleanFunction.verify(10)),
-            "builder-n10-flipped": (build_algorithm(10),
-                                    _flipped_at_last_word(BooleanFunction.verify(10))),
-            "random-perturbed-stages": _random_algorithm(11, ("stages",)),
-        }[case]
+        alg, f = _split_case(case)
         whole = check_exact(alg, f)
         assert _sweep_arrays(alg).poly is not None
-        # A bound below the whole cube's blocks: every chunk is propagated
+        # A bound below the whole cube's blocks: every block is propagated
         # on its own, with its top variables substituted, halved until it fits.
-        calls = []
-        propagate = _kernels._propagate
-
-        def counted(arrays, base, size):
-            poly = propagate(arrays, base, size)
-            calls.append((base, size, poly is not None))
-            return poly
-
-        monkeypatch.setattr(_kernels, "_block_bound", lambda t_queries, dim: 4 * dim)
-        monkeypatch.setattr(_kernels, "_propagate", counted)
+        calls = _count_propagations(monkeypatch)
         split = check_exact(alg, f)
         assert calls[0] == (0, 1 << alg.n_vars, False)
         assert sum(fits for _, _, fits in calls) >= 2
         _assert_same_verdict(split, whole)
         assert split.counterexample == refdata.naive_check(alg, f)[0]
+
+    @pytest.mark.parametrize("factor", [4, 2])
+    def test_unaligned_range_with_split_propagation(self, factor, monkeypatch):
+        # [17, 40) starts off any alignment and every block is propagated on
+        # its own; under 2 * dim floats its 8-word blocks are also halved.
+        # The walk must still cover every word once, in order, and match
+        # the naive run word by word.
+        alg = build_algorithm(10)
+        expected = BooleanFunction.verify(10).values().copy()
+        expected[30] ^= 1
+        probs = [measure(run(alg, format(w, "010b")).final, alg.labels) for w in range(17, 40)]
+        calls = _count_propagations(monkeypatch, factor)
+        arrays = _sweep_arrays(alg)
+        assert arrays.poly is None
+        walked = _record_blocks(monkeypatch)
+        first, p_min = sweep_range(*arrays, 10, 17, 40, expected[17:40], EXACT_TOL)
+        assert first == 30
+        assert p_min == pytest.approx(min(p[expected[w]] for w, p in zip(range(17, 40), probs)),
+                                      abs=1e-12)
+        # Aligned blocks, each halved once when 8 words do not fit.
+        eights = [(24, 8), (32, 8)] if factor == 4 else [(24, 4), (28, 4), (32, 4), (36, 4)]
+        assert walked == [(17, 1), (18, 2), (20, 4), *eights]
+        assert [(base, size) for base, size, fits in calls[1:] if not fits] == \
+            ([] if factor == 4 else [(24, 8), (32, 8)])
 
 
 class TestQueryAlgorithmValidation:

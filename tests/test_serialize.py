@@ -140,6 +140,14 @@ class TestDocumentValidation:
         with pytest.raises(ValueError):
             document_to_algorithm(doc)
 
+    def test_rejects_var_index_past_int64(self, alg4):
+        # An index within n_vars must still fit the int64 query map.
+        doc = self._doc(alg4)
+        doc["n_vars"] = 10**30
+        doc["stages"][0]["query_diagonal"][0] = {"var": 10**30}
+        with pytest.raises(ValueError, match="n_vars must fit in int64"):
+            document_to_algorithm(doc)
+
 
 class TestFunctionDocuments:
     def test_round_trip(self):
