@@ -20,6 +20,12 @@ MAX_SWEEP_VARS = 24
 # this dimension already takes 32 GiB.
 MAX_DIM = 1 << 16
 
+# Largest dimension an algorithm document may declare: that of the
+# builder's n = 24 algorithm. A few lists of nonzeros could otherwise make
+# the loader scatter into dense float64 matrices of any size; at this cap
+# each takes 128 MiB.
+MAX_DOC_DIM = 1 << 12
+
 # Sensitivity costs N * 2**N table lookups; above 20 variables that stops
 # being an interactive operation.
 MAX_SENSITIVITY_VARS = 20

@@ -22,7 +22,9 @@ GOLDEN_CASES = [
 ]
 
 
-# (document, path of the damaged entry, bad value): each must exit 2.
+# (document, path of the damaged entry, bad value): each must exit 2. The
+# "sparse" document is the n = 8 one, whose stage matrices take the
+# nonzeros form; the n = 4 "algorithm" document is all dense rows.
 BAD_INPUTS = [
     ("algorithm", ["start", 1], float("nan")),
     ("algorithm", ["stages", 0, "unitary", 1, 1], float("nan")),
@@ -43,6 +45,13 @@ BAD_INPUTS = [
     ("algorithm", ["final_unitary", 0, 0], 10**30),
     ("algorithm", ["stages", 0, "query_diagonal", 0, "var"], 10**30),
     ("function", ["arity"], 10**30),
+    # numpy reads true/false among numbers as 1.0/0.0.
+    ("algorithm", ["final_unitary", 0, 0], True),
+    ("algorithm", ["stages", 0, "unitary", 1, 1], False),
+    ("sparse", ["stages", 0, "unitary", "rows", 0], 16),
+    ("sparse", ["stages", 0, "unitary", "cols", 1], 0),
+    ("sparse", ["stages", 0, "unitary", "values", 0], True),
+    ("sparse", ["stages", 0, "unitary", "shape"], [16, 16]),
 ]
 
 
@@ -189,6 +198,19 @@ class TestCheck:
         assert main(["check", "--algorithm", str(alg_path),
                      "--function", str(fn_path)]) == 0
 
+    def test_version_1_document_checks_like_version_2(self, tmp_path):
+        v1 = GOLDEN_DIR / "alg6_v1.json"
+        v2 = tmp_path / "alg6.json"
+        assert main(["build", "--n", "6", "--out", str(v2)]) == 0
+        assert json.loads(v2.read_text(encoding="utf-8"))["schema_version"] == 2
+        outputs = []
+        for path in (v1, v2):
+            code, out = cli(["check", "--algorithm", str(path), "--json"])
+            assert code == 0
+            outputs.append(out.replace(json.dumps(str(path)), '"<path>"'))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["exact"] is True
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--algorithm", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
@@ -197,6 +219,7 @@ class TestCheck:
                              ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]}" for c in BAD_INPUTS])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, document, keys, value):
         docs = {"algorithm": algorithm_to_document(build_algorithm(4)),
+                "sparse": algorithm_to_document(build_algorithm(8)),
                 "function": {"schema_version": 1, "arity": 4, "table": [0] * 16}}
         target = docs[document]
         for key in keys[:-1]:
@@ -206,10 +229,12 @@ class TestCheck:
         for name, doc in docs.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        algorithm, function = paths["algorithm"], str(paths["function"])
+        if document == "sparse":
+            algorithm, function = paths["sparse"], "verify"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["check", "--algorithm", str(paths["algorithm"]),
-                         "--function", str(paths["function"]), "--json"])
+            code = main(["check", "--algorithm", str(algorithm), "--function", function, "--json"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
