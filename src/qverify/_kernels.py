@@ -1,7 +1,10 @@
 """Numeric kernels for exhaustive sweeps and the classical side.
 
-Every kernel has one numpy implementation. Input words are passed as
-integers; variable k (1-based) of an n-variable word w is the bit
+Every kernel has one numpy implementation, and shared steps are written
+once: _wht is the one Walsh-Hadamard transform (for the sweep, pair_run and
+linalg.hadamard_power), _pair_states the one paired-stage loop, _pair_diffs
+the one pair mask and gram_residual the one Gram residual. Input words are
+passed as integers; variable k (1-based) of an n-variable word w is the bit
 (w >> (n - k)) & 1, so integer order equals lexicographic word order.
 """
 
@@ -51,13 +54,18 @@ def parity(x):
     return x & 1
 
 
+def gram_residual(m: np.ndarray) -> np.ndarray:
+    """|m.T @ m - I| entrywise: how far m's columns are from orthonormal."""
+    gram = m.T @ m
+    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    return np.abs(gram)
+
+
 def _keeps_norms(m: np.ndarray) -> bool:
     """True iff m's columns are orthonormal within MATRIX_TOL, as a bound on
     how far |m s|^2 can be from |s|^2."""
-    gram = m.T @ m
-    np.fill_diagonal(gram, gram.diagonal() - 1.0)
     # The row-sum norm bounds the spectral norm of the symmetric gram error.
-    return float(np.abs(gram).sum(axis=1).max(initial=0.0)) <= MATRIX_TOL
+    return float(gram_residual(m).sum(axis=1).max(initial=0.0)) <= MATRIX_TOL
 
 
 def _block_bound(t_queries: int, dim: int) -> int:
@@ -158,6 +166,11 @@ def _blocks(arrays: SweepArrays, lo: int, hi: int):
         lo += size
 
 
+# The sign matrices of the 1- to 64-point transforms, by size.
+_SIGNS = {1 << k: 1.0 - 2.0 * parity(np.arange(1 << k)[:, None] & np.arange(1 << k))
+          for k in range(7)}
+
+
 def _wht(a: np.ndarray) -> None:
     """In-place unnormalized Walsh-Hadamard transform of each row of the
     C-contiguous 2-D array a, whose row length is a power of two; one
@@ -166,8 +179,7 @@ def _wht(a: np.ndarray) -> None:
     step = 1
     while step < size:
         width = min(64, size // step)
-        index = np.arange(width)
-        signs = 1.0 - 2.0 * parity(index[:, None] & index)
+        signs = _SIGNS[width]
         if step == 1:
             view = a.reshape(rows * size // width, width)
             view[...] = view @ signs
@@ -208,42 +220,41 @@ def sweep_range(start, stages, final_t, row_labels, rest, bound, poly,
 #
 # The built verifier never needs its dense matrices to be executed: stage i
 # only mixes 2**(i-1) pairs of amplitudes with a 2x2 rotation and flips
-# signs at those pair slots, and the final transformation is a fast
-# Walsh-Hadamard pass. string equality runs on pair_run; pair_sweep_range is
-# an independent reference that tests and the benchmark compare the general
-# sweep against. Equivalence with the dense pipeline is pinned by tests.
+# signs at those pair slots (_pair_states), and the final transformation is
+# the Hadamard power, one _wht and one scale. String equality runs on
+# pair_run; pair_sweep_range is an independent reference that tests and the
+# benchmark compare the general sweep against. Equivalence with the dense
+# pipeline is pinned by tests.
 # ---------------------------------------------------------------------------
 
 
-def pair_run(n_vars: int, word: int) -> np.ndarray:
-    """Final state of the built n-variable verifier on one input word."""
+def _pair_states(n_vars: int, ints: np.ndarray) -> np.ndarray:
+    """States of the built n-variable verifier before its final map, one row
+    per input integer in ints. Stage i mixes each pair (top, top + K >> i),
+    top a multiple of 2 * (K >> i), then signs top by x_{2i-1} and the other
+    slot by x_{2i}."""
     t_queries = n_vars // 2
     dim = 1 << t_queries
     inv = 1.0 / math.sqrt(2.0)
-    state = np.zeros(dim, dtype=np.float64)
-    state[0] = 1.0
+    states = np.zeros((ints.size, dim), dtype=np.float64)
+    states[:, 0] = 1.0
+    # Column k - 1 holds the sign (-1)**x_k of each word.
+    signs = 1.0 - 2.0 * ((ints[:, None] >> np.arange(n_vars - 1, -1, -1)) & 1)
     for i in range(1, t_queries + 1):
-        step = dim >> i
-        top = np.arange(0, dim, 2 * step)
-        bottom = top + step
-        a = state[top].copy()
-        b = state[bottom]
-        state[top] = (a + b) * inv
-        state[bottom] = (a - b) * inv
-        if (word >> (n_vars - (2 * i - 1))) & 1:
-            state[top] = -state[top]
-        if (word >> (n_vars - 2 * i)) & 1:
-            state[bottom] = -state[bottom]
-    half = 1
-    while half < dim:
-        view = state.reshape(-1, 2 * half)
-        a = view[:, :half].copy()
-        b = view[:, half:].copy()
-        view[:, :half] = a + b
-        view[:, half:] = a - b
-        half *= 2
-    state *= 2.0 ** (-t_queries / 2.0)
-    return state
+        pairs = states.reshape(ints.size, 1 << (i - 1), 2, dim >> i)
+        a, b = pairs[:, :, 0, 0].copy(), pairs[:, :, 1, 0]
+        pairs[:, :, 0, 0] = (a + b) * inv * signs[:, 2 * i - 2, None]
+        pairs[:, :, 1, 0] = (a - b) * inv * signs[:, 2 * i - 1, None]
+    return states
+
+
+def pair_run(n_vars: int, word: int) -> np.ndarray:
+    """Final state of the built n-variable verifier on one input word: its
+    paired stages, then the Hadamard power as one _wht and one scale."""
+    state = _pair_states(n_vars, np.array([word], dtype=np.int64))
+    _wht(state)
+    state *= 2.0 ** (-(n_vars // 2) / 2.0)
+    return state[0]
 
 
 def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol) -> tuple[int, float]:
@@ -253,33 +264,13 @@ def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol) -> tuple[int,
     out basis state 0): the final transformation's first row is uniform, so
     p1 collapses to (sum(state) * 2**(-T/2))**2 and p0 to |state|^2 - p1.
     """
-    t_queries = n_vars // 2
-    dim = 1 << t_queries
-    count = hi - lo
-    inv = 1.0 / math.sqrt(2.0)
-    scale = 2.0 ** (-t_queries / 2.0)
-    ints = np.arange(lo, hi, dtype=np.int64)
-    states = np.zeros((count, dim), dtype=np.float64)
-    states[:, 0] = 1.0
-    for i in range(1, t_queries + 1):
-        step = dim >> i
-        top = np.arange(0, dim, 2 * step)
-        bottom = top + step
-        a = states[:, top].copy()
-        b = states[:, bottom]
-        sign1 = 1.0 - 2.0 * ((ints >> (n_vars - (2 * i - 1))) & 1)
-        sign2 = 1.0 - 2.0 * ((ints >> (n_vars - 2 * i)) & 1)
-        states[:, top] = (a + b) * inv * sign1[:, None]
-        states[:, bottom] = (a - b) * inv * sign2[:, None]
-    amp0 = states.sum(axis=1) * scale
+    states = _pair_states(n_vars, np.arange(lo, hi, dtype=np.int64))
+    amp0 = states.sum(axis=1) * 2.0 ** (-(n_vars // 2) / 2.0)
     p1 = amp0 * amp0
     p0 = np.maximum((states * states).sum(axis=1) - p1, 0.0)
-    outputs = (p1 > p0).astype(np.uint8)
-    p_max = np.maximum(p0, p1)
-    p_correct = np.where(expected == 1, p1, p0)
-    ok = (outputs == expected) & (p_max >= 1.0 - tol)
+    ok = ((p1 > p0) == (expected == 1)) & (np.maximum(p0, p1) >= 1.0 - tol)
     first = -1 if bool(ok.all()) else lo + int(np.argmin(ok))
-    return first, float(p_correct.min())
+    return first, float(np.where(expected == 1, p1, p0).min())
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +278,16 @@ def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol) -> tuple[int,
 # ---------------------------------------------------------------------------
 
 
+def _pair_diffs(n_vars: int, ints: np.ndarray) -> np.ndarray:
+    """Bit n - 2j - 2 of each result is set iff pair j's two variables
+    (x_{2j+1}, x_{2j+2}, j from 0) differ on that input integer."""
+    low_bits = sum(1 << (n_vars - 2 * j - 2) for j in range(n_vars // 2))
+    return (ints ^ (ints >> 1)) & low_bits
+
+
 def verify_values_range(n_vars: int, lo: int, hi: int) -> np.ndarray:
     """Pair-equality verifier outputs for every input integer in [lo, hi)."""
-    ints = np.arange(lo, hi, dtype=np.int64)
-    # Bit n - 2j - 2 of w ^ (w >> 1) compares pair j's two variables.
-    low_bits = sum(1 << (n_vars - 2 * j - 2) for j in range(n_vars // 2))
-    return (((ints ^ (ints >> 1)) & low_bits) == 0).astype(np.uint8)
+    return (_pair_diffs(n_vars, np.arange(lo, hi, dtype=np.int64)) == 0).astype(np.uint8)
 
 
 def table_sensitivity(table: np.ndarray, n_vars: int) -> tuple[int, int]:
@@ -307,15 +302,9 @@ def table_sensitivity(table: np.ndarray, n_vars: int) -> tuple[int, int]:
 
 
 def classical_query_counts(n_vars: int) -> np.ndarray:
-    """Queries used by the left-to-right pair scan, for every input word."""
-    size = 1 << n_vars
-    ints = np.arange(size, dtype=np.int64)
-    counts = np.full(size, n_vars, dtype=np.int64)
-    decided = np.zeros(size, dtype=bool)
-    for j in range(n_vars // 2):
-        b1 = (ints >> (n_vars - (2 * j + 1))) & 1
-        b2 = (ints >> (n_vars - (2 * j + 2))) & 1
-        newly = (b1 != b2) & ~decided
-        counts[newly] = 2 * (j + 1)
-        decided |= newly
-    return counts
+    """Queries used by the left-to-right pair scan, for every input word: it
+    stops at the first differing pair j, the highest set bit p = n - 2j - 2
+    of _pair_diffs, after 2j + 2 = n - p queries, and asks all n otherwise."""
+    diffs = _pair_diffs(n_vars, np.arange(1 << n_vars, dtype=np.int64))
+    # frexp's exponent is p + 1 for a highest set bit p, and 0 for 0.
+    return np.minimum(n_vars + 1 - np.frexp(diffs)[1], n_vars).astype(np.int64)

@@ -135,7 +135,8 @@ def classical_verify(oracle: Callable[[int], int], n: int) -> ClassicalRunReport
 
 
 def classical_query_counts(n: int) -> np.ndarray:
-    """Queries used by classical_verify on every n-bit word, by word value."""
+    """Queries used by classical_verify on every n-bit word, by word value:
+    2j + 2 when pair j is the first that differs, else n."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"verifier arity must be even and >= 2, got {n}")
     if n > MAX_SWEEP_VARS:

@@ -105,28 +105,27 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _report(args, payload: dict, lines: list[str], report) -> int:
+    """Finish verify and check: the payload plus the report's fields as one
+    JSON line, or the lines plus the result line; the exit code."""
+    if args.json:
+        _emit({**payload, "inputs_checked": report.inputs_checked, "exact": report.exact,
+               "counterexample": report.counterexample,
+               "min_probability": report.min_probability})
+    else:
+        print("\n".join(lines))
+        print("result: exact" if report.exact else
+              f"result: FAILED, first counterexample: {report.counterexample}")
+    return EXIT_OK if report.exact else EXIT_FAIL
+
+
 def _cmd_verify(args) -> int:
     alg = build_algorithm(args.n)
     report = check_exact(alg, BooleanFunction.verify(args.n))
-    if args.json:
-        _emit({
-            "command": "verify",
-            "n_vars": args.n,
-            "t_queries": alg.t_queries,
-            "inputs_checked": report.inputs_checked,
-            "exact": report.exact,
-            "counterexample": report.counterexample,
-            "min_probability": report.min_probability,
-        })
-    else:
-        print(f"inputs tested: {report.inputs_checked}")
-        print(f"queries per run: {alg.t_queries}")
-        print(f"min correct-output probability: {report.min_probability!r}")
-        if report.exact:
-            print("result: exact")
-        else:
-            print(f"result: FAILED, first counterexample: {report.counterexample}")
-    return EXIT_OK if report.exact else EXIT_FAIL
+    return _report(args, {"command": "verify", "n_vars": args.n, "t_queries": alg.t_queries},
+                   [f"inputs tested: {report.inputs_checked}",
+                    f"queries per run: {alg.t_queries}",
+                    f"min correct-output probability: {report.min_probability!r}"], report)
 
 
 def _cmd_sensitivity(args) -> int:
@@ -178,27 +177,10 @@ def _cmd_check(args) -> int:
         f = load_function(args.function)
     unitary = alg.unitary_within()
     report = check_exact(alg, f)
-    if args.json:
-        _emit({
-            "command": "check",
-            "algorithm": args.algorithm,
-            "function": args.function,
-            "n_vars": alg.n_vars,
-            "t_queries": alg.t_queries,
-            "unitary": unitary,
-            "inputs_checked": report.inputs_checked,
-            "exact": report.exact,
-            "counterexample": report.counterexample,
-            "min_probability": report.min_probability,
-        })
-    else:
-        print(f"matrices unitary: {'yes' if unitary else 'NO'}")
-        print(f"inputs tested: {report.inputs_checked}")
-        if report.exact:
-            print("result: exact")
-        else:
-            print(f"result: FAILED, first counterexample: {report.counterexample}")
-    return EXIT_OK if report.exact else EXIT_FAIL
+    payload = {"command": "check", "algorithm": args.algorithm, "function": args.function,
+               "n_vars": alg.n_vars, "t_queries": alg.t_queries, "unitary": unitary}
+    return _report(args, payload, [f"matrices unitary: {'yes' if unitary else 'NO'}",
+                                   f"inputs tested: {report.inputs_checked}"], report)
 
 
 def build_parser() -> argparse.ArgumentParser:

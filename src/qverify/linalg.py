@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import parity
+from ._kernels import _wht, gram_residual
 from .limits import MATRIX_TOL, MAX_DIM, NORM_TOL
 
 
@@ -62,7 +62,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hadamard_power(t: int) -> np.ndarray:
     """The t-fold tensor power of the 2x2 Hadamard matrix.
 
-    Entry (i, j) equals 2**(-t/2) * (-1)**popcount(i & j). t = 0 is
+    Entry (i, j) equals 2**(-t/2) * (-1)**popcount(i & j), exactly: it is
+    the fast Walsh-Hadamard transform of the scaled identity. t = 0 is
     rejected rather than defined as the 1x1 identity so that construction
     bugs surface early.
     """
@@ -71,20 +72,15 @@ def hadamard_power(t: int) -> np.ndarray:
     k = 1 << t
     if k > MAX_DIM:
         raise ValueError(f"dimension 2**{t} exceeds the supported maximum {MAX_DIM}")
-    cols = np.arange(k, dtype=np.int64)
-    # Entry (i, j) is entries[i & j]: i & j < k.
-    entries = 2.0 ** (-t / 2.0) * (1.0 - 2.0 * parity(cols))
-    out = np.empty((k, k), dtype=np.float64)
-    block = 512
-    for lo in range(0, k, block):
-        hi = min(lo + block, k)
-        out[lo:hi] = entries[cols[lo:hi, None] & cols[None, :]]
+    # Row i of the power is the transform of the unit row e_i, scaled; 512
+    # rows at a time bound the transform's temporaries.
+    out = np.zeros((k, k), dtype=np.float64)
+    np.fill_diagonal(out, 2.0 ** (-t / 2.0))
+    for lo in range(0, k, 512):
+        _wht(out[lo:lo + 512])
     return out
 
 
 def is_unitary(matrix: np.ndarray, tol: float = MATRIX_TOL) -> bool:
     """True iff M @ M.T equals the identity elementwise within tol."""
-    m = as_matrix(matrix)
-    product = m @ m.T
-    np.fill_diagonal(product, product.diagonal() - 1.0)
-    return float(np.abs(product).max()) <= tol
+    return float(gram_residual(as_matrix(matrix).T).max()) <= tol

@@ -70,7 +70,10 @@ def _reals(value, what: str) -> np.ndarray:
     """value as float64 if it nests JSON numbers only: numpy would read "1"
     as 1 and true as 1.0 among numbers, and fail on objects and on integers
     past 64 bits."""
-    a = np.asarray(value)
+    try:
+        a = np.asarray(value)
+    except ValueError:
+        raise ValueError(f"invalid document: {what} is ragged: lists differ in length") from None
     rows = value if a.ndim == 2 else [value] if a.ndim == 1 else []
     _require(a.dtype.kind in "iuf" and not any(bool in set(map(type, row)) for row in rows),
              f"{what} must hold only numbers")
@@ -169,12 +172,16 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
                  f"stage {stage_no} must carry 'unitary' and 'query_diagonal'")
         stages.append((_matrix(raw["unitary"], dim, f"stage {stage_no} unitary"),
                        _parse_diagonal(raw["query_diagonal"], dim, doc["n_vars"], stage_no)))
+    labels = doc["labels"]
+    # numpy would read true among integers as 1.
+    _require(isinstance(labels, list) and all(_is_int(b) and b in (0, 1) for b in labels),
+             "labels must be a list of the integers 0 and 1")
     return QueryAlgorithm(
         n_vars=doc["n_vars"],
         start=_reals(doc["start"], "start"),
         stages=stages,
         final_unitary=_matrix(doc["final_unitary"], dim, "final_unitary"),
-        labels=doc["labels"],
+        labels=labels,
     )
 
 

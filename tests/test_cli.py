@@ -30,6 +30,8 @@ BAD_INPUTS = [
     ("algorithm", ["stages", 0, "unitary", 1, 1], float("nan")),
     ("algorithm", ["final_unitary", 0, 0], float("inf")),
     ("algorithm", ["labels", 1], -1),
+    # numpy reads true among integer labels as 1.
+    ("algorithm", ["labels", 0], True),
     ("algorithm", ["n_vars"], True),
     ("algorithm", ["dim"], True),
     ("algorithm", ["stages", 0, "query_diagonal", 0, "var"], True),

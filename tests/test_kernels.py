@@ -17,13 +17,15 @@ class TestBackendSelection:
 
 
 class TestPairRun:
-    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_matches_dense_execution(self, n):
+        # Every word up to n = 10, a seeded sample of 256 words at n = 12.
         alg = build_algorithm(n)
-        for w in range(1 << n):
-            fast = _kernels.pair_run(n, w)
-            dense = run(alg, format(w, f"0{n}b")).final
-            assert np.abs(fast - dense).max() <= 1e-9
+        words = range(1 << n) if n <= 10 else np.random.default_rng(n).integers(0, 1 << n, 256)
+        for w in words:
+            fast = _kernels.pair_run(n, int(w))
+            dense = run(alg, format(int(w), f"0{n}b")).final
+            assert np.abs(fast - dense).max() <= 1e-12
 
 
 class TestPairSweep:
@@ -34,6 +36,17 @@ class TestPairSweep:
         dense = _kernels.sweep_range(*_sweep_arrays(alg), n, 0, 1 << n, expected, EXACT_TOL)
         pair = _kernels.pair_sweep_range(n, 0, 1 << n, expected, EXACT_TOL)
         assert dense[0] == pair[0] == -1
+        assert dense[1] == pytest.approx(pair[1], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_flipped_table_gives_the_same_counterexample(self, n):
+        flip = int(np.random.default_rng(n).integers(0, 1 << n))
+        expected = _kernels.verify_values_range(n, 0, 1 << n)
+        expected[flip] ^= 1
+        dense = _kernels.sweep_range(*_sweep_arrays(build_algorithm(n)), n, 0, 1 << n,
+                                     expected, EXACT_TOL)
+        pair = _kernels.pair_sweep_range(n, 0, 1 << n, expected, EXACT_TOL)
+        assert dense[0] == pair[0] == flip
         assert dense[1] == pytest.approx(pair[1], abs=1e-12)
 
     def test_first_failure_in_subrange(self):

@@ -113,6 +113,17 @@ class TestHadamardPower:
         with pytest.raises(ValueError):
             hadamard_power(0)
 
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_entries_are_exact(self, t):
+        # Entry (i, j) is exactly 2**(-t/2) with the sign (-1)**popcount(i & j):
+        # no rounding, and no zero whose sign bit could differ.
+        both = np.arange(1 << t)[:, None] & np.arange(1 << t)
+        odd = np.zeros_like(both)
+        for bit in range(t):
+            odd ^= (both >> bit) & 1
+        expected = np.where(odd == 1, -(2.0 ** (-t / 2)), 2.0 ** (-t / 2))
+        assert hadamard_power(t).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("t", range(1, 7))
     def test_self_inverse(self, t):
         m = hadamard_power(t)
@@ -136,6 +147,12 @@ class TestIsUnitary:
 
     def test_six_bit_stage_matrix(self):
         assert is_unitary(refdata.SIX_BIT_U1, tol=1e-12)
+
+    def test_rows_are_compared_not_columns(self):
+        # Unit rows at 0.6 to each other; the columns' Gram error is 0.48.
+        m = np.array([[1.0, 0.0], [0.6, 0.8]])
+        assert not is_unitary(m, tol=0.5)
+        assert is_unitary(m.T, tol=0.5)
 
     def test_tolerance_is_respected(self):
         nearly = np.eye(3)

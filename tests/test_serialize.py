@@ -180,6 +180,19 @@ class TestDocumentValidation:
         with pytest.raises(ValueError, match="only numbers"):
             document_to_algorithm(doc)
 
+    @pytest.mark.parametrize("label", [True, 1.0, "1"])
+    def test_rejects_labels_other_than_integers(self, alg4, label):
+        doc = self._doc(alg4)
+        doc["labels"][0] = label
+        with pytest.raises(ValueError, match="labels must be a list of the integers 0 and 1"):
+            document_to_algorithm(doc)
+
+    def test_rejects_ragged_matrix_by_name(self, alg4):
+        doc = self._doc(alg4)
+        doc["stages"][0]["unitary"][1] = [0.5]
+        with pytest.raises(ValueError, match="^invalid document: stage 1 unitary is ragged"):
+            document_to_algorithm(doc)
+
     def test_rejects_dim_past_the_cap(self, alg4):
         doc = self._doc(alg4)
         doc["dim"] = MAX_DOC_DIM + 1
