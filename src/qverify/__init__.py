@@ -1,7 +1,7 @@
 """qverify: exact quantum query simulation for duplicated-bit codewords.
 
 Builds the N/2-query verifier algorithm for words whose consecutive bit
-pairs must be equal, executes it on a small dense state-vector simulator,
+pairs must be equal, executes it on a small state-vector simulator,
 checks exactness exhaustively, and contrasts it with the N-query classical
 decision-tree baseline.
 """
@@ -20,6 +20,7 @@ from .linalg import apply, hadamard_power, is_unitary, tensor
 from .model import (
     ComputeResult,
     ExactnessReport,
+    Nonzeros,
     QueryAlgorithm,
     QueryEntry,
     QuerySpec,
@@ -55,6 +56,7 @@ __all__ = [
     "ClassicalRunReport",
     "ComputeResult",
     "ExactnessReport",
+    "Nonzeros",
     "QueryAlgorithm",
     "QueryEntry",
     "QuerySpec",

@@ -92,18 +92,48 @@ class SweepArrays(NamedTuple):
     poly: tuple | None
 
 
+def _reached(matrix, cols: np.ndarray, dim: int) -> np.ndarray:
+    """Sorted rows with an entry != 0 in any of the sorted columns cols, for
+    a matrix given as its (rows, cols, values) nonzeros."""
+    r, c, v = matrix
+    on = np.zeros(dim, dtype=bool)
+    on[cols] = True
+    hit = np.zeros(dim, dtype=bool)
+    hit[r[on[c] & (v != 0)]] = True
+    return np.flatnonzero(hit)
+
+
+def _block(matrix, rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
+    """The dense rows x cols block of a (rows, cols, values) nonzeros matrix,
+    for sorted index arrays rows and cols."""
+    r, c, v = matrix
+    # Nothing to cut from a full matrix, such as a dense final one reached
+    # everywhere: remapping its K**2 entries would only copy them.
+    if rows.size < dim or cols.size < dim:
+        at = np.full((2, dim), -1)
+        at[0, rows], at[1, cols] = np.arange(rows.size), np.arange(cols.size)
+        r, c = at[0, r], at[1, c]
+        keep = (r >= 0) & (c >= 0)
+        r, c, v = r[keep], c[keep], v[keep]
+    block = np.zeros((rows.size, cols.size))
+    block[r, c] = v
+    return block
+
+
 def sweep_arrays(n_vars, start, unitaries, var_maps, final, labels) -> SweepArrays:
-    """Reachable blocks, kept rows and the propagated polynomial; see above."""
+    """Reachable blocks, kept rows and the propagated polynomial (see above)
+    of matrices given as their (rows, cols, values) nonzeros."""
+    dim = start.size
     support = np.flatnonzero(start)
     cols = support
     blocks, stages = [], []
     bit_of = np.array([0] + [1 << (n_vars - k) for k in range(1, n_vars + 1)])
     for unitary, var_map in zip(unitaries, var_maps):
-        rows = np.flatnonzero((unitary != 0)[:, cols].any(axis=1))
-        blocks.append(unitary[np.ix_(rows, cols)])
+        rows = _reached(unitary, cols, dim)
+        blocks.append(_block(unitary, rows, cols, dim))
         stages.append((np.ascontiguousarray(blocks[-1].T), bit_of[var_map[rows]]))
         cols = rows
-    final_cols, row_labels, rest = final[:, cols], labels, None
+    final_cols, row_labels, rest = _block(final, np.arange(dim), cols, dim), labels, None
     if all(_keeps_norms(b) for b in blocks) and _keeps_norms(final_cols):
         # Keep the smaller label set, label 1 on a tie.
         label = int(2 * np.count_nonzero(labels) <= labels.size)
@@ -132,7 +162,9 @@ def _propagate(arrays: SweepArrays, base: int, size: int):
         block *= 1.0 - 2.0 * ((bits & base) != 0)
         bits = bits & (size - 1)
         # Each query bit moves the live monomials of its columns by one XOR.
-        groups = [np.flatnonzero(bits == b) for b in np.unique(bits)]
+        # (np.unique(bits) would import numpy.ma, about 20 ms, on numpy 2.)
+        order = np.argsort(bits, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(bits[order])) + 1) if bits.size else []
         live = [np.flatnonzero(block[:, cols].any(axis=1)) for cols in groups]
         moved = [masks[rows] ^ bits[cols[0]] for cols, rows in zip(groups, live)]
         masks, where = np.unique(np.concatenate([masks[:0], *moved]), return_inverse=True)
@@ -270,7 +302,7 @@ def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol) -> tuple[int,
     p0 = np.maximum((states * states).sum(axis=1) - p1, 0.0)
     ok = ((p1 > p0) == (expected == 1)) & (np.maximum(p0, p1) >= 1.0 - tol)
     first = -1 if bool(ok.all()) else lo + int(np.argmin(ok))
-    return first, float(np.where(expected == 1, p1, p0).min())
+    return first, float(np.where(expected == 1, p1, p0).min(initial=math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .limits import MAX_BUILD_VARS
 from .linalg import hadamard_power, is_power_of_two
-from .model import QueryAlgorithm, QuerySpec
+from .model import Nonzeros, QueryAlgorithm, QuerySpec
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -58,17 +58,25 @@ def stage_plan(i: int, k: int) -> StagePlan:
     return StagePlan(stage=i, indices=indices, pairs=indices.reshape(-1, 2).copy())
 
 
-def build_stage_unitary(i: int, k: int) -> np.ndarray:
-    """Identity with a Hadamard block at each stage-i pair (t1, t2)."""
+def build_stage_nonzeros(i: int, k: int) -> Nonzeros:
+    """Identity with a Hadamard block at each stage-i pair (t1, t2), as its
+    K + 2**i nonzeros."""
     plan = stage_plan(i, k)
-    m = np.eye(k, dtype=np.float64)
-    t1 = plan.pairs[:, 0]
-    t2 = plan.pairs[:, 1]
-    m[t1, t1] = _INV_SQRT2
-    m[t1, t2] = _INV_SQRT2
-    m[t2, t1] = _INV_SQRT2
-    m[t2, t2] = -_INV_SQRT2
-    return m
+    t1, t2 = plan.pairs[:, 0], plan.pairs[:, 1]
+    fixed = np.ones(k, dtype=bool)
+    fixed[plan.indices] = False
+    fixed = np.flatnonzero(fixed)
+    rows = np.concatenate((fixed, t1, t1, t2, t2))
+    cols = np.concatenate((fixed, t1, t2, t1, t2))
+    values = np.repeat([1.0, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2],
+                       [fixed.size] + [t1.size] * 4)
+    order = np.argsort(rows * k + cols)
+    return Nonzeros(rows[order], cols[order], values[order])
+
+
+def build_stage_unitary(i: int, k: int) -> np.ndarray:
+    """Stage i's unitary as a dense matrix."""
+    return build_stage_nonzeros(i, k).dense(k).copy()
 
 
 def build_stage_query(i: int, k: int) -> QuerySpec:
@@ -90,6 +98,6 @@ def build_algorithm(n: int) -> QueryAlgorithm:
     start[0] = 1.0
     labels = np.zeros(k, dtype=np.uint8)
     labels[0] = 1
-    stages = [(build_stage_unitary(i, k), build_stage_query(i, k)) for i in range(1, t + 1)]
+    stages = [(build_stage_nonzeros(i, k), build_stage_query(i, k)) for i in range(1, t + 1)]
     return QueryAlgorithm(n_vars=n, start=start, stages=stages,
                           final_unitary=hadamard_power(t), labels=labels)

@@ -21,9 +21,10 @@ MAX_SWEEP_VARS = 24
 MAX_DIM = 1 << 16
 
 # Largest dimension an algorithm document may declare: that of the
-# builder's n = 24 algorithm. A few lists of nonzeros could otherwise make
-# the loader scatter into dense float64 matrices of any size; at this cap
-# each takes 128 MiB.
+# builder's n = 24 algorithm. The loader keeps the nonzeros form without
+# scattering it, but a small document could otherwise declare any size,
+# and the dense matrices that unitary_within and the sweep still make, one
+# at a time, take dim**2 floats: 128 MiB each at this cap.
 MAX_DOC_DIM = 1 << 12
 
 # Sensitivity costs N * 2**N table lookups; above 20 variables that stops

@@ -97,9 +97,44 @@ class QuerySpec:
         return f"QuerySpec({self.var_map.tolist()})"
 
 
+class Nonzeros(NamedTuple):
+    """A square matrix as its stored entries, in row-major order: every
+    entry != 0, and every -0.0 so that it survives a document round trip.
+    Entries not listed are 0.0, and no (row, col) pair is listed twice."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def stored(values: np.ndarray) -> np.ndarray:
+        """Which of the values are stored: those != 0, and -0.0."""
+        return (values != 0) | np.signbit(values)
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> "Nonzeros":
+        """The stored entries of a dense float64 matrix."""
+        rows, cols = np.nonzero(cls.stored(m))
+        return cls(rows, cols, m[rows, cols])
+
+    def dense(self, dim: int) -> np.ndarray:
+        """The matrix as a new read-only dim x dim float64 array."""
+        m = np.zeros((dim, dim))
+        m[self.rows, self.cols] = self.values
+        m.setflags(write=False)
+        return m
+
+
 class Stage(NamedTuple):
-    unitary: np.ndarray
+    """One stage: the stored entries of its unitary, and its query."""
+
+    nonzeros: Nonzeros
     query: QuerySpec
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The dense unitary, built on each access."""
+        return self.nonzeros.dense(len(self.query))
 
 
 def _locked(a: np.ndarray, what: str) -> np.ndarray:
@@ -109,15 +144,34 @@ def _locked(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _locked_matrix(m, dim: int, what: str) -> np.ndarray:
-    a = np.array(as_matrix(m), dtype=np.float64)
-    if a.shape[0] != dim:
-        raise ValueError(f"{what} has dimension {a.shape[0]}, expected {dim}")
-    return _locked(a, what)
+def _stored(m, dim: int, what: str) -> Nonzeros:
+    """A dense matrix, or the Nonzeros of one, as read-only Nonzeros."""
+    if isinstance(m, Nonzeros):
+        r, c = np.asarray(m.rows, dtype=np.int64), np.asarray(m.cols, dtype=np.int64)
+        m = Nonzeros(r, c, np.asarray(m.values, dtype=np.float64))
+        # Strictly increasing row-major keys: sorted, and no pair twice.
+        if not (r.ndim == 1 and r.shape == c.shape == m.values.shape
+                and ((r >= 0) & (r < dim) & (c >= 0) & (c < dim)).all()
+                and (np.diff(r * dim + c) > 0).all()):
+            raise ValueError(f"{what} must list distinct entries below {dim} in row-major order")
+    else:
+        a = as_matrix(m)
+        if a.shape[0] != dim:
+            raise ValueError(f"{what} has dimension {a.shape[0]}, expected {dim}")
+        m = Nonzeros.of(a)
+    _locked(m.values, what)
+    m.rows.setflags(write=False)
+    m.cols.setflags(write=False)
+    return m
 
 
 class QueryAlgorithm:
     """A complete query algorithm over n_vars Boolean variables.
+
+    Every stage unitary and the final unitary are held as their Nonzeros
+    only, O(K) numbers for each of the builder's stages; `stage.unitary` and
+    `final_unitary` build a read-only dense copy on each access. The
+    constructor takes dense matrices, Nonzeros and Stage objects alike.
 
     Construction validates structure: a unit-norm power-of-two start state,
     finite entries and matching dimensions everywhere, variable indices
@@ -129,7 +183,7 @@ class QueryAlgorithm:
     state never reaches changes no run, so only `unitary_within` reveals it.
     """
 
-    __slots__ = ("n_vars", "start", "stages", "final_unitary", "labels")
+    __slots__ = ("n_vars", "start", "stages", "final_nonzeros", "labels")
 
     def __init__(self, n_vars: int, start, stages, final_unitary, labels) -> None:
         if n_vars < 1:
@@ -146,7 +200,7 @@ class QueryAlgorithm:
             if query.max_var > n_vars:
                 raise ValueError(
                     f"stage {idx} queries variable {query.max_var} but n_vars = {n_vars}")
-            built.append(Stage(_locked_matrix(unitary, dim, f"stage {idx} unitary"), query))
+            built.append(Stage(_stored(unitary, dim, f"stage {idx} unitary"), query))
         if not built:
             raise ValueError("an algorithm needs at least one stage")
 
@@ -161,7 +215,7 @@ class QueryAlgorithm:
         self.n_vars = int(n_vars)
         self.start = start_arr
         self.stages = tuple(built)
-        self.final_unitary = _locked_matrix(final_unitary, dim, "final unitary")
+        self.final_nonzeros = _stored(final_unitary, dim, "final unitary")
         self.labels = labels_arr
 
     @property
@@ -171,6 +225,11 @@ class QueryAlgorithm:
     @property
     def t_queries(self) -> int:
         return len(self.stages)
+
+    @property
+    def final_unitary(self) -> np.ndarray:
+        """The dense final unitary, built on each access."""
+        return self.final_nonzeros.dense(self.dim)
 
     def unitary_within(self, tol: float = MATRIX_TOL) -> bool:
         """True iff every stage unitary and the final unitary pass is_unitary."""
@@ -324,9 +383,9 @@ def run_batch(alg: QueryAlgorithm, words: np.ndarray) -> list[np.ndarray]:
 
 def _sweep_arrays(alg: QueryAlgorithm) -> _kernels.SweepArrays:
     """Kernel-ready arrays for _kernels.sweep_range (see sweep_arrays there)."""
-    return _kernels.sweep_arrays(alg.n_vars, alg.start, [st.unitary for st in alg.stages],
+    return _kernels.sweep_arrays(alg.n_vars, alg.start, [st.nonzeros for st in alg.stages],
                                  [st.query.var_map for st in alg.stages],
-                                 alg.final_unitary, alg.labels)
+                                 alg.final_nonzeros, alg.labels)
 
 
 def _chunk_grid(n_vars: int, width: int) -> list[tuple[int, int]]:

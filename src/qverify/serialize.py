@@ -24,7 +24,9 @@ every entry not listed is 0.0 and no (row, col) pair is listed twice. The
 writer picks whichever lists fewer numbers: the nonzeros iff
 3 * nnz < dim**2, counting -0.0 as a nonzero so that it survives. Version
 1 documents, which hold dense rows only, load through the same code.
-Truth-table documents stay at version 1.
+The loader keeps the nonzeros form as model.Nonzeros, sorted row-major,
+without scattering it into a dense matrix. Truth-table documents stay at
+version 1.
 
 Variable indices in documents are 1-based; basis states are positional
 (row/column order), indexed from 0. Reals are written in shortest
@@ -48,7 +50,7 @@ import numpy as np
 
 from .boolfunc import BooleanFunction
 from .limits import MAX_DOC_DIM
-from .model import QueryAlgorithm, QuerySpec
+from .model import Nonzeros, QueryAlgorithm, QuerySpec
 
 # The loader reads every algorithm version up to the one written; version 1
 # lacks only the nonzeros form.
@@ -87,9 +89,10 @@ def _indices(value: list, dim: int, what: str) -> np.ndarray:
     return np.array(value, dtype=np.int64)
 
 
-def _matrix(value, dim: int, what: str) -> np.ndarray:
-    """A document matrix as float64: dense rows, or the nonzeros form
-    {"rows", "cols", "values"} scattered into a dim x dim zero matrix."""
+def _matrix(value, dim: int, what: str):
+    """A document matrix: dense rows as a float64 array, or the nonzeros
+    form {"rows", "cols", "values"} as Nonzeros, sorted row-major and
+    without the +0.0 entries it may list."""
     if not isinstance(value, dict):
         return _reals(value, what)
     _require(set(value) == {"rows", "cols", "values"},
@@ -101,18 +104,18 @@ def _matrix(value, dim: int, what: str) -> np.ndarray:
     r, c = _indices(rows, dim, f"{what} rows"), _indices(cols, dim, f"{what} cols")
     v = _reals(values, f"{what} values")
     _require(v.ndim == 1, f"{what} values must be a flat list")
-    _require(np.unique(r * dim + c).size == r.size, f"{what} lists an entry twice")
-    m = np.zeros((dim, dim))
-    m[r, c] = v
-    return m
+    keys = r * dim + c
+    order = np.argsort(keys, kind="stable")
+    _require(not (np.diff(keys[order]) == 0).any(), f"{what} lists an entry twice")
+    order = order[Nonzeros.stored(v[order])]
+    return Nonzeros(r[order], c[order], v[order])
 
 
-def _matrix_document(m: np.ndarray):
+def _matrix_document(m: Nonzeros, dim: int):
     """Dense rows, or the nonzeros when they list fewer numbers."""
-    rows, cols = np.nonzero((m != 0) | np.signbit(m))
-    if 3 * rows.size >= m.size:
-        return m.tolist()
-    return {"rows": rows.tolist(), "cols": cols.tolist(), "values": m[rows, cols].tolist()}
+    if 3 * m.values.size >= dim * dim:
+        return m.dense(dim).tolist()
+    return {"rows": m.rows.tolist(), "cols": m.cols.tolist(), "values": m.values.tolist()}
 
 
 def algorithm_to_document(alg: QueryAlgorithm) -> dict:
@@ -120,7 +123,7 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
     for stage in alg.stages:
         diagonal = [{"fixed": True} if v == 0 else {"var": int(v)}
                     for v in stage.query.var_map]
-        stages.append({"unitary": _matrix_document(stage.unitary),
+        stages.append({"unitary": _matrix_document(stage.nonzeros, alg.dim),
                        "query_diagonal": diagonal})
     return {
         "schema_version": ALGORITHM_SCHEMA_VERSION,
@@ -129,7 +132,7 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
         "dim": alg.dim,
         "start": alg.start.tolist(),
         "stages": stages,
-        "final_unitary": _matrix_document(alg.final_unitary),
+        "final_unitary": _matrix_document(alg.final_nonzeros, alg.dim),
         "labels": alg.labels.tolist(),
     }
 

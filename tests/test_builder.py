@@ -123,6 +123,27 @@ class TestBuildAlgorithm:
         h = hadamard_power(1)
         assert np.abs(alg6.final_unitary - tensor(tensor(h, h), h)).max() <= 1e-12
 
+    def test_stages_are_stored_as_their_nonzeros(self):
+        alg = build_algorithm(20)
+        k = alg.dim
+        for i, stage in enumerate(alg.stages, start=1):
+            # Identity plus 2**(i-1) Hadamard blocks: K + 2**i entries, not K**2.
+            assert stage.nonzeros.values.size == k + (1 << i)
+            assert sum(a.nbytes for a in stage.nonzeros) == 24 * (k + (1 << i))
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 12])
+    def test_dense_matrices_are_byte_equal_to_the_references(self, n):
+        alg = build_algorithm(n)
+        k = alg.dim
+        for i, stage in enumerate(alg.stages, start=1):
+            # The identity with a Hadamard block at each stage-i pair.
+            t1, t2 = stage_plan(i, k).pairs.T
+            ref = np.eye(k)
+            ref[t1, t1] = ref[t1, t2] = ref[t2, t1] = 1 / np.sqrt(2)
+            ref[t2, t2] = -1 / np.sqrt(2)
+            assert stage.unitary.tobytes() == build_stage_unitary(i, k).tobytes() == ref.tobytes()
+        assert alg.final_unitary.tobytes() == hadamard_power(n // 2).tobytes()
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16])
     def test_dimension_law(self, n):
         alg = build_algorithm(n)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -212,6 +215,26 @@ class TestCheck:
             outputs.append(out.replace(json.dumps(str(path)), '"<path>"'))
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["exact"] is True
+
+    def test_check_and_verify_do_not_import_numpy_ma(self, tmp_path):
+        # numpy 2's np.unique imports numpy.ma unless asked for indices.
+        alg_path, fn_path = tmp_path / "alg.json", tmp_path / "fn.json"
+        fn_path.write_text(json.dumps({"schema_version": 1, "arity": 8, "table": [0] * 256}),
+                           encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from qverify.cli import main\n"
+            f"main(['build', '--n', '8', '--out', {str(alg_path)!r}])\n"
+            "main(['verify', '--n', '8'])\n"
+            f"main(['check', '--algorithm', {str(alg_path)!r}])\n"
+            f"main(['check', '--algorithm', {str(alg_path)!r}, '--function', {str(fn_path)!r}])\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--algorithm", "/nonexistent.json"]) == 2

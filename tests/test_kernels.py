@@ -59,6 +59,13 @@ class TestPairSweep:
         arrays = _sweep_arrays(build_algorithm(n))
         assert _kernels.sweep_range(*arrays, n, 17, 40, expected[17:40], EXACT_TOL)[0] == 17
 
+    def test_empty_range(self):
+        n = 4
+        expected = _kernels.verify_values_range(n, 5, 5)
+        arrays = _sweep_arrays(build_algorithm(n))
+        assert _kernels.sweep_range(*arrays, n, 5, 5, expected, EXACT_TOL) == (-1, np.inf)
+        assert _kernels.pair_sweep_range(n, 5, 5, expected, EXACT_TOL) == (-1, np.inf)
+
 
 class TestVerifyValuesOracle:
     def test_against_python_pair_scan(self):

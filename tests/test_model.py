@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qverify import (
     BooleanFunction,
+    Nonzeros,
     QueryAlgorithm,
     QueryEntry,
     QuerySpec,
@@ -644,11 +645,30 @@ class TestQueryAlgorithmValidation:
             QueryAlgorithm(2, [1.0, 0.0], [(np.eye(4), QuerySpec([1, 2]))],
                            np.eye(2), [1, 0])
 
+    @pytest.mark.parametrize("rows,cols", [([0, 2], [0, 1]), ([1, 0], [0, 1]), ([0, 0], [1, 1]),
+                                           ([0, -1], [0, 1]), ([0], [0, 1])])
+    def test_rejects_nonzeros_outside_or_out_of_order(self, rows, cols):
+        final = Nonzeros(np.array(rows), np.array(cols), np.ones(len(rows)))
+        with pytest.raises(ValueError, match="distinct entries below 2 in row-major order"):
+            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([1, 2]))], final, [1, 0])
+
+    def test_accepts_nonzeros_and_stages(self, alg4):
+        final = Nonzeros(*alg4.final_nonzeros)
+        again = QueryAlgorithm(4, alg4.start, alg4.stages, final, alg4.labels)
+        # Stored arrays are shared, not copied.
+        assert all(a is b for a, b in zip(again.stages[0].nonzeros, alg4.stages[0].nonzeros))
+        assert again.final_unitary.tobytes() == alg4.final_unitary.tobytes()
+
     def test_arrays_are_immutable(self, alg4):
         with pytest.raises(ValueError):
             alg4.start[0] = 2.0
         with pytest.raises(ValueError):
             alg4.stages[0].unitary[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            alg4.final_unitary[0, 0] = 2.0
+        for array in (*alg4.stages[0].nonzeros, *alg4.final_nonzeros):
+            with pytest.raises(ValueError):
+                array[0] = 2
 
     def test_unitary_within(self, alg4):
         assert alg4.unitary_within(1e-12)

@@ -287,6 +287,31 @@ class TestNonzerosFormValidation:
         with pytest.raises(ValueError, match=message):
             document_to_algorithm(doc)
 
+    def test_entries_load_in_row_major_order_without_zeros(self):
+        alg = build_algorithm(8)
+        doc = algorithm_to_document(alg)
+        form = doc["stages"][1]["unitary"]
+        # Listed backwards, with an explicit 0.0 at an unlisted entry.
+        for key in ("rows", "cols", "values"):
+            form[key] = form[key][::-1]
+        form["rows"].append(0)
+        form["cols"].append(1)
+        form["values"].append(0.0)
+        loaded = document_to_algorithm(doc)
+        assert loaded.stages[1].nonzeros.rows.tolist() == alg.stages[1].nonzeros.rows.tolist()
+        assert dumps_algorithm(loaded) == dumps_algorithm(alg)
+
+    def test_negative_zero_survives_load_and_dump_in_both_forms(self):
+        doc = algorithm_to_document(build_algorithm(8))
+        assert isinstance(doc["stages"][0]["unitary"], dict)
+        assert isinstance(doc["final_unitary"], list)
+        doc["stages"][0]["unitary"]["values"][1] = -0.0
+        doc["final_unitary"][3][5] = -0.0
+        text = json.dumps(doc, indent=2)
+        loaded = document_to_algorithm(json.loads(text))
+        assert np.signbit(loaded.stages[0].unitary[0, 8]) and np.signbit(loaded.final_unitary[3, 5])
+        assert dumps_algorithm(loaded) == text
+
     def test_unlisted_entries_are_zero(self):
         doc = algorithm_to_document(build_algorithm(8))
         doc["final_unitary"] = {"rows": [], "cols": [], "values": []}
