@@ -27,23 +27,25 @@ from .limits import MATRIX_TOL, SWEEP_BUDGET
 # one unnormalized Walsh-Hadamard transform of the coefficients indexed by S
 # gives the amplitude on every word, in word order (Fino and Algazi 1976).
 #
-#   * propagation, once per check: the start state runs through the
-#     algorithm's own matrices as (monomial masks, block), one block row per
-#     monomial and one column per basis state the start state reaches
-#     through nonzero entries (sound because the model rejects non-finite
-#     matrices, so 0 * x is always 0). A stage is one product with its
-#     block; a query moves each column's coefficients from S to S ^ (the bit
-#     it reads), so a re-queried variable cancels, and equal S are merged;
-#   * labelled rows: when every stage block and the final matrix keep norms
-#     on the reachable columns, only the output rows of the smaller label
-#     set are kept, and the other probability is |start|^2 minus theirs;
+#   * propagation, once per check: the polynomial is a list of (mask S,
+#     basis state, coefficient) terms, first those of the start state. Each
+#     stage is its entries != 0 in the columns the start state reaches
+#     through such entries, grouped by column (sound because the model
+#     rejects non-finite matrices, so 0 * x is always 0). A step moves each
+#     term along its column's entries and XORs S with the bit each new row
+#     queries, so a re-queried variable cancels; equal (S, row) terms are
+#     merged and exact zeros dropped. The final matrix, cut to the kept
+#     rows, is one more step that queries nothing;
+#   * labelled rows: when every stage and the final matrix keep norms on the
+#     reachable columns, only the output rows of the smaller label set are
+#     kept, and the other probability is |start|^2 minus theirs;
 #   * evaluation: _blocks walks [lo, hi) in aligned power-of-two blocks.
 #     Fixing a block's top bits turns each monomial into a signed monomial
 #     of its low bits, which are scattered with np.bincount and transformed.
 #
-# A live coefficient block holds at most _block_bound floats. Past that, each
-# block is propagated on its own with its top variables substituted by their
-# signs, and halved until it fits.
+# A propagation holds at most _block_bound floats, _TERM_FLOATS a term. Past
+# that, each block is propagated on its own with its top variables
+# substituted by their signs, and halved until it fits.
 # ---------------------------------------------------------------------------
 
 
@@ -54,11 +56,20 @@ def parity(x):
     return x & 1
 
 
+def scatter(rows, cols, values, shape) -> np.ndarray:
+    """A new float64 array of the given shape, values at (rows, cols)."""
+    m = np.zeros(shape)
+    m[rows, cols] = values
+    return m
+
+
 def gram_residual(m: np.ndarray) -> np.ndarray:
-    """|m.T @ m - I| entrywise: how far m's columns are from orthonormal."""
-    gram = m.T @ m
-    np.fill_diagonal(gram, gram.diagonal() - 1.0)
-    return np.abs(gram)
+    """|m.T @ m - I| entrywise: how far m's columns are from orthonormal;
+    inf or nan, without a warning, where huge entries overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.T @ m
+        np.fill_diagonal(gram, gram.diagonal() - 1.0)
+        return np.abs(gram, out=gram)
 
 
 def _keeps_norms(m: np.ndarray) -> bool:
@@ -69,113 +80,97 @@ def _keeps_norms(m: np.ndarray) -> bool:
 
 
 def _block_bound(t_queries: int, dim: int) -> int:
-    """Most floats a live coefficient block may hold: the sweep budget, or
-    what the algorithm's own T + 1 matrices hold when that is more."""
+    """Most floats a propagation may hold: the sweep budget, or what the
+    algorithm's own T + 1 matrices hold when that is more."""
     return max(SWEEP_BUDGET, (t_queries + 1) * dim * dim)
 
 
+_TERM_FLOATS = 16  # floats a moved term takes: mask, row, coefficient, key, copies
+
+
 class SweepArrays(NamedTuple):
-    """What sweep_range needs: per stage, the transposed block from the
-    columns reachable before it to those after it and the word bit each of
-    the latter's query reads (0: fixed); the transposed final matrix on the
-    kept output rows, and their labels; rest = (label, |start|^2) when only
-    the other label's rows are kept; poly = the whole cube's (masks, kept
-    rows x monomials coefficients), None when it would exceed bound floats.
-    """
+    """What sweep_range needs: the start state; per stage, its entries
+    (ptr, rows, values, bits) on the columns reached before it, column c's
+    at [ptr[c], ptr[c + 1]), with the word bit each row queries (0: none);
+    final_t, the same for the final matrix on the kept output rows, which
+    row_labels labels; rest = (label, |start|^2) when only the other
+    label's rows are kept; the bound on a propagation's floats; poly = the
+    whole cube's (masks, kept rows, coefficients) terms, or None past it."""
 
     start: np.ndarray
     stages: tuple
-    final_t: np.ndarray
+    final_t: tuple
     row_labels: np.ndarray
     rest: tuple | None
     bound: int
     poly: tuple | None
 
 
-def _reached(matrix, cols: np.ndarray, dim: int) -> np.ndarray:
-    """Sorted rows with an entry != 0 in any of the sorted columns cols, for
-    a matrix given as its (rows, cols, values) nonzeros."""
-    r, c, v = matrix
-    on = np.zeros(dim, dtype=bool)
-    on[cols] = True
-    hit = np.zeros(dim, dtype=bool)
-    hit[r[on[c] & (v != 0)]] = True
-    return np.flatnonzero(hit)
-
-
-def _block(matrix, rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
-    """The dense rows x cols block of a (rows, cols, values) nonzeros matrix,
-    for sorted index arrays rows and cols."""
-    r, c, v = matrix
-    # Nothing to cut from a full matrix, such as a dense final one reached
-    # everywhere: remapping its K**2 entries would only copy them.
-    if rows.size < dim or cols.size < dim:
-        at = np.full((2, dim), -1)
-        at[0, rows], at[1, cols] = np.arange(rows.size), np.arange(cols.size)
-        r, c = at[0, r], at[1, c]
-        keep = (r >= 0) & (c >= 0)
-        r, c, v = r[keep], c[keep], v[keep]
-    block = np.zeros((rows.size, cols.size))
-    block[r, c] = v
-    return block
-
-
 def sweep_arrays(n_vars, start, unitaries, var_maps, final, labels) -> SweepArrays:
-    """Reachable blocks, kept rows and the propagated polynomial (see above)
-    of matrices given as their (rows, cols, values) nonzeros."""
+    """Reachable entries, kept rows and the propagated polynomial (see
+    above) of matrices given as their (rows, cols, values) nonzeros."""
     dim = start.size
-    support = np.flatnonzero(start)
-    cols = support
-    blocks, stages = [], []
     bit_of = np.array([0] + [1 << (n_vars - k) for k in range(1, n_vars + 1)])
-    for unitary, var_map in zip(unitaries, var_maps):
-        rows = _reached(unitary, cols, dim)
-        blocks.append(_block(unitary, rows, cols, dim))
-        stages.append((np.ascontiguousarray(blocks[-1].T), bit_of[var_map[rows]]))
-        cols = rows
-    final_cols, row_labels, rest = _block(final, np.arange(dim), cols, dim), labels, None
-    if all(_keeps_norms(b) for b in blocks) and _keeps_norms(final_cols):
+    on, stages, norms = start != 0, [], True
+    for (r, c, v), var_map in zip(unitaries, var_maps):
+        kept = np.flatnonzero(on[c] & (v != 0))
+        kept = kept[np.argsort(c[kept], kind="stable")]
+        r, c, v = r[kept], c[kept], v[kept]
+        hit = np.bincount(r, minlength=dim) > 0
+        # The dense block from the reached columns to the rows they reach.
+        row_at, col_at = np.cumsum(hit) - 1, np.cumsum(on) - 1
+        norms = norms and _keeps_norms(scatter(row_at[r], col_at[c], v,
+                                               (row_at[-1] + 1, col_at[-1] + 1)))
+        stages.append((np.searchsorted(c, np.arange(dim + 1)), r, v, bit_of[var_map[r]]))
+        on = hit
+    cols = np.flatnonzero(on)
+    block = scatter(*final, (dim, dim))
+    if cols.size < dim:
+        block = block[:, cols]
+    row_labels, rest = labels, None
+    if norms and _keeps_norms(block):
         # Keep the smaller label set, label 1 on a tie.
         label = int(2 * np.count_nonzero(labels) <= labels.size)
-        final_cols, row_labels = final_cols[labels == label], labels[labels == label]
+        block, row_labels = block[labels == label], labels[labels == label]
         rest = (1 - label, float(start @ start))
-    arrays = SweepArrays(start[support], tuple(stages), np.ascontiguousarray(final_cols.T),
-                         row_labels, rest, _block_bound(len(stages), start.size), None)
+    j, i = np.nonzero(block.T)
+    final_t = (np.searchsorted(cols[j], np.arange(dim + 1)), i, block[i, j], np.zeros_like(i))
+    arrays = SweepArrays(start, tuple(stages), final_t, row_labels, rest,
+                         _block_bound(len(stages), dim), None)
     return arrays._replace(poly=_propagate(arrays, 0, 1 << n_vars))
 
 
 def _propagate(arrays: SweepArrays, base: int, size: int):
-    """(masks, coefficients) of the kept output rows on the words
-    [base, base + size), size a power of two dividing base: every variable
-    above the low log2(size) bits is substituted by its sign in base. None
-    when a live block would exceed arrays.bound floats, never for one word.
-    """
+    """(masks, kept rows, coefficients) terms of the kept output rows on the
+    words [base, base + size), size a power of two dividing base: variables
+    above the low log2(size) bits are substituted by their signs in base.
+    None when a step would hold more than arrays.bound floats, never for
+    one word."""
     bound = arrays.bound if size > 1 else math.inf
-    masks = np.zeros(1, dtype=np.int64)
-    block = arrays.start[None, :]
-    for ut, bits in (*arrays.stages, (arrays.final_t, None)):
-        if masks.size * ut.shape[1] > bound:
-            return None
-        block = block @ ut
-        if bits is None:
-            return masks, np.ascontiguousarray(block.T)
-        block *= 1.0 - 2.0 * ((bits & base) != 0)
-        bits = bits & (size - 1)
-        # Each query bit moves the live monomials of its columns by one XOR.
-        # (np.unique(bits) would import numpy.ma, about 20 ms, on numpy 2.)
-        order = np.argsort(bits, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(bits[order])) + 1) if bits.size else []
-        live = [np.flatnonzero(block[:, cols].any(axis=1)) for cols in groups]
-        moved = [masks[rows] ^ bits[cols[0]] for cols, rows in zip(groups, live)]
-        masks, where = np.unique(np.concatenate([masks[:0], *moved]), return_inverse=True)
-        if masks.size * bits.size > bound:
-            return None
-        merged = np.zeros((masks.size, bits.size))
-        at = 0
-        for cols, rows in zip(groups, live):
-            merged[where[at:at + rows.size, None], cols] = block[np.ix_(rows, cols)]
-            at += rows.size
-        block = merged
+    dim = arrays.start.size
+    cols = np.flatnonzero(arrays.start)
+    masks, coeffs = np.zeros(cols.size, dtype=np.int64), arrays.start[cols]
+    for ptr, rows, values, bits in (*arrays.stages, arrays.final_t):
+        counts = ptr[cols + 1] - ptr[cols]
+        # Terms move in slices that fit in the bound, each merged with the
+        # keys so far, so that sums add in the order of one merge.
+        per = max(1, arrays.bound // _TERM_FLOATS // max(1, int(counts.max(initial=0))))
+        keys, sums = np.zeros(0, dtype=np.int64), np.zeros(0)
+        for lo in range(0, cols.size, per):
+            m, c, k, n = (a[lo:lo + per] for a in (masks, cols, coeffs, counts))
+            # Term t moves along the n[t] entries of its column, from ptr[c[t]].
+            term = np.repeat(np.arange(c.size), n)
+            at = (ptr[c] + n - np.cumsum(n))[term] + np.arange(term.size)
+            b = bits[at]
+            m = m[term] ^ (b & (size - 1))
+            k = k[term] * values[at] * (1.0 - 2.0 * ((b & base) != 0))
+            keys, where = np.unique(np.concatenate((keys, m * dim + rows[at])), return_inverse=True)
+            sums = np.bincount(where, weights=np.concatenate((sums, k)))
+            if _TERM_FLOATS * keys.size > bound:
+                return None
+        live = sums != 0
+        (masks, cols), coeffs = np.divmod(keys[live], dim), sums[live]
+    return masks, cols, coeffs
 
 
 def _block_words(rows: int) -> int:
@@ -228,10 +223,10 @@ def sweep_range(start, stages, final_t, row_labels, rest, bound, poly,
     sweep_arrays. Words are walked in _blocks, one block live at a time."""
     arrays = SweepArrays(start, stages, final_t, row_labels, rest, bound, poly)
     first, p_min = -1, math.inf
-    for base, width, (masks, coeffs) in _blocks(arrays, lo, hi):
+    for base, width, (masks, rows, coeffs) in _blocks(arrays, lo, hi):
         weights = coeffs * (1.0 - 2.0 * parity(masks & base))
-        amps = np.array([np.bincount(masks & (width - 1), weights=w, minlength=width)
-                         for w in weights]).reshape(-1, width)
+        amps = np.bincount(rows * width + (masks & (width - 1)), weights=weights,
+                           minlength=row_labels.size * width).reshape(-1, width)
         _wht(amps)
         probs = amps * amps
         p = [probs[row_labels == b].sum(axis=0) for b in (0, 1)]
@@ -239,8 +234,11 @@ def sweep_range(start, stages, final_t, row_labels, rest, bound, poly,
             label, norm2 = rest
             p[label] = np.maximum(norm2 - p[1 - label], 0.0)
         p0, p1 = p
+        top = np.maximum(p0, p1)
+        if not math.isfinite(top.max()):  # max keeps a nan
+            raise ValueError("swept output probabilities overflow: matrix entries too large")
         want = expected[base - lo:base - lo + width]
-        ok = ((p1 > p0) == (want == 1)) & (np.maximum(p0, p1) >= 1.0 - tol)
+        ok = ((p1 > p0) == (want == 1)) & (top >= 1.0 - tol)
         p_min = min(p_min, float(np.where(want == 1, p1, p0).min()))
         if first < 0 and not ok.all():
             first = base + int(np.argmin(ok))

@@ -23,8 +23,8 @@ MAX_DIM = 1 << 16
 # Largest dimension an algorithm document may declare: that of the
 # builder's n = 24 algorithm. The loader keeps the nonzeros form without
 # scattering it, but a small document could otherwise declare any size,
-# and the dense matrices that unitary_within and the sweep still make, one
-# at a time, take dim**2 floats: 128 MiB each at this cap.
+# and the dense matrices that unitary_within and the sweep's norm checks
+# still make, one at a time, take dim**2 floats: 128 MiB each at this cap.
 MAX_DOC_DIM = 1 << 12
 
 # Sensitivity costs N * 2**N table lookups; above 20 variables that stops
@@ -46,6 +46,7 @@ NORM_TOL = 1e-9
 EXACT_TOL = 1e-9
 
 # Floats (16 MiB) an exhaustive sweep keeps live: the output amplitudes of
-# one block of sweep_range's words, and a propagated coefficient block, or
-# as many as the algorithm's own matrices when that is more.
+# one block of sweep_range's words, and the polynomial's terms while a
+# propagation moves and merges them, each charged the floats it occupies,
+# or as many as the algorithm's own matrices when that is more.
 SWEEP_BUDGET = 1 << 21

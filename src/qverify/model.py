@@ -119,8 +119,7 @@ class Nonzeros(NamedTuple):
 
     def dense(self, dim: int) -> np.ndarray:
         """The matrix as a new read-only dim x dim float64 array."""
-        m = np.zeros((dim, dim))
-        m[self.rows, self.cols] = self.values
+        m = _kernels.scatter(*self, (dim, dim))
         m.setflags(write=False)
         return m
 
@@ -404,7 +403,8 @@ def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
     exit) by one _kernels.sweep_range call, in blocks of bounded size: the
     counterexample is the first failing word. `workers` is accepted and has
     no effect; the sweep runs in the calling process, so concurrent callers
-    each get their own report.
+    each get their own report. Raises ValueError when a swept probability
+    is not finite: finite matrix entries so large that they overflow.
     """
     if alg.n_vars != f.arity:
         raise ValueError(f"algorithm has {alg.n_vars} variables, function has {f.arity}")
@@ -412,8 +412,9 @@ def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
         raise ValueError(
             f"exhaustive check capped at {MAX_SWEEP_VARS} variables, got {f.arity}")
 
-    first, min_prob = _kernels.sweep_range(*_sweep_arrays(alg), alg.n_vars, 0, 1 << alg.n_vars,
-                                           f.values(), EXACT_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, min_prob = _kernels.sweep_range(*_sweep_arrays(alg), alg.n_vars, 0,
+                                               1 << alg.n_vars, f.values(), EXACT_TOL)
     counterexample = index_to_word(first, alg.n_vars) if first >= 0 else None
     return ExactnessReport(exact=first < 0, counterexample=counterexample,
                            min_probability=min_prob, inputs_checked=1 << alg.n_vars)

@@ -152,8 +152,8 @@ def test_size_caps_live_in_one_module():
             boolfunc.MAX_SENSITIVITY_VARS, strings.MAX_STRING_LEN) == \
         (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DIM,
          limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 20, 12)
-    # One sweep budget sizes sweep_range's blocks and bounds a propagated
-    # coefficient block, unless the algorithm's own matrices hold more.
+    # One sweep budget sizes sweep_range's blocks and bounds a propagation's
+    # terms, unless the algorithm's own matrices hold more.
     # model._chunk_grid is built on the same block size.
     assert limits.SWEEP_BUDGET == 1 << 21
     assert _kernels.SWEEP_BUDGET is limits.SWEEP_BUDGET

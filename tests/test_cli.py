@@ -57,6 +57,9 @@ BAD_INPUTS = [
     ("sparse", ["stages", 0, "unitary", "cols", 1], 0),
     ("sparse", ["stages", 0, "unitary", "values", 0], True),
     ("sparse", ["stages", 0, "unitary", "shape"], [16, 16]),
+    # Finite entries whose swept probabilities overflow float64.
+    ("algorithm", ["final_unitary", 0, 0], 1e200),
+    ("algorithm", ["stages", 0, "unitary", 0, 0], 1e300),
 ]
 
 

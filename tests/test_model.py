@@ -280,6 +280,35 @@ def _last_stage_requeried(n, var_map):
     return QueryAlgorithm(n, alg.start, stages, alg.final_unitary, alg.labels)
 
 
+def _labels_uniform(n, label):
+    """Builder output whose every output row is labelled `label`."""
+    alg = build_algorithm(n)
+    return QueryAlgorithm(n, alg.start, alg.stages, alg.final_unitary,
+                          np.full(alg.dim, label, dtype=np.uint8))
+
+
+def _stage_undone():
+    """The n = 4 builder's first stage with no query, then its transpose:
+    the state returns to basis state 0, and the term the second stage moves
+    to row 2 merges to exactly 0, while row 2 stays reachable."""
+    alg = build_algorithm(4)
+    u1 = alg.stages[0].unitary
+    return QueryAlgorithm(4, alg.start, [(u1, [0] * 4), (u1.T, alg.stages[1].query)],
+                          alg.final_unitary, alg.labels)
+
+
+def _mixed_twice(n):
+    """Builder output with two query-free stages, a seeded random orthogonal
+    Q and then Q.T, before its final map. It computes the same function,
+    but every term spreads over all K columns twice, so its live terms grow
+    with the number of free variables, as a dense document's do."""
+    alg = build_algorithm(n)
+    q = _random_orthogonal(np.random.default_rng(0), alg.dim)
+    free = [0] * alg.dim
+    return QueryAlgorithm(n, alg.start, [*alg.stages, (q, free), (q.T, free)],
+                          alg.final_unitary, alg.labels)
+
+
 def _random_orthogonal(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
@@ -347,6 +376,12 @@ def _sweep_cases():
         BooleanFunction.verify(6), True
     yield "last-stage-interleaved", _last_stage_requeried(6, [6, 0, 5, 3, 0, 6, 4, 5]), \
         BooleanFunction.verify(6), True
+    # No output row is kept: one probability is 0 on every word, the other
+    # |start|^2.
+    yield "uniform-labels-0", _labels_uniform(6, 0), \
+        BooleanFunction.from_table(np.zeros(1 << 6, dtype=np.uint8)), True
+    yield "uniform-labels-1", _labels_uniform(6, 1), BooleanFunction.verify(6), True
+    yield "stage-undone", _stage_undone(), BooleanFunction.verify(4), True
     # A zeroed last stage reaches no column: every word fails with p = 0.
     alg = build_algorithm(6)
     yield "last-stage-zero", QueryAlgorithm(
@@ -374,11 +409,11 @@ class TestSweepKernel:
     def test_matches_naive_run(self, alg, f, labelled_rows):
         arrays = _sweep_arrays(alg)
         # Only the smaller label set's rows are kept, with the other
-        # probability taken as |start|^2 minus theirs, when every stage
-        # block and the final matrix keep norms on the reachable columns.
+        # probability taken as |start|^2 minus theirs, when every stage and
+        # the final matrix keep norms on the reachable columns.
         assert (arrays.rest is not None) == labelled_rows
         # Degree bound: T queries multiply in at most T signs.
-        masks, _ = arrays.poly
+        masks = arrays.poly[0]
         assert max((bin(m).count("1") for m in masks.tolist()), default=0) <= alg.t_queries
         report = check_exact(alg, f)
         counterexample, min_prob = refdata.naive_check(alg, f)
@@ -391,11 +426,11 @@ class TestSweepKernel:
         # The one kept amplitude is prod_i (s_{2i-1} + s_{2i}) / 2: one
         # monomial per choice of a variable from each pair, each at 2**-T.
         t = n // 2
-        masks, coeffs = _sweep_arrays(build_algorithm(n)).poly
+        masks, rows, coeffs = _sweep_arrays(build_algorithm(n)).poly
         expected = sorted(sum(1 << (n - 2 * i - pick) for i, pick in enumerate(picks))
                           for picks in itertools.product((1, 2), repeat=t))
         assert masks.tolist() == expected
-        assert coeffs.shape == (1, 1 << t)
+        assert rows.tolist() == [0] * (1 << t)
         np.testing.assert_allclose(coeffs, 2.0 ** -t, rtol=1e-12)
 
     @pytest.mark.parametrize("variant", list(_RANDOM_VARIANTS))
@@ -412,19 +447,50 @@ class TestSweepKernel:
 
     def test_only_reachable_columns_are_carried(self, alg4):
         arrays = _sweep_arrays(alg4)
-        # Stage 1 mixes basis states 0 and 2 and queries x1 and x2 there;
-        # stage 2 reaches all four and queries x3 and x4. One final row is
-        # labelled 1, and the other probability is |start|^2 minus its.
-        assert arrays.start.shape == (1,)
-        assert [ut.shape for ut, _ in arrays.stages] == [(1, 2), (2, 4)]
-        assert [bits.tolist() for _, bits in arrays.stages] == [[0b1000, 0b0100],
-                                                                [0b0010, 0b0001] * 2]
-        assert arrays.final_t.shape == (4, 1)
+        r = 1.0 / np.sqrt(2.0)
+        # Stage 1 moves basis state 0 to 0 and 2 and queries x1 and x2
+        # there; stage 2 moves 0 to 0 and 1 and 2 to 2 and 3, which query x3
+        # and x4. Entries are grouped by column: column c's are at
+        # [ptr[c], ptr[c + 1]).
+        (ptr1, rows1, values1, bits1), (ptr2, rows2, values2, bits2) = arrays.stages
+        assert (ptr1.tolist(), rows1.tolist(), bits1.tolist()) == \
+            ([0, 2, 2, 2, 2], [0, 2], [0b1000, 0b0100])
+        assert (ptr2.tolist(), rows2.tolist(), bits2.tolist()) == \
+            ([0, 2, 2, 4, 4], [0, 1, 2, 3], [0b0010, 0b0001] * 2)
+        np.testing.assert_allclose(values1, [r, r], rtol=1e-15)
+        np.testing.assert_allclose(values2, [r, r, r, r], rtol=1e-15)
+        # One final row is labelled 1, kept as row 0 with one entry per
+        # column and no query, and the other probability is |start|^2 minus
+        # its.
+        ptr, rows, values, bits = arrays.final_t
+        assert (ptr.tolist(), rows.tolist(), bits.tolist()) == ([0, 1, 2, 3, 4], [0] * 4, [0] * 4)
+        np.testing.assert_allclose(values, 0.5, rtol=1e-15)
         assert arrays.rest == (0, 1.0)
         # The monomials {x1,x3}, {x2,x3}, {x1,x4} and {x2,x4}, each at 1/4.
-        masks, coeffs = arrays.poly
-        assert sorted(masks.tolist()) == sorted([0b1010, 0b0110, 0b1001, 0b0101])
+        masks, rows, coeffs = arrays.poly
+        assert masks.tolist() == sorted([0b1010, 0b0110, 0b1001, 0b0101])
+        assert rows.tolist() == [0] * 4
         np.testing.assert_allclose(coeffs, 0.25, rtol=1e-12)
+
+    def test_exact_zeros_are_dropped_while_their_rows_stay_reached(self):
+        # The term that the undone stage moves to row 2 merges to exactly 0.
+        # Row 2 stays reachable, so with the identity as the final map its
+        # entry is kept, but no term reaches it.
+        alg = _stage_undone()
+        arrays = _sweep_arrays(QueryAlgorithm(4, alg.start, alg.stages, np.eye(4), [1, 0, 1, 0]))
+        assert arrays.final_t[0].tolist() == [0, 1, 1, 2, 2]
+        masks, rows, _ = arrays.poly
+        assert (masks.tolist(), rows.tolist()) == ([0b0010], [0])
+
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_builder_stages_carry_only_their_reached_entries(self, n):
+        # Stage i mixes the 2**(i-1) columns reached before it with as many
+        # new ones: 2**i entries, not a dense block. The final matrix keeps
+        # the K entries of its one kept row.
+        arrays = _sweep_arrays(build_algorithm(n))
+        assert [rows.size for _, rows, _, _ in arrays.stages] == \
+            [1 << i for i in range(1, n // 2 + 1)]
+        assert arrays.final_t[1].tolist() == [0] * (1 << (n // 2))
 
     def test_concurrent_callers_get_their_own_reports(self, monkeypatch):
         # 16-word blocks, so that two concurrent checks interleave.
@@ -496,8 +562,8 @@ def _split_case(case):
     }[case]
 
 
-def _count_propagations(monkeypatch, factor=4):
-    """Bound live blocks at factor * dim floats, below the whole cube's, so
+def _count_propagations(monkeypatch, terms):
+    """Bound propagations at `terms` live terms, below the whole cube's, so
     that every block is propagated on its own; returns the list of
     (base, size, fits) calls."""
     calls = []
@@ -508,7 +574,8 @@ def _count_propagations(monkeypatch, factor=4):
         calls.append((base, size, poly is not None))
         return poly
 
-    monkeypatch.setattr(_kernels, "_block_bound", lambda t_queries, dim: factor * dim)
+    monkeypatch.setattr(_kernels, "_block_bound",
+                        lambda t_queries, dim: terms * _kernels._TERM_FLOATS)
     monkeypatch.setattr(_kernels, "_propagate", counted)
     return calls
 
@@ -570,9 +637,10 @@ class TestBlockWalk:
         alg, f = _split_case(case)
         whole = check_exact(alg, f)
         assert _sweep_arrays(alg).poly is not None
-        # A bound below the whole cube's blocks: every block is propagated
-        # on its own, with its top variables substituted, halved until it fits.
-        calls = _count_propagations(monkeypatch)
+        # Each of these holds K live terms after some stage, in any block:
+        # below that, every block is propagated on its own, with its top
+        # variables substituted, halved until it fits, here to single words.
+        calls = _count_propagations(monkeypatch, alg.dim - 1)
         split = check_exact(alg, f)
         assert calls[0] == (0, 1 << alg.n_vars, False)
         assert sum(fits for _, _, fits in calls) >= 2
@@ -582,14 +650,15 @@ class TestBlockWalk:
     @pytest.mark.parametrize("factor", [4, 2])
     def test_unaligned_range_with_split_propagation(self, factor, monkeypatch):
         # [17, 40) starts off any alignment and every block is propagated on
-        # its own; under 2 * dim floats its 8-word blocks are also halved.
-        # The walk must still cover every word once, in order, and match
-        # the naive run word by word.
-        alg = build_algorithm(10)
+        # its own. This algorithm's live terms grow with a block's free
+        # variables: 4 * K of them for 8 words and 2 * K for 4 or 2, so under
+        # 2 * K its 8-word blocks are also halved. The walk must still cover
+        # every word once, in order, and match the naive run word by word.
+        alg = _mixed_twice(10)
         expected = BooleanFunction.verify(10).values().copy()
         expected[30] ^= 1
         probs = [measure(run(alg, format(w, "010b")).final, alg.labels) for w in range(17, 40)]
-        calls = _count_propagations(monkeypatch, factor)
+        calls = _count_propagations(monkeypatch, factor * alg.dim)
         arrays = _sweep_arrays(alg)
         assert arrays.poly is None
         walked = _record_blocks(monkeypatch)
