@@ -20,6 +20,7 @@ from .linalg import apply, hadamard_power, is_unitary, tensor
 from .model import (
     ComputeResult,
     ExactnessReport,
+    Kron,
     Nonzeros,
     QueryAlgorithm,
     QueryEntry,
@@ -56,6 +57,7 @@ __all__ = [
     "ClassicalRunReport",
     "ComputeResult",
     "ExactnessReport",
+    "Kron",
     "Nonzeros",
     "QueryAlgorithm",
     "QueryEntry",

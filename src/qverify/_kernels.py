@@ -3,9 +3,12 @@
 Every kernel has one numpy implementation, and shared steps are written
 once: _wht is the one Walsh-Hadamard transform (for the sweep, pair_run and
 linalg.hadamard_power), _pair_states the one paired-stage loop, _pair_diffs
-the one pair mask and gram_residual the one Gram residual. Input words are
-passed as integers; variable k (1-based) of an n-variable word w is the bit
-(w >> (n - k)) & 1, so integer order equals lexicographic word order.
+the one pair mask, gram_residual the one Gram residual, kron_bound the one
+bound of a Kronecker product's residual by its factors', and _fan_out the
+one walk over grouped entries (a propagation step, and a Kronecker row
+cut). Input words are passed as integers; variable k (1-based) of an
+n-variable word w is the bit (w >> (n - k)) & 1, so integer order equals
+lexicographic word order.
 """
 
 from __future__ import annotations
@@ -35,10 +38,13 @@ from .limits import MATRIX_TOL, SWEEP_BUDGET
 #     term along its column's entries and XORs S with the bit each new row
 #     queries, so a re-queried variable cancels; equal (S, row) terms are
 #     merged and exact zeros dropped. The final matrix, cut to the kept
-#     rows, is one more step that queries nothing;
+#     rows, is one more step that queries nothing. It is given as Kronecker
+#     factors, and each kept row is cut from the factors' rows (_kron_rows)
+#     in O(K), never from the whole matrix;
 #   * labelled rows: when every stage and the final matrix keep norms on the
 #     reachable columns, only the output rows of the smaller label set are
-#     kept, and the other probability is |start|^2 minus theirs;
+#     kept, and the other probability is |start|^2 minus theirs. For the
+#     final matrix, kron_bound bounds its Gram residual from its factors';
 #   * evaluation: _blocks walks [lo, hi) in aligned power-of-two blocks.
 #     Fixing a block's top bits turns each monomial into a signed monomial
 #     of its low bits, which are scattered with np.bincount and transformed.
@@ -72,11 +78,66 @@ def gram_residual(m: np.ndarray) -> np.ndarray:
         return np.abs(gram, out=gram)
 
 
-def _keeps_norms(m: np.ndarray) -> bool:
-    """True iff m's columns are orthonormal within MATRIX_TOL, as a bound on
-    how far |m s|^2 can be from |s|^2."""
-    # The row-sum norm bounds the spectral norm of the symmetric gram error.
-    return float(gram_residual(m).sum(axis=1).max(initial=0.0)) <= MATRIX_TOL
+def _row_sum_residual(m: np.ndarray) -> float:
+    """The largest row sum of gram_residual(m): it bounds the spectral norm
+    of the symmetric Gram error, so how far |m s|^2 can be from |s|^2."""
+    return float(gram_residual(m).sum(axis=1).max(initial=0.0))
+
+
+def kron_bound(residuals) -> float:
+    """A bound on the Gram residual of a Kronecker product from its
+    factors', the entrywise maximum or the largest row sum alike:
+    (I + E) (x) (I + F) - I = E (x) I + I (x) F + E (x) F, so each factor
+    adds e to a bound b as b + e + b * e. One factor's bound is its own
+    residual. It is sufficient, not necessary: factors far from orthogonal
+    can multiply to an orthogonal product."""
+    bound = 0.0
+    for e in residuals:
+        bound = bound + e + bound * e
+    return bound
+
+
+def _factor_residuals(factors, dims, cols):
+    """Each factor's _row_sum_residual on the factor columns that `cols`
+    project onto. The product's residual on cols is a principal submatrix
+    of its residual on their product, so kron_bound of these bounds it."""
+    stride = math.prod(dims)
+    for (r, c, v), d in zip(factors, dims):
+        stride //= d
+        seen = np.zeros(d, dtype=bool)
+        seen[cols // stride % d] = True
+        yield _row_sum_residual(scatter(r, c, v, (d, d))[:, seen])
+
+
+def _fan_out(first: np.ndarray, counts: np.ndarray):
+    """(item, at) for every entry of every item in turn: item i owns the
+    counts[i] consecutive entries from first[i]."""
+    item = np.repeat(np.arange(counts.size), counts)
+    return item, (first + counts - np.cumsum(counts))[item] + np.arange(item.size)
+
+
+def _kron_rows(factors, dims, rows: np.ndarray):
+    """(i, cols, values) of the entries in rows `rows` of the Kronecker
+    product of the factors (row-major Nonzeros, the first the most
+    significant), i for an entry of row rows[i], in row-major order. A row
+    costs only its own entries: it is the product of one row of each
+    factor, multiplied in factor order as np.kron does."""
+    at, cols, values = np.arange(rows.size), np.zeros(rows.size, dtype=np.int64), np.ones(rows.size)
+    stride = math.prod(dims)
+    for (r, c, v), d in zip(factors, dims):
+        stride //= d
+        ptr = np.searchsorted(r, np.arange(d + 1))
+        fr = rows[at] // stride % d
+        item, k = _fan_out(ptr[fr], ptr[fr + 1] - ptr[fr])
+        at, cols, values = at[item], cols[item] * d + c[k], values[item] * v[k]
+    return at, cols, values
+
+
+def _reached(on: np.ndarray, r, c, v):
+    """The entries != 0 in the columns marked `on`, stably sorted by column."""
+    kept = np.flatnonzero(on[c] & (v != 0))
+    kept = kept[np.argsort(c[kept], kind="stable")]
+    return r[kept], c[kept], v[kept]
 
 
 def _block_bound(t_queries: int, dim: int) -> int:
@@ -108,33 +169,29 @@ class SweepArrays(NamedTuple):
 
 def sweep_arrays(n_vars, start, unitaries, var_maps, final, labels) -> SweepArrays:
     """Reachable entries, kept rows and the propagated polynomial (see
-    above) of matrices given as their (rows, cols, values) nonzeros."""
+    above) of stages given as their (rows, cols, values) nonzeros and a
+    final matrix given as (factors, dims), its Kronecker factors."""
     dim = start.size
     bit_of = np.array([0] + [1 << (n_vars - k) for k in range(1, n_vars + 1)])
     on, stages, norms = start != 0, [], True
     for (r, c, v), var_map in zip(unitaries, var_maps):
-        kept = np.flatnonzero(on[c] & (v != 0))
-        kept = kept[np.argsort(c[kept], kind="stable")]
-        r, c, v = r[kept], c[kept], v[kept]
+        r, c, v = _reached(on, r, c, v)
         hit = np.bincount(r, minlength=dim) > 0
         # The dense block from the reached columns to the rows they reach.
         row_at, col_at = np.cumsum(hit) - 1, np.cumsum(on) - 1
-        norms = norms and _keeps_norms(scatter(row_at[r], col_at[c], v,
-                                               (row_at[-1] + 1, col_at[-1] + 1)))
+        norms = norms and _row_sum_residual(
+            scatter(row_at[r], col_at[c], v, (row_at[-1] + 1, col_at[-1] + 1))) <= MATRIX_TOL
         stages.append((np.searchsorted(c, np.arange(dim + 1)), r, v, bit_of[var_map[r]]))
         on = hit
-    cols = np.flatnonzero(on)
-    block = scatter(*final, (dim, dim))
-    if cols.size < dim:
-        block = block[:, cols]
-    row_labels, rest = labels, None
-    if norms and _keeps_norms(block):
+    factors, dims = final
+    rows, row_labels, rest = np.arange(dim), labels, None
+    if norms and kron_bound(_factor_residuals(factors, dims, np.flatnonzero(on))) <= MATRIX_TOL:
         # Keep the smaller label set, label 1 on a tie.
         label = int(2 * np.count_nonzero(labels) <= labels.size)
-        block, row_labels = block[labels == label], labels[labels == label]
-        rest = (1 - label, float(start @ start))
-    j, i = np.nonzero(block.T)
-    final_t = (np.searchsorted(cols[j], np.arange(dim + 1)), i, block[i, j], np.zeros_like(i))
+        rows = np.flatnonzero(labels == label)
+        row_labels, rest = labels[rows], (1 - label, float(start @ start))
+    i, c, v = _reached(on, *_kron_rows(factors, dims, rows))
+    final_t = (np.searchsorted(c, np.arange(dim + 1)), i, v, np.zeros_like(i))
     arrays = SweepArrays(start, tuple(stages), final_t, row_labels, rest,
                          _block_bound(len(stages), dim), None)
     return arrays._replace(poly=_propagate(arrays, 0, 1 << n_vars))
@@ -159,8 +216,7 @@ def _propagate(arrays: SweepArrays, base: int, size: int):
         for lo in range(0, cols.size, per):
             m, c, k, n = (a[lo:lo + per] for a in (masks, cols, coeffs, counts))
             # Term t moves along the n[t] entries of its column, from ptr[c[t]].
-            term = np.repeat(np.arange(c.size), n)
-            at = (ptr[c] + n - np.cumsum(n))[term] + np.arange(term.size)
+            term, at = _fan_out(ptr[c], n)
             b = bits[at]
             m = m[term] ^ (b & (size - 1))
             k = k[term] * values[at] * (1.0 - 2.0 * ((b & base) != 0))

@@ -10,8 +10,11 @@ hand notation is converted), takes them as consecutive pairs (t1, t2), and
   * queries variable 2i-1 at every t1 slot and variable 2i at every t2
     slot of the diagonal query.
 
-The final transformation is the T-fold Hadamard tensor power, the start
-state is (1, 0, ..., 0), and only basis state 0 is labeled as output 1.
+The final transformation is the T-fold Hadamard tensor power, held as its
+Kronecker factors: T // 2 copies of the 4 x 4 power, then one 2 x 2
+Hadamard when T is odd, whose product is bitwise the dense power. The
+start state is (1, 0, ..., 0), and only basis state 0 is labeled as
+output 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .limits import MAX_BUILD_VARS
 from .linalg import hadamard_power, is_power_of_two
-from .model import Nonzeros, QueryAlgorithm, QuerySpec
+from .model import Kron, Nonzeros, QueryAlgorithm, QuerySpec
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -88,6 +91,13 @@ def build_stage_query(i: int, k: int) -> QuerySpec:
     return QuerySpec(var_map)
 
 
+def final_factors(t: int) -> Kron:
+    """The T-fold Hadamard power as Kronecker factors: one stored 4 x 4
+    power, shared T // 2 times, then the 2 x 2 Hadamard when T is odd."""
+    h2, h1 = Nonzeros.of(hadamard_power(2)), Nonzeros.of(hadamard_power(1))
+    return Kron((h2,) * (t // 2) + (h1,) * (t % 2), (4,) * (t // 2) + (2,) * (t % 2))
+
+
 def build_algorithm(n: int) -> QueryAlgorithm:
     """The complete n-variable verifier algorithm (n even, 2 <= n <= 24)."""
     if n % 2 != 0 or n < 2 or n > MAX_BUILD_VARS:
@@ -100,4 +110,4 @@ def build_algorithm(n: int) -> QueryAlgorithm:
     labels[0] = 1
     stages = [(build_stage_nonzeros(i, k), build_stage_query(i, k)) for i in range(1, t + 1)]
     return QueryAlgorithm(n_vars=n, start=start, stages=stages,
-                          final_unitary=hadamard_power(t), labels=labels)
+                          final_unitary=final_factors(t), labels=labels)

@@ -20,11 +20,13 @@ MAX_SWEEP_VARS = 24
 # this dimension already takes 32 GiB.
 MAX_DIM = 1 << 16
 
-# Largest dimension an algorithm document may declare: that of the
-# builder's n = 24 algorithm. The loader keeps the nonzeros form without
-# scattering it, but a small document could otherwise declare any size,
-# and the dense matrices that unitary_within and the sweep's norm checks
-# still make, one at a time, take dim**2 floats: 128 MiB each at this cap.
+# Largest dimension an algorithm document may declare, whatever form its
+# matrices take: that of the builder's n = 24 algorithm. The loader keeps
+# the nonzeros and kron forms without scattering them, but a small
+# document could otherwise declare any size, and the dense matrices that
+# unitary_within and the sweep's norm checks still make of each stage and
+# each final factor, one at a time, take up to dim**2 floats: 128 MiB each
+# at this cap. The builder's own final factors are 4 x 4.
 MAX_DOC_DIM = 1 << 12
 
 # Sensitivity costs N * 2**N table lookups; above 20 variables that stops

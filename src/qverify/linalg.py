@@ -81,6 +81,11 @@ def hadamard_power(t: int) -> np.ndarray:
     return out
 
 
+def unitary_residual(matrix: np.ndarray) -> float:
+    """The largest entry of |M @ M.T - I|."""
+    return float(gram_residual(as_matrix(matrix).T).max())
+
+
 def is_unitary(matrix: np.ndarray, tol: float = MATRIX_TOL) -> bool:
     """True iff M @ M.T equals the identity elementwise within tol."""
-    return float(gram_residual(as_matrix(matrix).T).max()) <= tol
+    return unitary_residual(matrix) <= tol

@@ -12,6 +12,11 @@ its spec dictates. Measuring sums squared amplitudes per label; an
 algorithm computes a function exactly when the correct output has
 probability 1 (within EXACT_TOL) on every word.
 
+Matrices take one of two forms in memory: a stage unitary is its Nonzeros,
+and the final unitary a Kron of Nonzeros factors, one factor for a matrix
+given whole. `run` and `run_batch` apply the final unitary one factor at a
+time, and no dense copy of either form is kept.
+
 All objects are immutable after construction and safe to share across
 threads; `run` is a pure function, so identical inputs give bitwise
 identical traces.
@@ -19,7 +24,9 @@ identical traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .boolfunc import BooleanFunction
 from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
-from .linalg import as_matrix, as_state, is_unitary
+from .linalg import as_matrix, as_state, is_unitary, unitary_residual
 from .words import index_to_word, parse_word
 
 
@@ -124,6 +131,33 @@ class Nonzeros(NamedTuple):
         return m
 
 
+class Kron(NamedTuple):
+    """A square matrix as the Kronecker product of its factors, the first
+    factor the most significant: each factor is Nonzeros of side dims[i],
+    and the side of the product is the product of dims. The matrix is
+    never stored whole; a row of A (x) B is the Kronecker product of a row
+    of A and a row of B."""
+
+    factors: tuple
+    dims: tuple
+
+    def dense(self) -> np.ndarray:
+        """The product as a new read-only float64 array."""
+        m = reduce(np.kron, (f.dense(d) for f, d in zip(self.factors, self.dims)))
+        m.setflags(write=False)
+        return m
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """states @ self.dense().T for states one per row, one factor at a
+        time: each factor multiplies its own axis of the reshaped states."""
+        shape, stride = states.shape, states.shape[1]
+        for f, d in zip(self.factors, self.dims):
+            stride //= d
+            x = states.reshape(-1, d, stride).swapaxes(1, 2).reshape(-1, d)
+            states = (x @ f.dense(d).T).reshape(-1, stride, d).swapaxes(1, 2).reshape(shape)
+        return states
+
+
 class Stage(NamedTuple):
     """One stage: the stored entries of its unitary, and its query."""
 
@@ -164,13 +198,29 @@ def _stored(m, dim: int, what: str) -> Nonzeros:
     return m
 
 
+def _kron(m, dim: int, what: str) -> Kron:
+    """A Kron, or a dense matrix or Nonzeros as a one-factor Kron, with each
+    factor stored as read-only Nonzeros."""
+    if not isinstance(m, Kron):
+        return Kron((_stored(m, dim, what),), (dim,))
+    dims = tuple(int(d) for d in m.dims)
+    if not (len(m.factors) == len(dims) >= 1 and min(dims) >= 2 and math.prod(dims) == dim):
+        raise ValueError(f"{what} needs one or more factors of side at least 2, "
+                         f"with sides whose product is {dim}")
+    return Kron(tuple(_stored(f, d, f"{what} factor {i}")
+                      for i, (f, d) in enumerate(zip(m.factors, dims), start=1)), dims)
+
+
 class QueryAlgorithm:
     """A complete query algorithm over n_vars Boolean variables.
 
-    Every stage unitary and the final unitary are held as their Nonzeros
-    only, O(K) numbers for each of the builder's stages; `stage.unitary` and
-    `final_unitary` build a read-only dense copy on each access. The
-    constructor takes dense matrices, Nonzeros and Stage objects alike.
+    Every stage unitary is held as its Nonzeros only, O(K) numbers for
+    each of the builder's stages, and the final unitary as a Kron of
+    Nonzeros factors (`final`): one factor for any matrix given whole, and
+    T // 2 shared 4 x 4 Hadamard factors, plus one 2 x 2 when T is odd, for
+    the builder's. `stage.unitary` and `final_unitary` build a read-only
+    dense copy on each access. The constructor takes dense matrices,
+    Nonzeros and Stage objects alike, and a Kron for the final unitary.
 
     Construction validates structure: a unit-norm power-of-two start state,
     finite entries and matching dimensions everywhere, variable indices
@@ -182,7 +232,7 @@ class QueryAlgorithm:
     state never reaches changes no run, so only `unitary_within` reveals it.
     """
 
-    __slots__ = ("n_vars", "start", "stages", "final_nonzeros", "labels")
+    __slots__ = ("n_vars", "start", "stages", "final", "labels")
 
     def __init__(self, n_vars: int, start, stages, final_unitary, labels) -> None:
         if n_vars < 1:
@@ -214,7 +264,7 @@ class QueryAlgorithm:
         self.n_vars = int(n_vars)
         self.start = start_arr
         self.stages = tuple(built)
-        self.final_nonzeros = _stored(final_unitary, dim, "final unitary")
+        self.final = _kron(final_unitary, dim, "final unitary")
         self.labels = labels_arr
 
     @property
@@ -227,13 +277,20 @@ class QueryAlgorithm:
 
     @property
     def final_unitary(self) -> np.ndarray:
-        """The dense final unitary, built on each access."""
-        return self.final_nonzeros.dense(self.dim)
+        """The dense final unitary, the product of its factors, built on
+        each access."""
+        return self.final.dense()
 
     def unitary_within(self, tol: float = MATRIX_TOL) -> bool:
-        """True iff every stage unitary and the final unitary pass is_unitary."""
+        """True iff every stage unitary passes is_unitary and the final
+        unitary's factors bound its residual within tol: for M = A (x) B,
+        |M M^T - I| is at most b + e + b * e entrywise, where b and e bound
+        A's and B's (_kernels.kron_bound). For one factor that is is_unitary
+        itself. The bound is sufficient, not necessary: 2H (x) H/2 is the
+        unitary H (x) H, yet its factors are far from unitary."""
         return all(is_unitary(st.unitary, tol) for st in self.stages) and \
-            is_unitary(self.final_unitary, tol)
+            _kernels.kron_bound(unitary_residual(f.dense(d))
+                                for f, d in zip(self.final.factors, self.final.dims)) <= tol
 
 
 @dataclass(frozen=True)
@@ -310,7 +367,7 @@ def run(alg: QueryAlgorithm, word: str) -> RunTrace:
         states.append(state)
         state = state * query_signs(stage.query, bits)
         states.append(state)
-    state = alg.final_unitary @ state
+    state = alg.final.apply(state[None])[0]
     states.append(state)
     for s in states:
         s.setflags(write=False)
@@ -371,7 +428,7 @@ def run_batch(alg: QueryAlgorithm, words: np.ndarray) -> list[np.ndarray]:
         snapshots.append(states)
         states = states * signs[:, stage.query.var_map]
         snapshots.append(states)
-    snapshots.append(states @ alg.final_unitary.T)
+    snapshots.append(alg.final.apply(states))
     return snapshots
 
 
@@ -384,7 +441,7 @@ def _sweep_arrays(alg: QueryAlgorithm) -> _kernels.SweepArrays:
     """Kernel-ready arrays for _kernels.sweep_range (see sweep_arrays there)."""
     return _kernels.sweep_arrays(alg.n_vars, alg.start, [st.nonzeros for st in alg.stages],
                                  [st.query.var_map for st in alg.stages],
-                                 alg.final_nonzeros, alg.labels)
+                                 alg.final, alg.labels)
 
 
 def _chunk_grid(n_vars: int, width: int) -> list[tuple[int, int]]:

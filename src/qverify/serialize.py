@@ -1,11 +1,11 @@
 """JSON documents for algorithms and truth-table functions.
 
-Algorithm document, schema version 2::
+Algorithm document, schema version 3::
 
     {
-      "schema_version": 2,
-      "n_vars": 4, "t_queries": 2, "dim": 4,
-      "start": [1.0, 0.0, 0.0, 0.0],
+      "schema_version": 3,
+      "n_vars": 6, "t_queries": 3, "dim": 8,
+      "start": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
       "stages": [
         {"unitary": [[...K x K row-major...]],
          "query_diagonal": [{"var": 1}, {"fixed": true}, ...]},
@@ -14,19 +14,29 @@ Algorithm document, schema version 2::
          "query_diagonal": [...]},
         ...
       ],
-      "final_unitary": [[...]],
-      "labels": [1, 0, 0, 0]
+      "final_unitary": {"kron": [[[0.5, 0.5, 0.5, 0.5], ...],
+                                 [[0.7071067811865476, ...], ...]]},
+      "labels": [1, 0, 0, 0, 0, 0, 0, 0]
     }
 
 A matrix (a stage "unitary" or "final_unitary") takes one of two forms:
 dense rows, or its nonzeros as three flat lists of one length, where
 every entry not listed is 0.0 and no (row, col) pair is listed twice. The
 writer picks whichever lists fewer numbers: the nonzeros iff
-3 * nnz < dim**2, counting -0.0 as a nonzero so that it survives. Version
-1 documents, which hold dense rows only, load through the same code.
-The loader keeps the nonzeros form as model.Nonzeros, sorted row-major,
-without scattering it into a dense matrix. Truth-table documents stay at
-version 1.
+3 * nnz < dim**2, counting -0.0 as a nonzero so that it survives.
+"final_unitary" may also take the kron form {"kron": [m1, m2, ...]}: the
+Kronecker product m1 (x) m2 (x) ..., m1 the most significant. Each factor
+is a square matrix of side at least 2 in either form, a nonzeros factor
+with its side as a fourth key "dim", and the sides multiply to "dim". The
+kron form does not nest, and stages do not take it.
+
+Each document is written at the lowest version, from 2 up, that holds it:
+version 3 only when the final matrix has more than one factor, so any
+other document is written byte for byte as version 2. Version 2 lacks the
+kron form, and version 1 also the nonzeros form; the loader reads all
+three through the same code. It keeps the nonzeros form as model.Nonzeros,
+sorted row-major, without scattering it into a dense matrix, and every
+final matrix as a model.Kron. Truth-table documents stay at version 1.
 
 Variable indices in documents are 1-based; basis states are positional
 (row/column order), indexed from 0. Reals are written in shortest
@@ -44,17 +54,17 @@ the start state never reaches changes no run and shows only in
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .boolfunc import BooleanFunction
 from .limits import MAX_DOC_DIM
-from .model import Nonzeros, QueryAlgorithm, QuerySpec
+from .model import Kron, Nonzeros, QueryAlgorithm, QuerySpec
 
-# The loader reads every algorithm version up to the one written; version 1
-# lacks only the nonzeros form.
-ALGORITHM_SCHEMA_VERSION = 2
+# The last algorithm version; the loader reads every version up to it.
+ALGORITHM_SCHEMA_VERSION = 3
 FUNCTION_SCHEMA_VERSION = 1
 
 
@@ -95,6 +105,7 @@ def _matrix(value, dim: int, what: str):
     without the +0.0 entries it may list."""
     if not isinstance(value, dict):
         return _reals(value, what)
+    _require("kron" not in value, f"{what} cannot take the kron form")
     _require(set(value) == {"rows", "cols", "values"},
              f"{what} must have exactly the keys 'rows', 'cols' and 'values'")
     rows, cols, values = value["rows"], value["cols"], value["values"]
@@ -111,11 +122,49 @@ def _matrix(value, dim: int, what: str):
     return Nonzeros(r[order], c[order], v[order])
 
 
-def _matrix_document(m: Nonzeros, dim: int):
-    """Dense rows, or the nonzeros when they list fewer numbers."""
+def _final(value, dim: int):
+    """The document's final_unitary: a matrix (see _matrix), or the kron
+    form as a Kron of its factors."""
+    if not (isinstance(value, dict) and "kron" in value):
+        return _matrix(value, dim, "final_unitary")
+    _require(set(value) == {"kron"}, "final_unitary must have only the key 'kron'")
+    _require(isinstance(value["kron"], list) and value["kron"],
+             "final_unitary kron must be a non-empty list of factors")
+    factors, dims = [], []
+    for i, raw in enumerate(value["kron"], start=1):
+        what = f"final_unitary factor {i}"
+        if isinstance(raw, dict):
+            _require(set(raw) == {"dim", "rows", "cols", "values"},
+                     f"{what} must have exactly the keys 'dim', 'rows', 'cols' and 'values'")
+            side = raw["dim"]
+            _require(_is_int(side) and 2 <= side <= dim, f"{what} dim must be in [2, {dim}]")
+            factors.append(_matrix({k: raw[k] for k in ("rows", "cols", "values")}, side, what))
+        else:
+            factors.append(_reals(raw, what))
+            shape = factors[-1].shape
+            _require(len(shape) == 2 and shape[0] == shape[1] >= 2,
+                     f"{what} must be a square matrix of side at least 2")
+            side = shape[0]
+        dims.append(side)
+    _require(math.prod(dims) == dim, f"final_unitary factor sides must multiply to {dim}")
+    return Kron(tuple(factors), tuple(dims))
+
+
+def _matrix_document(m: Nonzeros, dim: int, sized: bool = False):
+    """Dense rows, or the nonzeros when they list fewer numbers, with the
+    side as "dim" when `sized`."""
     if 3 * m.values.size >= dim * dim:
         return m.dense(dim).tolist()
-    return {"rows": m.rows.tolist(), "cols": m.cols.tolist(), "values": m.values.tolist()}
+    side = {"dim": dim} if sized else {}
+    return {**side, "rows": m.rows.tolist(), "cols": m.cols.tolist(),
+            "values": m.values.tolist()}
+
+
+def _final_document(final: Kron):
+    """One factor as a matrix, more in the kron form."""
+    if len(final.factors) == 1:
+        return _matrix_document(final.factors[0], final.dims[0])
+    return {"kron": [_matrix_document(f, d, sized=True) for f, d in zip(final.factors, final.dims)]}
 
 
 def algorithm_to_document(alg: QueryAlgorithm) -> dict:
@@ -126,13 +175,13 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
         stages.append({"unitary": _matrix_document(stage.nonzeros, alg.dim),
                        "query_diagonal": diagonal})
     return {
-        "schema_version": ALGORITHM_SCHEMA_VERSION,
+        "schema_version": 2 if len(alg.final.factors) == 1 else 3,
         "n_vars": alg.n_vars,
         "t_queries": alg.t_queries,
         "dim": alg.dim,
         "start": alg.start.tolist(),
         "stages": stages,
-        "final_unitary": _matrix_document(alg.final_nonzeros, alg.dim),
+        "final_unitary": _final_document(alg.final),
         "labels": alg.labels.tolist(),
     }
 
@@ -183,7 +232,7 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
         n_vars=doc["n_vars"],
         start=_reals(doc["start"], "start"),
         stages=stages,
-        final_unitary=_matrix(doc["final_unitary"], dim, "final_unitary"),
+        final_unitary=_final(doc["final_unitary"], dim),
         labels=labels,
     )
 

@@ -16,6 +16,9 @@ from qverify import (
     tensor,
 )
 
+from qverify import builder
+from qverify.builder import final_factors
+
 import refdata
 
 
@@ -122,6 +125,25 @@ class TestBuildAlgorithm:
     def test_final_unitary_is_tensor_power(self, alg6):
         h = hadamard_power(1)
         assert np.abs(alg6.final_unitary - tensor(tensor(h, h), h)).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_final_factors_are_bitwise_the_hadamard_power(self, t):
+        final = final_factors(t)
+        assert final.dims == (4,) * (t // 2) + (2,) * (t % 2)
+        assert final.dense().tobytes() == hadamard_power(t).tobytes()
+
+    def test_n24_final_is_six_shared_factors(self, monkeypatch):
+        # The 4096 x 4096 power is never built: six references to one
+        # stored 4 x 4 factor, under 1 KB, in place of 16.7 M entries.
+        powers = []
+        monkeypatch.setattr(builder, "hadamard_power",
+                            lambda t: powers.append(t) or hadamard_power(t))
+        alg = build_algorithm(24)
+        assert max(powers) <= 2
+        assert alg.final.dims == (4,) * 6
+        assert all(f.values.size == 16 for f in alg.final.factors)
+        stored = {id(a): a.nbytes for f in alg.final.factors for a in f}
+        assert sum(stored.values()) < 1024
 
     def test_stages_are_stored_as_their_nonzeros(self):
         alg = build_algorithm(20)

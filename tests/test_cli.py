@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qverify import algorithm_to_document, build_algorithm, load_algorithm
@@ -27,7 +28,8 @@ GOLDEN_CASES = [
 
 # (document, path of the damaged entry, bad value): each must exit 2. The
 # "sparse" document is the n = 8 one, whose stage matrices take the
-# nonzeros form; the n = 4 "algorithm" document is all dense rows.
+# nonzeros form and whose final matrix the kron form; the n = 4
+# "algorithm" document is all dense rows.
 BAD_INPUTS = [
     ("algorithm", ["start", 1], float("nan")),
     ("algorithm", ["stages", 0, "unitary", 1, 1], float("nan")),
@@ -57,6 +59,19 @@ BAD_INPUTS = [
     ("sparse", ["stages", 0, "unitary", "cols", 1], 0),
     ("sparse", ["stages", 0, "unitary", "values", 0], True),
     ("sparse", ["stages", 0, "unitary", "shape"], [16, 16]),
+    # The n = 8 final takes the kron form, two dense 4 x 4 factors. Kron
+    # forms must be non-empty and flat, with square factors of side >= 2 and
+    # finite entries whose sides multiply to dim; only the final takes them.
+    ("sparse", ["final_unitary", "kron"], []),
+    ("sparse", ["final_unitary", "kron", 0], {"kron": [[[1.0]]]}),
+    ("sparse", ["final_unitary", "order"], 1),
+    ("sparse", ["final_unitary", "kron", 0], [[1.0, 0.0]]),
+    ("sparse", ["final_unitary", "kron", 0], [[1.0]]),
+    ("sparse", ["final_unitary", "kron", 1], [[1.0, 0.0], [0.0, 1.0]]),
+    ("sparse", ["final_unitary", "kron", 0], {"dim": 10**30, "rows": [], "cols": [],
+                                             "values": []}),
+    ("sparse", ["stages", 0, "unitary"], {"kron": [[[1.0]]]}),
+    ("sparse", ["final_unitary", "kron", 0, 0, 0], float("inf")),
     # Finite entries whose swept probabilities overflow float64.
     ("algorithm", ["final_unitary", 0, 0], 1e200),
     ("algorithm", ["stages", 0, "unitary", 0, 0], 1e300),
@@ -207,17 +222,31 @@ class TestCheck:
                      "--function", str(fn_path)]) == 0
 
     def test_version_1_document_checks_like_version_2(self, tmp_path):
-        v1 = GOLDEN_DIR / "alg6_v1.json"
-        v2 = tmp_path / "alg6.json"
-        assert main(["build", "--n", "6", "--out", str(v2)]) == 0
-        assert json.loads(v2.read_text(encoding="utf-8"))["schema_version"] == 2
+        # The n = 6 build, written by each schema version in turn: dense
+        # rows only, then nonzeros stages, then a two-factor kron final.
+        paths = [GOLDEN_DIR / "alg6_v1.json", GOLDEN_DIR / "alg6_v2.json", tmp_path / "alg6.json"]
+        assert main(["build", "--n", "6", "--out", str(paths[2])]) == 0
         outputs = []
-        for path in (v1, v2):
+        for version, path in enumerate(paths, start=1):
+            assert json.loads(path.read_text(encoding="utf-8"))["schema_version"] == version
             code, out = cli(["check", "--algorithm", str(path), "--json"])
             assert code == 0
             outputs.append(out.replace(json.dumps(str(path)), '"<path>"'))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert json.loads(outputs[0])["exact"] is True
+
+    def test_factors_far_from_unitary_report_unitary_false(self, tmp_path):
+        # 2H (x) H/2 is the unitary H (x) H, and the check is exact, but the
+        # factor bound is sufficient, not necessary: "unitary" is false.
+        path = tmp_path / "alg.json"
+        doc = algorithm_to_document(build_algorithm(4))
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        doc["final_unitary"] = {"kron": [(2 * h).tolist(), (h / 2).tolist()]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = cli(["check", "--algorithm", str(path), "--json"])
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["unitary"], payload["exact"]) == (False, True)
 
     def test_check_and_verify_do_not_import_numpy_ma(self, tmp_path):
         # numpy 2's np.unique imports numpy.ma unless asked for indices.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qverify import (
     BooleanFunction,
+    Kron,
     Nonzeros,
     QueryAlgorithm,
     QueryEntry,
@@ -112,6 +113,21 @@ class TestRun:
         for snap in snapshots:
             norms = (snap * snap).sum(axis=1)
             assert np.abs(norms - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_factored_final_runs_like_its_dense_product(self, n):
+        # The final matrix is applied one factor at a time; the whole
+        # product, as one factor, gives the same states up to rounding.
+        alg = build_algorithm(n)
+        whole = QueryAlgorithm(n, alg.start, alg.stages, alg.final_unitary, alg.labels)
+        assert len(alg.final.factors) > 1 and len(whole.final.factors) == 1
+        words = np.arange(0, 1 << n, 7)
+        for a, b in zip(run_batch(alg, words), run_batch(whole, words)):
+            assert np.abs(a - b).max() <= 1e-12
+        for w in words[:8]:
+            word = format(int(w), f"0{n}b")
+            assert np.abs(run(alg, word).final - run(whole, word).final).max() <= 1e-12
+        assert run_batch(alg, np.zeros(0, dtype=np.int64))[-1].shape == (0, alg.dim)
 
     def test_run_batch_matches_run(self, alg6):
         # Batched rows go through dgemm instead of dgemv, so agreement is
@@ -492,6 +508,35 @@ class TestSweepKernel:
             [1 << i for i in range(1, n // 2 + 1)]
         assert arrays.final_t[1].tolist() == [0] * (1 << (n // 2))
 
+    @pytest.mark.parametrize("alg,f", [c[1:3] for c in _SWEEP_CASES],
+                             ids=[c[0] for c in _SWEEP_CASES])
+    def test_one_factor_final_sweeps_alike(self, alg, f):
+        # The whole final matrix as one factor: the factor bound then is
+        # the matrix's own residual, and the kept rows are cut from it, not
+        # from factors. Rest flags and reports must not change, bit for bit.
+        whole = QueryAlgorithm(alg.n_vars, alg.start, alg.stages, alg.final_unitary, alg.labels)
+        assert (_sweep_arrays(whole).rest is None) == (_sweep_arrays(alg).rest is None)
+        assert check_exact(whole, f) == check_exact(alg, f)
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_random_kron_final_sweeps_like_its_product(self, seed, noise):
+        # A random algorithm whose final matrix is a Kronecker product of
+        # seeded orthogonal 4 x 4 and 2 x 2 factors, the first with noise:
+        # as factors or as one dense product, the same rest flag and report.
+        alg, f = _random_algorithm(seed)
+        rng = np.random.default_rng(100 + seed)
+        a = _random_orthogonal(rng, 4) + noise * rng.standard_normal((4, 4))
+        b = _random_orthogonal(rng, 2)
+        factored = QueryAlgorithm(alg.n_vars, alg.start, alg.stages,
+                                  Kron((Nonzeros.of(a), Nonzeros.of(b)), (4, 2)), alg.labels)
+        whole = QueryAlgorithm(alg.n_vars, alg.start, alg.stages, np.kron(a, b), alg.labels)
+        assert factored.final_unitary.tobytes() == whole.final_unitary.tobytes()
+        rest = _sweep_arrays(factored).rest
+        assert (rest is None) == (_sweep_arrays(whole).rest is None) == (noise > 0)
+        assert check_exact(factored, f) == check_exact(whole, f)
+        assert factored.unitary_within() == whole.unitary_within() == (noise == 0)
+
     def test_concurrent_callers_get_their_own_reports(self, monkeypatch):
         # 16-word blocks, so that two concurrent checks interleave.
         walked = _record_blocks(monkeypatch, 16)
@@ -722,7 +767,7 @@ class TestQueryAlgorithmValidation:
             QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([1, 2]))], final, [1, 0])
 
     def test_accepts_nonzeros_and_stages(self, alg4):
-        final = Nonzeros(*alg4.final_nonzeros)
+        final = Nonzeros(*alg4.final.factors[0])
         again = QueryAlgorithm(4, alg4.start, alg4.stages, final, alg4.labels)
         # Stored arrays are shared, not copied.
         assert all(a is b for a, b in zip(again.stages[0].nonzeros, alg4.stages[0].nonzeros))
@@ -735,9 +780,16 @@ class TestQueryAlgorithmValidation:
             alg4.stages[0].unitary[0, 0] = 2.0
         with pytest.raises(ValueError):
             alg4.final_unitary[0, 0] = 2.0
-        for array in (*alg4.stages[0].nonzeros, *alg4.final_nonzeros):
+        for array in (*alg4.stages[0].nonzeros, *alg4.final.factors[0]):
             with pytest.raises(ValueError):
                 array[0] = 2
+
+    @pytest.mark.parametrize("dims", [(), (2, 2, 2), (4, 1)])
+    def test_rejects_kron_sides_that_do_not_multiply_to_dim(self, dims):
+        h = Nonzeros.of(np.eye(2))
+        with pytest.raises(ValueError, match="sides whose product is 4"):
+            QueryAlgorithm(2, [1.0, 0.0, 0.0, 0.0], [(np.eye(4), QuerySpec([1, 2, 0, 0]))],
+                           Kron((h,) * len(dims), dims), [1, 0, 0, 0])
 
     def test_unitary_within(self, alg4):
         assert alg4.unitary_within(1e-12)

@@ -6,6 +6,8 @@ import pytest
 
 from qverify import (
     BooleanFunction,
+    Kron,
+    Nonzeros,
     QueryAlgorithm,
     algorithm_to_document,
     build_algorithm,
@@ -23,6 +25,7 @@ from qverify.serialize import document_to_function, function_to_document
 import refdata
 
 V1_FIXTURE = Path(__file__).parent / "golden" / "alg6_v1.json"
+V2_FIXTURE = Path(__file__).parent / "golden" / "alg6_v2.json"
 
 
 def assert_same_algorithm(a, b):
@@ -89,7 +92,12 @@ class TestAlgorithmDocuments:
         alg = build_algorithm(n)
         doc = algorithm_to_document(alg)
         matrices = [(s["unitary"], st.unitary) for s, st in zip(doc["stages"], alg.stages)]
-        for form, m in matrices + [(doc["final_unitary"], alg.final_unitary)]:
+        # A final matrix of more than one factor takes the kron form.
+        final = doc["final_unitary"]
+        factors = final["kron"] if len(alg.final.factors) > 1 else [final]
+        matrices += [(form, f.dense(d)) for form, f, d in
+                     zip(factors, alg.final.factors, alg.final.dims, strict=True)]
+        for form, m in matrices:
             nnz = np.count_nonzero(m)
             assert isinstance(form, dict) == (3 * nnz < m.size)
             if isinstance(form, dict):
@@ -127,6 +135,36 @@ class TestAlgorithmDocuments:
         assert all(isinstance(s["unitary"], list) for s in doc["stages"])
         assert_same_algorithm(load_algorithm(V1_FIXTURE), alg6)
 
+    def test_version_2_fixture_loads_bitwise(self, alg6):
+        # Written before the kron form: the final matrix as dense rows.
+        doc = json.loads(V2_FIXTURE.read_text(encoding="utf-8"))
+        assert doc["schema_version"] == 2
+        assert isinstance(doc["final_unitary"], list)
+        assert_same_algorithm(load_algorithm(V2_FIXTURE), alg6)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_only_a_final_of_several_factors_takes_version_3(self, n):
+        doc = algorithm_to_document(build_algorithm(n))
+        assert doc["schema_version"] == (3 if n > 4 else 2)
+        assert isinstance(doc["final_unitary"], dict) == (n > 4)
+        if n > 4:
+            assert doc["final_unitary"]["kron"][0] == [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5],
+                                                       [0.5, 0.5, -0.5, -0.5],
+                                                       [0.5, -0.5, -0.5, 0.5]]
+
+    def test_sparse_factors_carry_their_side(self):
+        # A factor in the nonzeros form lists its side as "dim".
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        final = Kron((Nonzeros.of(np.eye(4)), Nonzeros.of(h)), (4, 2))
+        base = build_algorithm(6)
+        alg = QueryAlgorithm(6, base.start, base.stages, final, base.labels)
+        doc = json.loads(dumps_algorithm(alg))
+        assert doc["final_unitary"]["kron"][0] == {"dim": 4, "rows": [0, 1, 2, 3],
+                                                   "cols": [0, 1, 2, 3], "values": [1.0] * 4}
+        loaded = document_to_algorithm(doc)
+        assert_same_algorithm(loaded, alg)
+        assert dumps_algorithm(loaded) == dumps_algorithm(alg)
+
     @pytest.mark.parametrize("n", [6, 10])
     def test_loaded_documents_match_naive_run(self, n, tmp_path):
         path = tmp_path / "alg.json"
@@ -161,7 +199,7 @@ class TestDocumentValidation:
 
     def test_rejects_wrong_schema_version(self, alg4):
         doc = self._doc(alg4)
-        doc["schema_version"] = 3
+        doc["schema_version"] = 4
         with pytest.raises(ValueError, match="schema_version"):
             document_to_algorithm(doc)
         table = {"schema_version": 2, "arity": 1, "table": [0, 1]}
@@ -304,18 +342,66 @@ class TestNonzerosFormValidation:
     def test_negative_zero_survives_load_and_dump_in_both_forms(self):
         doc = algorithm_to_document(build_algorithm(8))
         assert isinstance(doc["stages"][0]["unitary"], dict)
-        assert isinstance(doc["final_unitary"], list)
+        assert isinstance(doc["final_unitary"]["kron"][0], list)
         doc["stages"][0]["unitary"]["values"][1] = -0.0
-        doc["final_unitary"][3][5] = -0.0
+        doc["final_unitary"]["kron"][0][3][1] = -0.0
         text = json.dumps(doc, indent=2)
         loaded = document_to_algorithm(json.loads(text))
-        assert np.signbit(loaded.stages[0].unitary[0, 8]) and np.signbit(loaded.final_unitary[3, 5])
+        assert np.signbit(loaded.stages[0].unitary[0, 8])
+        assert np.signbit(loaded.final.factors[0].dense(4)[3, 1])
         assert dumps_algorithm(loaded) == text
 
     def test_unlisted_entries_are_zero(self):
         doc = algorithm_to_document(build_algorithm(8))
         doc["final_unitary"] = {"rows": [], "cols": [], "values": []}
         assert not document_to_algorithm(doc).final_unitary.any()
+
+
+# id: (the kron form that replaces the n = 8 document's final matrix, message)
+H4 = [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5], [0.5, -0.5, -0.5, 0.5]]
+KRON_DAMAGE = {
+    "empty": ({"kron": []}, "non-empty list of factors"),
+    "not-a-list": ({"kron": H4[0][0]}, "non-empty list of factors"),
+    "extra-key": ({"kron": [H4, H4], "order": "big-endian"}, "only the key 'kron'"),
+    "nested": ({"kron": [{"kron": [H4]}, H4]}, "factor 1 must have exactly the keys"),
+    "not-square": ({"kron": [H4[:2], H4]}, "factor 1 must be a square matrix"),
+    "one-by-one": ({"kron": [[[1.0]], H4, H4]}, "factor 1 must be a square matrix of side at least 2"),
+    "flat": ({"kron": [H4[0], H4]}, "factor 1 must be a square matrix"),
+    "sides-16-by-4": ({"kron": [H4, H4, H4]}, "factor sides must multiply to 16"),
+    "sides-4-by-2": ({"kron": [H4, [[1.0, 0.0], [0.0, 1.0]]]}, "factor sides must multiply to 16"),
+    "sparse-no-dim": ({"kron": [{"rows": [], "cols": [], "values": []}, H4]},
+                      "factor 1 must have exactly the keys 'dim'"),
+    "sparse-huge-dim": ({"kron": [{"dim": 10**30, "rows": [], "cols": [], "values": []}, H4]},
+                        r"factor 1 dim must be in \[2, 16\]"),
+    "sparse-row-past-dim": ({"kron": [{"dim": 4, "rows": [4], "cols": [0], "values": [1.0]}, H4]},
+                            r"factor 1 rows must lie in \[0, 4\)"),
+    "bool-entry": ({"kron": [[[True, 0.5], [0.5, 0.5]], H4, [[1.0, 0.0], [0.0, 1.0]]]},
+                   "factor 1 must hold only numbers"),
+    "nan-entry": ({"kron": [H4, [[float("nan")] * 4] * 4]}, "factor 2 has non-finite entries"),
+}
+
+
+class TestKronFormValidation:
+    @pytest.mark.parametrize("form,message", KRON_DAMAGE.values(), ids=KRON_DAMAGE)
+    def test_rejects_malformed_kron_forms(self, form, message):
+        doc = algorithm_to_document(build_algorithm(8))
+        doc["final_unitary"] = form
+        with pytest.raises(ValueError, match=message):
+            document_to_algorithm(doc)
+
+    def test_stages_do_not_take_the_kron_form(self):
+        doc = algorithm_to_document(build_algorithm(8))
+        doc["stages"][0]["unitary"] = doc["final_unitary"]
+        with pytest.raises(ValueError, match="stage 1 unitary cannot take the kron form"):
+            document_to_algorithm(doc)
+
+    def test_one_factor_loads_like_the_plain_matrix(self, alg4):
+        doc = algorithm_to_document(alg4)
+        plain = document_to_algorithm(doc)
+        doc["final_unitary"] = {"kron": [doc["final_unitary"]]}
+        wrapped = document_to_algorithm(doc)
+        assert_same_algorithm(wrapped, plain)
+        assert dumps_algorithm(wrapped) == dumps_algorithm(plain)
 
 
 class TestFunctionDocuments:
