@@ -304,13 +304,12 @@ def sweep_range(start, stages, final_t, row_labels, rest, bound, poly,
 # ---------------------------------------------------------------------------
 # structure-aware references for builder output
 #
-# The built verifier never needs its dense matrices to be executed: stage i
-# only mixes 2**(i-1) pairs of amplitudes with a 2x2 rotation and flips
-# signs at those pair slots (_pair_states), and the final transformation is
-# the Hadamard power, one _wht and one scale. String equality runs on
-# pair_run; pair_sweep_range is an independent reference that tests and the
-# benchmark compare the general sweep against. Equivalence with the dense
-# pipeline is pinned by tests.
+# The built verifier, derived by hand: stage i only mixes 2**(i-1) pairs of
+# amplitudes with a 2x2 rotation and flips signs at those pair slots
+# (_pair_states), and the final transformation is the Hadamard power, one
+# _wht and one scale. Nothing in the package runs on them; pair_run and
+# pair_sweep_range are independent references that tests and the benchmark
+# compare model.run and the general sweep against.
 # ---------------------------------------------------------------------------
 
 

@@ -14,8 +14,9 @@ probability 1 (within EXACT_TOL) on every word.
 
 Matrices take one of two forms in memory: a stage unitary is its Nonzeros,
 and the final unitary a Kron of Nonzeros factors, one factor for a matrix
-given whole. `run` and `run_batch` apply the final unitary one factor at a
-time, and no dense copy of either form is kept.
+given whole. `run` is the one executor: it applies each stage straight from
+its stored entries and the final unitary one factor at a time, so no dense
+copy of either form is made; `run_batch` is `run` on each word, stacked.
 
 All objects are immutable after construction and safe to share across
 threads; `run` is a pure function, so identical inputs give bitwise
@@ -358,17 +359,16 @@ def realize_query(spec: QuerySpec, word: str) -> np.ndarray:
 
 def run(alg: QueryAlgorithm, word: str) -> RunTrace:
     """Execute the pipeline on one word, recording the state after every
-    transformation (exactly t_queries query applications)."""
+    transformation (exactly t_queries query applications). A stage is
+    applied from its stored entries: each row sums its values times the
+    state at their columns, from +0.0, as a dense product would."""
     bits = parse_word(word, alg.n_vars)
     states = [alg.start]
-    state = alg.start
-    for stage in alg.stages:
-        state = stage.unitary @ state
-        states.append(state)
-        state = state * query_signs(stage.query, bits)
-        states.append(state)
-    state = alg.final.apply(state[None])[0]
-    states.append(state)
+    for (rows, cols, values), query in alg.stages:
+        product = np.bincount(rows, weights=values * states[-1][cols], minlength=alg.dim)
+        states.append(product.astype(np.float64, copy=False))  # int zeros when rows is empty
+        states.append(states[-1] * query_signs(query, bits))
+    states.append(alg.final.apply(states[-1][None])[0])
     for s in states:
         s.setflags(write=False)
     return RunTrace(states=tuple(states))
@@ -407,29 +407,14 @@ def compute(alg: QueryAlgorithm, word: str) -> ComputeResult:
     return decide(run(alg, word).final, alg.labels)
 
 
-def run_batch(alg: QueryAlgorithm, words: np.ndarray) -> list[np.ndarray]:
-    """Vectorized run over many words at once (a row per word).
-
-    Returns the same 2T + 2 snapshots as `run`, each as a (len(words), dim)
-    array. Meant for property sweeps; per-word rows agree with `run` up to
-    BLAS accumulation order (a few ulps), not bitwise.
-    """
-    words = np.asarray(words, dtype=np.int64)
-    n = alg.n_vars
-    shifts = (n - np.arange(1, n + 1)).astype(np.int64)
-    signs = np.empty((words.shape[0], n + 1), dtype=np.float64)
-    signs[:, 0] = 1.0
-    signs[:, 1:] = 1.0 - 2.0 * ((words[:, None] >> shifts[None, :]) & 1)
-
-    states = np.tile(alg.start, (words.shape[0], 1))
-    snapshots = [states]
-    for stage in alg.stages:
-        states = states @ stage.unitary.T
-        snapshots.append(states)
-        states = states * signs[:, stage.query.var_map]
-        snapshots.append(states)
-    snapshots.append(alg.final.apply(states))
-    return snapshots
+def run_batch(alg: QueryAlgorithm, words) -> list[np.ndarray]:
+    """`run` on each word, given as an integer in [0, 2**n_vars), stacked:
+    the same 2T + 2 snapshots, each a (len(words), dim) array whose rows are
+    bitwise `run`'s. Raises ValueError on a word outside that range."""
+    snapshots = np.empty((2 * alg.t_queries + 2, len(words), alg.dim))
+    for i, w in enumerate(words):
+        snapshots[:, i] = run(alg, index_to_word(int(w), alg.n_vars)).states
+    return list(snapshots)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _bits(value) -> bool:
+    """Whether value is a list of the integers 0 and 1: numpy would read
+    true and 1.0 among them as 1."""
+    return isinstance(value, list) and set(map(type, value)) <= {int} and set(value) <= {0, 1}
+
+
 def _reals(value, what: str) -> np.ndarray:
     """value as float64 if it nests JSON numbers only: numpy would read "1"
     as 1 and true as 1.0 among numbers, and fail on objects and on integers
@@ -224,16 +230,13 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
                  f"stage {stage_no} must carry 'unitary' and 'query_diagonal'")
         stages.append((_matrix(raw["unitary"], dim, f"stage {stage_no} unitary"),
                        _parse_diagonal(raw["query_diagonal"], dim, doc["n_vars"], stage_no)))
-    labels = doc["labels"]
-    # numpy would read true among integers as 1.
-    _require(isinstance(labels, list) and all(_is_int(b) and b in (0, 1) for b in labels),
-             "labels must be a list of the integers 0 and 1")
+    _require(_bits(doc["labels"]), "labels must be a list of the integers 0 and 1")
     return QueryAlgorithm(
         n_vars=doc["n_vars"],
         start=_reals(doc["start"], "start"),
         stages=stages,
         final_unitary=_final(doc["final_unitary"], dim),
-        labels=labels,
+        labels=doc["labels"],
     )
 
 
@@ -245,8 +248,17 @@ def save_algorithm(alg: QueryAlgorithm, path) -> None:
     Path(path).write_text(dumps_algorithm(alg) + "\n", encoding="utf-8")
 
 
+def _read_document(path):
+    """The JSON value in the file at path, or ValueError, also for nesting
+    too deep for json.loads, which raises RecursionError there."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("invalid document: nested too deeply") from None
+
+
 def load_algorithm(path) -> QueryAlgorithm:
-    return document_to_algorithm(json.loads(Path(path).read_text(encoding="utf-8")))
+    return document_to_algorithm(_read_document(path))
 
 
 def function_to_document(f: BooleanFunction) -> dict:
@@ -267,8 +279,9 @@ def document_to_function(doc: dict) -> BooleanFunction:
     # Bit lengths first, so that 1 << arity is never built for a huge arity.
     _require(isinstance(table, list) and len(table).bit_length() == arity + 1
              and len(table) == 1 << arity, f"table must list 2**{arity} bits")
+    _require(_bits(table), "table must be a list of the integers 0 and 1")
     return BooleanFunction.from_table(table)
 
 
 def load_function(path) -> BooleanFunction:
-    return document_to_function(json.loads(Path(path).read_text(encoding="utf-8")))
+    return document_to_function(_read_document(path))

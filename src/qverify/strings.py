@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
+from .builder import build_algorithm
 from .limits import MAX_STRING_LEN
-from .model import decide
+from .model import compute
 from .words import parse_word
 
 
@@ -50,19 +48,15 @@ def deinterleave(word: str) -> StringPair:
 
 
 def strings_equal(pair: StringPair) -> bool:
-    """Decide y == z by running the 2k-variable verifier on the interleaving.
-
-    Uses the structure-aware runner (observably identical to executing the
-    dense built algorithm, without its K x K matrices) and measures it as
-    model.decide does, with basis state 0 labelled 1. The run is exact by
+    """Decide y == z by running the 2k-variable verifier on the interleaving
+    (model.compute on the built algorithm). The run is exact by
     construction; a non-exact outcome would mean a broken build and raises.
     """
     k = pair.length
     if k > MAX_STRING_LEN:
         raise ValueError(f"string length capped at {MAX_STRING_LEN}, got {k}")
     word = interleave(pair)
-    final = _kernels.pair_run(2 * k, int(word, 2))
-    result = decide(final, np.arange(final.size) == 0)
+    result = compute(build_algorithm(2 * k), word)
     if not result.exact:
         raise RuntimeError(f"equality run was not exact on {word!r} (p={result.probability!r})")
     return result.output == 1

@@ -42,6 +42,9 @@ BAD_INPUTS = [
     ("algorithm", ["stages", 0, "query_diagonal", 0, "var"], True),
     ("function", ["arity"], True),
     ("function", ["table", 0], -1),
+    # numpy reads true and 1.0 among integer bits as 1.
+    ("function", ["table", 0], True),
+    ("function", ["table", 0], 1.0),
     # Objects, strings and integers past int64 are rejected at the document
     # boundary: numpy would raise TypeError or OverflowError on them, or read
     # "1" as the number 1.
@@ -271,6 +274,21 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--algorithm", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["--algorithm", "--function"])
+    def test_deeply_nested_document_is_usage_error(self, tmp_path, capsys, role):
+        # json.loads raises RecursionError on this depth.
+        nested, alg_path = tmp_path / "nested.json", tmp_path / "alg.json"
+        nested.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        main(["build", "--n", "2", "--out", str(alg_path)])
+        capsys.readouterr()
+        argv = ["check", "--algorithm", str(alg_path), "--function", "verify", "--json"]
+        argv[argv.index(role) + 1] = str(nested)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid document: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("document,keys,value", BAD_INPUTS,
                              ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]}" for c in BAD_INPUTS])

@@ -130,14 +130,35 @@ class TestRun:
         assert run_batch(alg, np.zeros(0, dtype=np.int64))[-1].shape == (0, alg.dim)
 
     def test_run_batch_matches_run(self, alg6):
-        # Batched rows go through dgemm instead of dgemv, so agreement is
-        # up to accumulation order rather than bitwise.
         words = np.array([0, 5, 33, 63])
-        snapshots = run_batch(alg6, words)
-        for row, w in enumerate(words):
-            trace = run(alg6, format(w, "06b"))
-            for step, snap in enumerate(snapshots):
-                assert np.abs(snap[row] - trace.states[step]).max() <= 1e-12
+        # A stage stored with no entries still gives float snapshots.
+        zeroed = QueryAlgorithm(6, alg6.start, [(np.zeros((alg6.dim, alg6.dim)), alg6.stages[0].query)]
+                                + list(alg6.stages[1:]), alg6.final_unitary, alg6.labels)
+        for alg in (alg6, _random_algorithm(11)[0], zeroed):
+            snapshots = run_batch(alg, words)
+            assert len(snapshots) == 2 * alg.t_queries + 2
+            for row, w in enumerate(words):
+                trace = run(alg, format(w, f"0{alg.n_vars}b"))
+                for step, snap in enumerate(snapshots):
+                    assert trace.states[step].dtype == np.float64
+                    assert snap[row].tobytes() == trace.states[step].tobytes()
+
+    @pytest.mark.parametrize("word", [64, -1])
+    def test_run_batch_rejects_words_out_of_range(self, alg6, word):
+        with pytest.raises(ValueError):
+            run_batch(alg6, [0, word])
+
+    def test_runs_past_63_variables(self):
+        # Query signs come from the word's bits, never from an integer of
+        # it, so x70 is read like any other variable: the output is x70.
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        alg = QueryAlgorithm(70, [1.0, 0.0], [(h, QuerySpec([70, 0]))], h, [0, 1])
+        for last in (0, 1):
+            word = "1" * 69 + str(last)
+            sign = 1.0 - 2.0 * last
+            assert np.allclose(run(alg, word).after_stage(1), [sign * refdata.R, refdata.R])
+            result = compute(alg, word)
+            assert (result.output, result.exact) == (last, True)
 
 
 class TestMeasure:
