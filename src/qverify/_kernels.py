@@ -3,8 +3,10 @@
 Every kernel has one numpy implementation, and shared steps are written
 once: _wht is the one Walsh-Hadamard transform (for the sweep, pair_run and
 linalg.hadamard_power), _pair_states the one paired-stage loop, _pair_diffs
-the one pair mask, gram_residual the one Gram residual, kron_bound the one
-bound of a Kronecker product's residual by its factors', and _fan_out the
+the one pair mask, gram_residual the one Gram residual (the sweep's norm
+tests, model.unitary_within and linalg.is_unitary), kron_bound the one
+bound of a Kronecker product's residual by its factors', _propagate the one
+substitution of a block's top variables by their signs, and _fan_out the
 one walk over grouped entries (a propagation step, and a Kronecker row
 cut). Input words are passed as integers; variable k (1-based) of an
 n-variable word w is the bit (w >> (n - k)) & 1, so integer order equals
@@ -30,28 +32,30 @@ from .limits import MATRIX_TOL, SWEEP_BUDGET
 # one unnormalized Walsh-Hadamard transform of the coefficients indexed by S
 # gives the amplitude on every word, in word order (Fino and Algazi 1976).
 #
-#   * propagation, once per check: the polynomial is a list of (mask S,
-#     basis state, coefficient) terms, first those of the start state. Each
-#     stage is its entries != 0 in the columns the start state reaches
-#     through such entries, grouped by column (sound because the model
-#     rejects non-finite matrices, so 0 * x is always 0). A step moves each
-#     term along its column's entries and XORs S with the bit each new row
-#     queries, so a re-queried variable cancels; equal (S, row) terms are
-#     merged and exact zeros dropped. The final matrix, cut to the kept
-#     rows, is one more step that queries nothing. It is given as Kronecker
-#     factors, and each kept row is cut from the factors' rows (_kron_rows)
-#     in O(K), never from the whole matrix;
+#   * propagation, once per block of words: the polynomial is a list of
+#     (mask S, basis state, coefficient) terms, first those of the start
+#     state. Variables above the block's low bits are substituted by their
+#     signs in the block's base as the terms move, so every mask lies below
+#     the block width. Each stage is its entries != 0 in the columns the
+#     start state reaches through such entries, grouped by column (sound
+#     because the model rejects non-finite matrices, so 0 * x is always 0).
+#     A step moves each term along its column's entries and XORs S with the
+#     bit each new row queries, so a re-queried variable cancels; equal
+#     (S, row) terms are merged and exact zeros dropped. The final matrix,
+#     cut to the kept rows, is one more step that queries nothing. It is
+#     given as Kronecker factors, and each kept row is cut from the factors'
+#     rows (_kron_rows) in O(K), never from the whole matrix;
 #   * labelled rows: when every stage and the final matrix keep norms on the
-#     reachable columns, only the output rows of the smaller label set are
-#     kept, and the other probability is |start|^2 minus theirs. For the
-#     final matrix, kron_bound bounds its Gram residual from its factors';
-#   * evaluation: _blocks walks [lo, hi) in aligned power-of-two blocks.
-#     Fixing a block's top bits turns each monomial into a signed monomial
-#     of its low bits, which are scattered with np.bincount and transformed.
+#     reachable columns (gram_residual on them, and kron_bound of the final
+#     matrix's factors), only the output rows of the smaller label set are
+#     kept, and the other probability is |start|^2 minus theirs;
+#   * evaluation: _blocks walks [lo, hi) in aligned power-of-two blocks,
+#     each propagated on its own; its monomials of the low bits are
+#     scattered with np.bincount and transformed.
 #
 # A propagation holds at most _block_bound floats, _TERM_FLOATS a term. Past
-# that, each block is propagated on its own with its top variables
-# substituted by their signs, and halved until it fits.
+# that, a block is halved until it fits. Builder output up to n = 21 is one
+# block, the whole cube.
 # ---------------------------------------------------------------------------
 
 
@@ -69,44 +73,40 @@ def scatter(rows, cols, values, shape) -> np.ndarray:
     return m
 
 
-def gram_residual(m: np.ndarray) -> np.ndarray:
-    """|m.T @ m - I| entrywise: how far m's columns are from orthonormal;
-    inf or nan, without a warning, where huge entries overflow."""
+def gram_residual(entries, cols) -> float:
+    """The largest row sum of |B^T B - I|, where B is the columns marked
+    `cols` of a square matrix given as its (rows, cols, values) entries,
+    cut to the rows those columns reach. It bounds the spectral norm of the
+    symmetric Gram error, so how far |B s|^2 can be from |s|^2; inf or nan,
+    without a warning, where huge entries overflow."""
+    r, c, v = entries
+    kept = cols[c] & (v != 0)
+    hit = np.bincount(r[kept], minlength=cols.size) > 0
+    block = scatter((np.cumsum(hit) - 1)[r[kept]], (np.cumsum(cols) - 1)[c[kept]], v[kept],
+                    (np.count_nonzero(hit), np.count_nonzero(cols)))
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = m.T @ m
+        gram = block.T @ block
         np.fill_diagonal(gram, gram.diagonal() - 1.0)
-        return np.abs(gram, out=gram)
+        return float(np.abs(gram, out=gram).sum(axis=1).max(initial=0.0))
 
 
-def _row_sum_residual(m: np.ndarray) -> float:
-    """The largest row sum of gram_residual(m): it bounds the spectral norm
-    of the symmetric Gram error, so how far |m s|^2 can be from |s|^2."""
-    return float(gram_residual(m).sum(axis=1).max(initial=0.0))
-
-
-def kron_bound(residuals) -> float:
-    """A bound on the Gram residual of a Kronecker product from its
-    factors', the entrywise maximum or the largest row sum alike:
+def kron_bound(final, cols) -> float:
+    """A bound on gram_residual of the Kronecker product final = (factors,
+    dims) on the columns marked `cols`, from each factor's gram_residual on
+    the factor columns that `cols` project onto. The product's residual on
+    cols is a principal submatrix of its residual on their product, and
     (I + E) (x) (I + F) - I = E (x) I + I (x) F + E (x) F, so each factor
-    adds e to a bound b as b + e + b * e. One factor's bound is its own
-    residual. It is sufficient, not necessary: factors far from orthogonal
-    can multiply to an orthogonal product."""
-    bound = 0.0
-    for e in residuals:
-        bound = bound + e + bound * e
-    return bound
-
-
-def _factor_residuals(factors, dims, cols):
-    """Each factor's _row_sum_residual on the factor columns that `cols`
-    project onto. The product's residual on cols is a principal submatrix
-    of its residual on their product, so kron_bound of these bounds it."""
-    stride = math.prod(dims)
-    for (r, c, v), d in zip(factors, dims):
+    adds e to a bound b as b + e + b * e. It is sufficient, not necessary:
+    factors far from orthogonal can multiply to an orthogonal product."""
+    factors, dims = final
+    at, stride, bound = np.flatnonzero(cols), math.prod(dims), 0.0
+    for f, d in zip(factors, dims):
         stride //= d
         seen = np.zeros(d, dtype=bool)
-        seen[cols // stride % d] = True
-        yield _row_sum_residual(scatter(r, c, v, (d, d))[:, seen])
+        seen[at // stride % d] = True
+        e = gram_residual(f, seen)
+        bound = bound + e + bound * e
+    return bound
 
 
 def _fan_out(first: np.ndarray, counts: np.ndarray):
@@ -155,8 +155,8 @@ class SweepArrays(NamedTuple):
     at [ptr[c], ptr[c + 1]), with the word bit each row queries (0: none);
     final_t, the same for the final matrix on the kept output rows, which
     row_labels labels; rest = (label, |start|^2) when only the other
-    label's rows are kept; the bound on a propagation's floats; poly = the
-    whole cube's (masks, kept rows, coefficients) terms, or None past it."""
+    label's rows are kept; and the bound on a propagation's floats. Each
+    block of words propagates its own polynomial from them (_blocks)."""
 
     start: np.ndarray
     stages: tuple
@@ -164,37 +164,30 @@ class SweepArrays(NamedTuple):
     row_labels: np.ndarray
     rest: tuple | None
     bound: int
-    poly: tuple | None
 
 
 def sweep_arrays(n_vars, start, unitaries, var_maps, final, labels) -> SweepArrays:
-    """Reachable entries, kept rows and the propagated polynomial (see
-    above) of stages given as their (rows, cols, values) nonzeros and a
-    final matrix given as (factors, dims), its Kronecker factors."""
+    """Reachable entries and kept rows (see above) of stages given as their
+    (rows, cols, values) nonzeros and a final matrix given as (factors,
+    dims), its Kronecker factors."""
     dim = start.size
     bit_of = np.array([0] + [1 << (n_vars - k) for k in range(1, n_vars + 1)])
     on, stages, norms = start != 0, [], True
-    for (r, c, v), var_map in zip(unitaries, var_maps):
-        r, c, v = _reached(on, r, c, v)
-        hit = np.bincount(r, minlength=dim) > 0
-        # The dense block from the reached columns to the rows they reach.
-        row_at, col_at = np.cumsum(hit) - 1, np.cumsum(on) - 1
-        norms = norms and _row_sum_residual(
-            scatter(row_at[r], col_at[c], v, (row_at[-1] + 1, col_at[-1] + 1))) <= MATRIX_TOL
+    for entries, var_map in zip(unitaries, var_maps):
+        norms = norms and gram_residual(entries, on) <= MATRIX_TOL
+        r, c, v = _reached(on, *entries)
         stages.append((np.searchsorted(c, np.arange(dim + 1)), r, v, bit_of[var_map[r]]))
-        on = hit
-    factors, dims = final
+        on = np.bincount(r, minlength=dim) > 0
     rows, row_labels, rest = np.arange(dim), labels, None
-    if norms and kron_bound(_factor_residuals(factors, dims, np.flatnonzero(on))) <= MATRIX_TOL:
+    if norms and kron_bound(final, on) <= MATRIX_TOL:
         # Keep the smaller label set, label 1 on a tie.
         label = int(2 * np.count_nonzero(labels) <= labels.size)
         rows = np.flatnonzero(labels == label)
         row_labels, rest = labels[rows], (1 - label, float(start @ start))
-    i, c, v = _reached(on, *_kron_rows(factors, dims, rows))
+    i, c, v = _reached(on, *_kron_rows(*final, rows))
     final_t = (np.searchsorted(c, np.arange(dim + 1)), i, v, np.zeros_like(i))
-    arrays = SweepArrays(start, tuple(stages), final_t, row_labels, rest,
-                         _block_bound(len(stages), dim), None)
-    return arrays._replace(poly=_propagate(arrays, 0, 1 << n_vars))
+    return SweepArrays(start, tuple(stages), final_t, row_labels, rest,
+                       _block_bound(len(stages), dim))
 
 
 def _propagate(arrays: SweepArrays, base: int, size: int):
@@ -237,13 +230,13 @@ def _block_words(rows: int) -> int:
 
 def _blocks(arrays: SweepArrays, lo: int, hi: int):
     """(base, size, polynomial) for aligned blocks of at most _block_words
-    words covering [lo, hi) in order: the whole cube's polynomial, or the
-    block's own, halved at the same base until it fits."""
+    words covering [lo, hi) in order, each with its own polynomial, halved
+    at the same base until the propagation fits."""
     most = _block_words(arrays.row_labels.size)
     while lo < hi:
         # lo & -lo: the largest power of two dividing lo.
         size = min(most, 1 << ((hi - lo).bit_length() - 1), lo & -lo or most)
-        while (poly := arrays.poly or _propagate(arrays, lo, size)) is None:
+        while (poly := _propagate(arrays, lo, size)) is None:
             size //= 2
         yield lo, size, poly
         lo += size
@@ -272,16 +265,15 @@ def _wht(a: np.ndarray) -> None:
         step *= width
 
 
-def sweep_range(start, stages, final_t, row_labels, rest, bound, poly,
+def sweep_range(start, stages, final_t, row_labels, rest, bound,
                 n_vars, lo, hi, expected, tol):
     """(first input w in [lo, hi) not computed exactly as expected[w - lo],
     or -1; the least correct-output probability) for the fields of
     sweep_arrays. Words are walked in _blocks, one block live at a time."""
-    arrays = SweepArrays(start, stages, final_t, row_labels, rest, bound, poly)
+    arrays = SweepArrays(start, stages, final_t, row_labels, rest, bound)
     first, p_min = -1, math.inf
     for base, width, (masks, rows, coeffs) in _blocks(arrays, lo, hi):
-        weights = coeffs * (1.0 - 2.0 * parity(masks & base))
-        amps = np.bincount(rows * width + (masks & (width - 1)), weights=weights,
+        amps = np.bincount(rows * width + masks, weights=coeffs,
                            minlength=row_labels.size * width).reshape(-1, width)
         _wht(amps)
         probs = amps * amps

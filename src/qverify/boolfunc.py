@@ -61,9 +61,10 @@ class BooleanFunction:
 
     def evaluate(self, word: str) -> int:
         """Function value on one word; raises ValueError on a length mismatch."""
-        parse_word(word, self.arity)
-        w = int(word, 2)
-        return int(self.values_range(w, w + 1)[0])
+        bits = parse_word(word, self.arity)
+        if self.table is None:
+            return int((bits[0::2] == bits[1::2]).all())
+        return int(self.table[int(word, 2)])
 
     __call__ = evaluate
 

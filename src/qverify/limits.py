@@ -23,10 +23,10 @@ MAX_DIM = 1 << 16
 # Largest dimension an algorithm document may declare, whatever form its
 # matrices take: that of the builder's n = 24 algorithm. The loader keeps
 # the nonzeros and kron forms without scattering them, but a small
-# document could otherwise declare any size, and the dense matrices that
-# unitary_within and the sweep's norm checks still make of each stage and
-# each final factor, one at a time, take up to dim**2 floats: 128 MiB each
-# at this cap. The builder's own final factors are 4 x 4.
+# document could otherwise declare any size, and the one Gram residual
+# (_kernels.gram_residual) scatters each stage and each final factor, one
+# at a time, into a dense block and its Gram product, up to dim**2 floats
+# each: 128 MiB at this cap. The builder's own final factors are 4 x 4.
 MAX_DOC_DIM = 1 << 12
 
 # Sensitivity costs N * 2**N table lookups; above 20 variables that stops
@@ -38,9 +38,9 @@ MAX_SENSITIVITY_VARS = 20
 MAX_STRING_LEN = 12
 
 # Exact values like 1/sqrt(2) are not representable in binary floating
-# point. MATRIX_TOL bounds matrix identities (is_unitary, and whether a
-# sweep may take a probability as |s|^2 minus the others); NORM_TOL bounds
-# the norm of a start state.
+# point. MATRIX_TOL bounds the one Gram residual (is_unitary, unitary_within
+# and whether a sweep may take a probability as |s|^2 minus the others);
+# NORM_TOL bounds the norm of a start state.
 MATRIX_TOL = 1e-12
 NORM_TOL = 1e-9
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .boolfunc import BooleanFunction
 from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
-from .linalg import as_matrix, as_state, is_unitary, unitary_residual
+from .linalg import as_matrix, as_state
 from .words import index_to_word, parse_word
 
 
@@ -283,15 +283,15 @@ class QueryAlgorithm:
         return self.final.dense()
 
     def unitary_within(self, tol: float = MATRIX_TOL) -> bool:
-        """True iff every stage unitary passes is_unitary and the final
-        unitary's factors bound its residual within tol: for M = A (x) B,
-        |M M^T - I| is at most b + e + b * e entrywise, where b and e bound
-        A's and B's (_kernels.kron_bound). For one factor that is is_unitary
-        itself. The bound is sufficient, not necessary: 2H (x) H/2 is the
-        unitary H (x) H, yet its factors are far from unitary."""
-        return all(is_unitary(st.unitary, tol) for st in self.stages) and \
-            _kernels.kron_bound(unitary_residual(f.dense(d))
-                                for f, d in zip(self.final.factors, self.final.dims)) <= tol
+        """True iff every stage's _kernels.gram_residual, taken from its
+        stored entries on all columns, is at most tol, and so is the final
+        unitary's _kernels.kron_bound from its factors'. That bound is
+        sufficient, not necessary: 2H (x) H/2 is the unitary H (x) H, yet
+        its factors are far from unitary. The sweep takes the same residual
+        on the columns the start state reaches."""
+        every = np.ones(self.dim, dtype=bool)
+        return all(_kernels.gram_residual(st.nonzeros, every) <= tol for st in self.stages) \
+            and _kernels.kron_bound(self.final, every) <= tol
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,15 @@ class TestEvaluate:
     def test_two_bit_pair(self):
         assert BooleanFunction.verify(2).evaluate("00") == 1
 
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_verifier_past_63_variables(self, n):
+        # Such words overflow int64; the verifier reads their bits.
+        f = BooleanFunction.verify(n)
+        assert f.evaluate("1" * n) == 1
+        assert f.evaluate("01" + "1" * (n - 2)) == 0
+        assert f.evaluate("1" * (n - 1) + "0") == 0
+        assert f.evaluate("0" * (n - 2) + "11") == 1
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             BooleanFunction.verify(4).evaluate("011")

@@ -149,10 +149,19 @@ class TestIsUnitary:
         assert is_unitary(refdata.SIX_BIT_U1, tol=1e-12)
 
     def test_rows_are_compared_not_columns(self):
-        # Unit rows at 0.6 to each other; the columns' Gram error is 0.48.
+        # Unit rows at 0.6 to each other: the rows' Gram error has row sums
+        # 0.6, the columns' 0.36 + 0.48 = 0.84.
         m = np.array([[1.0, 0.0], [0.6, 0.8]])
+        assert is_unitary(m, tol=0.7)
+        assert not is_unitary(m.T, tol=0.7)
+
+    def test_row_sums_are_measured_not_entries(self):
+        # Four unit rows at 0.3 to each other: the largest entry of the Gram
+        # error is 0.3, but each of its row sums is 0.9.
+        m = np.linalg.cholesky(0.7 * np.eye(4) + 0.3)
+        np.testing.assert_allclose(m @ m.T, 0.7 * np.eye(4) + 0.3, atol=1e-15)
         assert not is_unitary(m, tol=0.5)
-        assert is_unitary(m.T, tol=0.5)
+        assert is_unitary(m, tol=0.95)
 
     def test_tolerance_is_respected(self):
         nearly = np.eye(3)

@@ -450,7 +450,7 @@ class TestSweepKernel:
         # the final matrix keep norms on the reachable columns.
         assert (arrays.rest is not None) == labelled_rows
         # Degree bound: T queries multiply in at most T signs.
-        masks = arrays.poly[0]
+        masks = _kernels._propagate(arrays, 0, 1 << alg.n_vars)[0]
         assert max((bin(m).count("1") for m in masks.tolist()), default=0) <= alg.t_queries
         report = check_exact(alg, f)
         counterexample, min_prob = refdata.naive_check(alg, f)
@@ -458,12 +458,22 @@ class TestSweepKernel:
         assert report.exact == (counterexample is None)
         assert report.min_probability == pytest.approx(min_prob, abs=1e-12)
 
+    @pytest.mark.parametrize("alg", [c[1] for c in _SWEEP_CASES]
+                             + [_random_algorithm(11, p)[0] for p in _RANDOM_VARIANTS.values()],
+                             ids=[c[0] for c in _SWEEP_CASES]
+                             + [f"random-{name}" for name in _RANDOM_VARIANTS])
+    def test_unitary_within_implies_labelled_rows(self, alg):
+        # One residual: the sweep takes it on the reached columns, a
+        # principal submatrix of the Gram error that unitary_within takes
+        # on all of them, whose row sums are never larger.
+        assert not alg.unitary_within() or _sweep_arrays(alg).rest is not None
+
     @pytest.mark.parametrize("n", range(2, 17, 2))
     def test_builder_amplitude_is_pair_product(self, n):
         # The one kept amplitude is prod_i (s_{2i-1} + s_{2i}) / 2: one
         # monomial per choice of a variable from each pair, each at 2**-T.
         t = n // 2
-        masks, rows, coeffs = _sweep_arrays(build_algorithm(n)).poly
+        masks, rows, coeffs = _kernels._propagate(_sweep_arrays(build_algorithm(n)), 0, 1 << n)
         expected = sorted(sum(1 << (n - 2 * i - pick) for i, pick in enumerate(picks))
                           for picks in itertools.product((1, 2), repeat=t))
         assert masks.tolist() == expected
@@ -504,7 +514,7 @@ class TestSweepKernel:
         np.testing.assert_allclose(values, 0.5, rtol=1e-15)
         assert arrays.rest == (0, 1.0)
         # The monomials {x1,x3}, {x2,x3}, {x1,x4} and {x2,x4}, each at 1/4.
-        masks, rows, coeffs = arrays.poly
+        masks, rows, coeffs = _kernels._propagate(arrays, 0, 1 << 4)
         assert masks.tolist() == sorted([0b1010, 0b0110, 0b1001, 0b0101])
         assert rows.tolist() == [0] * 4
         np.testing.assert_allclose(coeffs, 0.25, rtol=1e-12)
@@ -516,7 +526,7 @@ class TestSweepKernel:
         alg = _stage_undone()
         arrays = _sweep_arrays(QueryAlgorithm(4, alg.start, alg.stages, np.eye(4), [1, 0, 1, 0]))
         assert arrays.final_t[0].tolist() == [0, 1, 1, 2, 2]
-        masks, rows, _ = arrays.poly
+        masks, rows, _ = _kernels._propagate(arrays, 0, 1 << 4)
         assert (masks.tolist(), rows.tolist()) == ([0b0010], [0])
 
     @pytest.mark.parametrize("n", range(2, 21, 2))
@@ -702,7 +712,7 @@ class TestBlockWalk:
     def test_split_propagation_matches_whole(self, case, monkeypatch):
         alg, f = _split_case(case)
         whole = check_exact(alg, f)
-        assert _sweep_arrays(alg).poly is not None
+        assert _kernels._propagate(_sweep_arrays(alg), 0, 1 << alg.n_vars) is not None
         # Each of these holds K live terms after some stage, in any block:
         # below that, every block is propagated on its own, with its top
         # variables substituted, halved until it fits, here to single words.
@@ -726,7 +736,7 @@ class TestBlockWalk:
         probs = [measure(run(alg, format(w, "010b")).final, alg.labels) for w in range(17, 40)]
         calls = _count_propagations(monkeypatch, factor * alg.dim)
         arrays = _sweep_arrays(alg)
-        assert arrays.poly is None
+        assert _kernels._propagate(arrays, 0, 1 << 10) is None
         walked = _record_blocks(monkeypatch)
         first, p_min = sweep_range(*arrays, 10, 17, 40, expected[17:40], EXACT_TOL)
         assert first == 30
