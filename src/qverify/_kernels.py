@@ -16,6 +16,7 @@ lexicographic word order.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -51,19 +52,12 @@ from .limits import MATRIX_TOL, SWEEP_BUDGET
 #     kept, and the other probability is |start|^2 minus theirs;
 #   * evaluation: _blocks walks [lo, hi) in aligned power-of-two blocks,
 #     each propagated on its own; its monomials of the low bits are
-#     scattered with np.bincount and transformed.
+#     scattered into one amplitude row per kept output row and transformed.
 #
 # A propagation holds at most _block_bound floats, _TERM_FLOATS a term. Past
 # that, a block is halved until it fits. Builder output up to n = 21 is one
 # block, the whole cube.
 # ---------------------------------------------------------------------------
-
-
-def parity(x):
-    """popcount(x) & 1 for each int64 in x (numpy < 2 has no bitwise_count)."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        x = x ^ (x >> shift)
-    return x & 1
 
 
 def scatter(rows, cols, values, shape) -> np.ndarray:
@@ -102,9 +96,7 @@ def kron_bound(final, cols) -> float:
     at, stride, bound = np.flatnonzero(cols), math.prod(dims), 0.0
     for f, d in zip(factors, dims):
         stride //= d
-        seen = np.zeros(d, dtype=bool)
-        seen[at // stride % d] = True
-        e = gram_residual(f, seen)
+        e = gram_residual(f, np.bincount(at // stride % d, minlength=d) > 0)
         bound = bound + e + bound * e
     return bound
 
@@ -242,8 +234,9 @@ def _blocks(arrays: SweepArrays, lo: int, hi: int):
         lo += size
 
 
-# The sign matrices of the 1- to 64-point transforms, by size.
-_SIGNS = {1 << k: 1.0 - 2.0 * parity(np.arange(1 << k)[:, None] & np.arange(1 << k))
+# The sign matrices of the 1- to 64-point transforms, by size: Kronecker
+# powers of [[1, 1], [1, -1]], whose entry (i, j) is (-1)**popcount(i & j).
+_SIGNS = {1 << k: reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * k, np.ones((1, 1)))
           for k in range(7)}
 
 
@@ -272,9 +265,13 @@ def sweep_range(start, stages, final_t, row_labels, rest, bound,
     sweep_arrays. Words are walked in _blocks, one block live at a time."""
     arrays = SweepArrays(start, stages, final_t, row_labels, rest, bound)
     first, p_min = -1, math.inf
+    # One amplitude buffer for all blocks, since a new one is paged in again
+    # inside _wht; _propagate merged equal (mask, row) terms, so no two add.
+    buf = np.empty(row_labels.size * _block_words(row_labels.size))
     for base, width, (masks, rows, coeffs) in _blocks(arrays, lo, hi):
-        amps = np.bincount(rows * width + masks, weights=coeffs,
-                           minlength=row_labels.size * width).reshape(-1, width)
+        amps = buf[:row_labels.size * width].reshape(-1, width)
+        amps.fill(0.0)
+        amps[rows, masks] = coeffs
         _wht(amps)
         probs = amps * amps
         p = [probs[row_labels == b].sum(axis=0) for b in (0, 1)]
