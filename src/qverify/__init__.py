@@ -4,45 +4,13 @@ Builds the N/2-query verifier algorithm for words whose consecutive bit
 pairs must be equal, executes it on a small state-vector simulator,
 checks exactness exhaustively, and contrasts it with the N-query classical
 decision-tree baseline.
+
+Public names are resolved lazily (PEP 562): `import qverify` loads none of
+its modules, and the first use of a name imports only the module that
+defines it. So code that touches only the decision tree never loads numpy.
 """
 
-from .boolfunc import (
-    BooleanFunction,
-    ClassicalRunReport,
-    bit_oracle,
-    classical_query_counts,
-    classical_verify,
-    classical_worst_case,
-    sensitivity,
-)
-from .builder import StagePlan, build_algorithm, build_stage_query, build_stage_unitary, index_set, stage_plan
-from .linalg import apply, hadamard_power, is_unitary, tensor
-from .model import (
-    ComputeResult,
-    ExactnessReport,
-    Kron,
-    Nonzeros,
-    QueryAlgorithm,
-    QueryEntry,
-    QuerySpec,
-    RunTrace,
-    Stage,
-    check_exact,
-    compute,
-    measure,
-    realize_query,
-    run,
-    run_batch,
-)
-from .serialize import (
-    algorithm_to_document,
-    document_to_algorithm,
-    dumps_algorithm,
-    load_algorithm,
-    load_function,
-    save_algorithm,
-)
-from .strings import StringPair, deinterleave, interleave, strings_equal
+import importlib
 
 __version__ = "0.1.0"
 
@@ -50,50 +18,34 @@ __version__ = "0.1.0"
 BACKEND = "numpy"
 HAVE_NUMBA = False
 
-__all__ = [
-    "BACKEND",
-    "HAVE_NUMBA",
-    "BooleanFunction",
-    "ClassicalRunReport",
-    "ComputeResult",
-    "ExactnessReport",
-    "Kron",
-    "Nonzeros",
-    "QueryAlgorithm",
-    "QueryEntry",
-    "QuerySpec",
-    "RunTrace",
-    "Stage",
-    "StagePlan",
-    "StringPair",
-    "algorithm_to_document",
-    "apply",
-    "bit_oracle",
-    "build_algorithm",
-    "build_stage_query",
-    "build_stage_unitary",
-    "check_exact",
-    "classical_query_counts",
-    "classical_verify",
-    "classical_worst_case",
-    "compute",
-    "deinterleave",
-    "document_to_algorithm",
-    "dumps_algorithm",
-    "hadamard_power",
-    "index_set",
-    "interleave",
-    "is_unitary",
-    "load_algorithm",
-    "load_function",
-    "measure",
-    "realize_query",
-    "run",
-    "run_batch",
-    "save_algorithm",
-    "sensitivity",
-    "stage_plan",
-    "strings_equal",
-    "tensor",
-    "__version__",
-]
+_EXPORTS = {
+    "boolfunc": ("BooleanFunction", "classical_query_counts", "classical_worst_case",
+                 "sensitivity"),
+    "builder": ("StagePlan", "build_algorithm", "build_stage_query", "build_stage_unitary",
+                "index_set", "stage_plan"),
+    "classical": ("ClassicalRunReport", "bit_oracle", "classical_verify"),
+    "linalg": ("apply", "hadamard_power", "is_unitary", "tensor"),
+    "model": ("ComputeResult", "ExactnessReport", "Kron", "Nonzeros", "QueryAlgorithm",
+              "QueryEntry", "QuerySpec", "RunTrace", "Stage", "check_exact", "compute",
+              "measure", "realize_query", "run", "run_batch"),
+    "serialize": ("algorithm_to_document", "document_to_algorithm", "dumps_algorithm",
+                  "load_algorithm", "load_function", "save_algorithm"),
+    "strings": ("StringPair", "deinterleave", "interleave", "strings_equal"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_MODULE_OF, "BACKEND", "HAVE_NUMBA", "__version__"])
+
+
+def __getattr__(name: str):
+    # An AttributeError for names outside the map keeps hasattr honest and
+    # lets `from qverify import <submodule>` fall back to importing it.
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,5 +1,6 @@
-"""Classical side: Boolean functions, sensitivity, and the decision-tree
-baseline for codeword verification.
+"""Classical side: Boolean functions, sensitivity, and the query counts of
+the decision-tree baseline, which lives in `classical` and is re-exported
+here.
 
 The built-in verifier function accepts an even-length word exactly when
 every consecutive bit pair (x1,x2), (x3,x4), ... is equal, i.e. when the
@@ -10,12 +11,12 @@ checked against anything.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from .classical import ClassicalRunReport, bit_oracle, classical_verify  # noqa: F401
 from .limits import MAX_SENSITIVITY_VARS, MAX_SWEEP_VARS
 from .words import index_to_word, parse_word
 
@@ -91,48 +92,6 @@ def sensitivity(f: BooleanFunction) -> tuple[int, str]:
     table = f.values()
     value, witness = _kernels.table_sensitivity(table, f.arity)
     return value, index_to_word(witness, f.arity)
-
-
-@dataclass(frozen=True)
-class ClassicalRunReport:
-    """Outcome of one classical decision-tree run."""
-
-    output: int
-    queries_used: int = field(init=False)
-    query_sequence: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "queries_used", len(self.query_sequence))
-
-
-def bit_oracle(word: str) -> Callable[[int], int]:
-    """Wrap a word as a query callback: oracle(k) returns bit x_k (1-based)."""
-    bits = parse_word(word)
-    return lambda k: int(bits[k - 1])
-
-
-def classical_verify(oracle: Callable[[int], int], n: int) -> ClassicalRunReport:
-    """Deterministic decision-tree verifier with query counting.
-
-    Scans pairs left to right, querying x1,x2 then x3,x4 and so on, and
-    answers 0 as soon as a pair differs. Accepting words always cost all n
-    queries; no deterministic strategy does better in the worst case.
-    """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"verifier arity must be even and >= 2, got {n}")
-    asked: list[int] = []
-
-    def ask(k: int) -> int:
-        asked.append(k)
-        bit = int(oracle(k))
-        if bit not in (0, 1):
-            raise ValueError(f"oracle returned non-bit {bit!r} for variable {k}")
-        return bit
-
-    for j in range(n // 2):
-        if ask(2 * j + 1) != ask(2 * j + 2):
-            return ClassicalRunReport(output=0, query_sequence=tuple(asked))
-    return ClassicalRunReport(output=1, query_sequence=tuple(asked))
 
 
 def classical_query_counts(n: int) -> np.ndarray:

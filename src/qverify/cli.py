@@ -6,6 +6,9 @@ Exit codes: 0 success/pass, 1 verification failure (or unequal strings),
 when the matrices fail the unitarity test; it reports that as "unitary":
 false, which callers must read too. Human output rounds amplitudes to 6
 decimals; --json emits one machine-readable line at full precision.
+
+Each command imports the modules it runs inside its handler, so that
+`classical` starts without numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +17,7 @@ import argparse
 import json
 import sys
 
-from .boolfunc import BooleanFunction, bit_oracle, classical_verify, sensitivity
-from .builder import build_algorithm
-from .model import check_exact, decide, run
-from .serialize import dumps_algorithm, load_algorithm, load_function
-from .strings import StringPair, interleave, strings_equal
-from .words import parse_word
+from .words import check_word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,6 +41,9 @@ def _step_names(t_queries: int) -> list[str]:
 
 
 def _cmd_build(args) -> int:
+    from .builder import build_algorithm
+    from .serialize import dumps_algorithm
+
     alg = build_algorithm(args.n)
     if args.format == "json":
         text = dumps_algorithm(alg) + "\n"
@@ -69,7 +70,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    parse_word(args.input)
+    from .builder import build_algorithm
+    from .model import decide, run
+
+    check_word(args.input)
     alg = build_algorithm(args.n)
     trace = run(alg, args.input)
     result = decide(trace.final, alg.labels)
@@ -120,6 +124,10 @@ def _report(args, payload: dict, lines: list[str], report) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .boolfunc import BooleanFunction
+    from .builder import build_algorithm
+    from .model import check_exact
+
     alg = build_algorithm(args.n)
     report = check_exact(alg, BooleanFunction.verify(args.n))
     return _report(args, {"command": "verify", "n_vars": args.n, "t_queries": alg.t_queries},
@@ -129,6 +137,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
+    from .boolfunc import BooleanFunction, sensitivity
+
     value, witness = sensitivity(BooleanFunction.verify(args.n))
     if args.json:
         _emit({"command": "sensitivity", "n_vars": args.n, "sensitivity": value,
@@ -140,7 +150,9 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    parse_word(args.input, args.n)
+    from .classical import bit_oracle, classical_verify
+
+    check_word(args.input, args.n)
     report = classical_verify(bit_oracle(args.input), args.n)
     if args.json:
         _emit({
@@ -159,6 +171,8 @@ def _cmd_classical(args) -> int:
 
 
 def _cmd_equal(args) -> int:
+    from .strings import StringPair, interleave, strings_equal
+
     pair = StringPair(y=args.y, z=args.z)
     equal = strings_equal(pair)
     if args.json:
@@ -170,6 +184,10 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .boolfunc import BooleanFunction
+    from .model import check_exact
+    from .serialize import load_algorithm, load_function
+
     alg = load_algorithm(args.algorithm)
     if args.function == "verify":
         f = BooleanFunction.verify(alg.n_vars)
@@ -242,7 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -249,10 +249,13 @@ def save_algorithm(alg: QueryAlgorithm, path) -> None:
 
 
 def _read_document(path):
-    """The JSON value in the file at path, or ValueError, also for nesting
-    too deep for json.loads, which raises RecursionError there."""
+    """The JSON value in the file at path, or ValueError "invalid document"
+    for text that is not JSON or is nested too deeply for json.loads, which
+    raises RecursionError there."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid document: not JSON: {exc}") from None
     except RecursionError:
         raise ValueError("invalid document: nested too deeply") from None
 

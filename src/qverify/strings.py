@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .builder import build_algorithm
 from .limits import MAX_STRING_LEN
 from .model import compute
-from .words import parse_word
+from .words import check_word
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,8 @@ class StringPair:
     z: str
 
     def __post_init__(self) -> None:
-        parse_word(self.y)
-        parse_word(self.z)
+        check_word(self.y)
+        check_word(self.z)
         if len(self.y) != len(self.z):
             raise ValueError(
                 f"strings must have equal length, got {len(self.y)} and {len(self.z)}")
@@ -41,7 +41,7 @@ def interleave(pair: StringPair) -> str:
 
 def deinterleave(word: str) -> StringPair:
     """Inverse of interleave; requires an even-length word."""
-    parse_word(word)
+    check_word(word)
     if len(word) % 2 != 0:
         raise ValueError(f"cannot split an odd-length word of {len(word)} bits")
     return StringPair(y=word[0::2], z=word[1::2])

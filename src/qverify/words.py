@@ -3,18 +3,19 @@
 A word is a plain Python string of '0'/'1' characters whose leftmost
 character is variable x1. Lexicographic order over words of one length is
 therefore the numeric order of their integer values.
+
+This module imports numpy only inside `parse_word`, so that `check_word`
+serves callers that never load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
+def check_word(word: str, length: int | None = None) -> str:
+    """Return `word` if it is a binary word, else raise.
 
-def parse_word(word: str, length: int | None = None) -> np.ndarray:
-    """Parse a word into a uint8 bit array (leftmost bit first).
-
-    Raises ValueError on non-binary characters or, when `length` is given,
-    on a length mismatch.
+    Raises TypeError on a non-string and ValueError on an empty word,
+    non-binary characters or, when `length` is given, a length mismatch.
     """
     if not isinstance(word, str):
         raise TypeError(f"expected a bitstring, got {type(word).__name__}")
@@ -22,10 +23,17 @@ def parse_word(word: str, length: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a word of length {length}, got {len(word)!r}")
     if not word:
         raise ValueError("empty word")
-    bits = np.frombuffer(word.encode("ascii", errors="replace"), dtype=np.uint8) - ord("0")
-    if bits.max(initial=0) > 1:
+    if not set(word) <= {"0", "1"}:
         raise ValueError(f"word must contain only '0' and '1': {word!r}")
-    return bits
+    return word
+
+
+def parse_word(word: str, length: int | None = None):
+    """Parse a word into a numpy uint8 bit array (leftmost bit first),
+    raising what `check_word` raises."""
+    import numpy as np
+
+    return np.frombuffer(check_word(word, length).encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 def index_to_word(index: int, length: int) -> str:

@@ -130,6 +130,16 @@ class TestClassicalVerify:
         with pytest.raises(ValueError):
             classical_verify(lambda k: 7, 4)
 
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_oracle_rejects_variables_outside_the_word(self, k):
+        # Python's negative indexing once answered x0 and x-1 silently.
+        with pytest.raises(ValueError, match=f"x{k} out of range for a 4-bit word"):
+            bit_oracle("0001")(k)
+
+    def test_oracle_shorter_than_arity_is_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            classical_verify(bit_oracle("00"), 4)
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_agrees_with_evaluate_everywhere(self, n):
         f = BooleanFunction.verify(n)

@@ -88,6 +88,16 @@ def cli(argv):
     return code, out.getvalue()
 
 
+def _run_python(script: str) -> None:
+    """Run script in a fresh interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestGolden:
     @pytest.mark.parametrize("name,argv,expected_code", GOLDEN_CASES,
                              ids=[c[0] for c in GOLDEN_CASES])
@@ -264,31 +274,51 @@ class TestCheck:
             f"main(['check', '--algorithm', {str(alg_path)!r}])\n"
             f"main(['check', '--algorithm', {str(alg_path)!r}, '--function', {str(fn_path)!r}])\n"
             "assert 'numpy.ma' not in sys.modules\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True)
-        assert proc.returncode == 0, proc.stderr
+        _run_python(script)
+
+    def test_classical_and_package_names_do_not_import_numpy(self):
+        script = (
+            "import sys\n"
+            "import qverify\n"
+            "from qverify.cli import main\n"
+            "assert main(['classical', '--n', '4', '--input', '1111']) == 0\n"
+            "assert main(['classical', '--n', '4', '--input', '0100', '--json']) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert not hasattr(qverify, 'nope')\n"
+            "assert set(qverify.__all__) <= set(dir(qverify))\n"
+            "for name in qverify.__all__:\n"
+            "    getattr(qverify, name)\n"
+            "names = {}\n"
+            "exec('from qverify import *', names)\n"
+            "assert set(qverify.__all__) <= set(names)\n")
+        _run_python(script)
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--algorithm", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("role", ["--algorithm", "--function"])
-    def test_deeply_nested_document_is_usage_error(self, tmp_path, capsys, role):
-        # json.loads raises RecursionError on this depth.
-        nested, alg_path = tmp_path / "nested.json", tmp_path / "alg.json"
-        nested.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    @staticmethod
+    def _assert_invalid_document(tmp_path, capsys, role, text):
+        bad, alg_path = tmp_path / "bad.json", tmp_path / "alg.json"
+        bad.write_text(text, encoding="utf-8")
         main(["build", "--n", "2", "--out", str(alg_path)])
         capsys.readouterr()
         argv = ["check", "--algorithm", str(alg_path), "--function", "verify", "--json"]
-        argv[argv.index(role) + 1] = str(nested)
+        argv[argv.index(role) + 1] = str(bad)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: invalid document: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("role", ["--algorithm", "--function"])
+    def test_deeply_nested_document_is_usage_error(self, tmp_path, capsys, role):
+        # json.loads raises RecursionError on this depth.
+        self._assert_invalid_document(tmp_path, capsys, role, "[" * 200_000 + "]" * 200_000)
+
+    @pytest.mark.parametrize("role", ["--algorithm", "--function"])
+    def test_empty_document_is_usage_error(self, tmp_path, capsys, role):
+        self._assert_invalid_document(tmp_path, capsys, role, "")
 
     @pytest.mark.parametrize("document,keys,value", BAD_INPUTS,
                              ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]}" for c in BAD_INPUTS])
