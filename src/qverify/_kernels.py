@@ -54,7 +54,7 @@ from .limits import MATRIX_TOL, SWEEP_BUDGET
 #     each propagated on its own; its monomials of the low bits are
 #     scattered into one amplitude row per kept output row and transformed.
 #
-# A propagation holds at most _block_bound floats, _TERM_FLOATS a term. Past
+# A propagation holds at most SWEEP_BUDGET floats, _TERM_FLOATS a term. Past
 # that, a block is halved until it fits. Builder output up to n = 21 is one
 # block, the whole cube.
 # ---------------------------------------------------------------------------
@@ -132,12 +132,6 @@ def _reached(on: np.ndarray, r, c, v):
     return r[kept], c[kept], v[kept]
 
 
-def _block_bound(t_queries: int, dim: int) -> int:
-    """Most floats a propagation may hold: the sweep budget, or what the
-    algorithm's own T + 1 matrices hold when that is more."""
-    return max(SWEEP_BUDGET, (t_queries + 1) * dim * dim)
-
-
 _TERM_FLOATS = 16  # floats a moved term takes: mask, row, coefficient, key, copies
 
 
@@ -146,16 +140,15 @@ class SweepArrays(NamedTuple):
     (ptr, rows, values, bits) on the columns reached before it, column c's
     at [ptr[c], ptr[c + 1]), with the word bit each row queries (0: none);
     final_t, the same for the final matrix on the kept output rows, which
-    row_labels labels; rest = (label, |start|^2) when only the other
-    label's rows are kept; and the bound on a propagation's floats. Each
-    block of words propagates its own polynomial from them (_blocks)."""
+    row_labels labels; and rest = (label, |start|^2) when only the other
+    label's rows are kept. Each block of words propagates its own polynomial
+    from them (_blocks)."""
 
     start: np.ndarray
     stages: tuple
     final_t: tuple
     row_labels: np.ndarray
     rest: tuple | None
-    bound: int
 
 
 def sweep_arrays(n_vars, start, unitaries, var_maps, final, labels) -> SweepArrays:
@@ -178,17 +171,16 @@ def sweep_arrays(n_vars, start, unitaries, var_maps, final, labels) -> SweepArra
         row_labels, rest = labels[rows], (1 - label, float(start @ start))
     i, c, v = _reached(on, *_kron_rows(*final, rows))
     final_t = (np.searchsorted(c, np.arange(dim + 1)), i, v, np.zeros_like(i))
-    return SweepArrays(start, tuple(stages), final_t, row_labels, rest,
-                       _block_bound(len(stages), dim))
+    return SweepArrays(start, tuple(stages), final_t, row_labels, rest)
 
 
 def _propagate(arrays: SweepArrays, base: int, size: int):
     """(masks, kept rows, coefficients) terms of the kept output rows on the
     words [base, base + size), size a power of two dividing base: variables
     above the low log2(size) bits are substituted by their signs in base.
-    None when a step would hold more than arrays.bound floats, never for
+    None when a step would hold more than SWEEP_BUDGET floats, never for
     one word."""
-    bound = arrays.bound if size > 1 else math.inf
+    bound = SWEEP_BUDGET if size > 1 else math.inf
     dim = arrays.start.size
     cols = np.flatnonzero(arrays.start)
     masks, coeffs = np.zeros(cols.size, dtype=np.int64), arrays.start[cols]
@@ -196,7 +188,7 @@ def _propagate(arrays: SweepArrays, base: int, size: int):
         counts = ptr[cols + 1] - ptr[cols]
         # Terms move in slices that fit in the bound, each merged with the
         # keys so far, so that sums add in the order of one merge.
-        per = max(1, arrays.bound // _TERM_FLOATS // max(1, int(counts.max(initial=0))))
+        per = max(1, SWEEP_BUDGET // _TERM_FLOATS // max(1, int(counts.max(initial=0))))
         keys, sums = np.zeros(0, dtype=np.int64), np.zeros(0)
         for lo in range(0, cols.size, per):
             m, c, k, n = (a[lo:lo + per] for a in (masks, cols, coeffs, counts))
@@ -258,12 +250,11 @@ def _wht(a: np.ndarray) -> None:
         step *= width
 
 
-def sweep_range(start, stages, final_t, row_labels, rest, bound,
-                n_vars, lo, hi, expected, tol):
+def sweep_range(start, stages, final_t, row_labels, rest, n_vars, lo, hi, expected, tol):
     """(first input w in [lo, hi) not computed exactly as expected[w - lo],
     or -1; the least correct-output probability) for the fields of
     sweep_arrays. Words are walked in _blocks, one block live at a time."""
-    arrays = SweepArrays(start, stages, final_t, row_labels, rest, bound)
+    arrays = SweepArrays(start, stages, final_t, row_labels, rest)
     first, p_min = -1, math.inf
     # One amplitude buffer for all blocks, since a new one is paged in again
     # inside _wht; _propagate merged equal (mask, row) terms, so no two add.
@@ -360,8 +351,13 @@ def _pair_diffs(n_vars: int, ints: np.ndarray) -> np.ndarray:
 
 
 def verify_values_range(n_vars: int, lo: int, hi: int) -> np.ndarray:
-    """Pair-equality verifier outputs for every input integer in [lo, hi)."""
-    return (_pair_diffs(n_vars, np.arange(lo, hi, dtype=np.int64)) == 0).astype(np.uint8)
+    """Pair-equality verifier outputs, as uint8, for every input integer in
+    [lo, hi), filled SWEEP_BUDGET words at a time."""
+    out = np.empty(hi - lo, dtype=np.uint8)
+    for at in range(lo, hi, SWEEP_BUDGET):
+        ints = np.arange(at, min(at + SWEEP_BUDGET, hi), dtype=np.int64)
+        out[at - lo:at - lo + ints.size] = _pair_diffs(n_vars, ints) == 0
+    return out
 
 
 def table_sensitivity(table: np.ndarray, n_vars: int) -> tuple[int, int]:

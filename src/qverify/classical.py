@@ -7,21 +7,20 @@ command starts without loading it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .words import check_word
 
 
-@dataclass(frozen=True)
-class ClassicalRunReport:
+class ClassicalRunReport(NamedTuple):
     """Outcome of one classical decision-tree run."""
 
     output: int
-    queries_used: int = field(init=False)
     query_sequence: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "queries_used", len(self.query_sequence))
+    @property
+    def queries_used(self) -> int:
+        return len(self.query_sequence)
 
 
 def bit_oracle(word: str) -> Callable[[int], int]:

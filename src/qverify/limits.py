@@ -48,7 +48,7 @@ NORM_TOL = 1e-9
 EXACT_TOL = 1e-9
 
 # Floats (16 MiB) an exhaustive sweep keeps live: the output amplitudes of
-# one block of sweep_range's words, and the polynomial's terms while a
+# one block of sweep_range's words, the polynomial's terms while a
 # propagation moves and merges them, each charged the floats it occupies,
-# or as many as the algorithm's own matrices when that is more.
+# and the words of a truth table filled at once (verify_values_range).
 SWEEP_BUDGET = 1 << 21

@@ -39,7 +39,8 @@ def as_state(v: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
         raise ValueError(f"expected a vector, got shape {a.shape}")
     if not is_power_of_two(a.shape[0]):
         raise ValueError(f"state length {a.shape[0]} is not a power of two")
-    norm_sq = float(a @ a)
+    with np.errstate(over="ignore"):
+        norm_sq = float(a @ a)
     if abs(norm_sq - 1.0) > tol:
         raise ValueError(f"state is not normalized: |v|^2 = {norm_sq!r}")
     return a

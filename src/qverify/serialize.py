@@ -250,10 +250,12 @@ def save_algorithm(alg: QueryAlgorithm, path) -> None:
 
 def _read_document(path):
     """The JSON value in the file at path, or ValueError "invalid document"
-    for text that is not JSON or is nested too deeply for json.loads, which
-    raises RecursionError there."""
+    for bytes that are not UTF-8, text that is not JSON, or text nested too
+    deeply for json.loads, which raises RecursionError there."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"invalid document: not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid document: not JSON: {exc}") from None
     except RecursionError:

@@ -3,6 +3,7 @@ import pytest
 
 from qverify import (
     BooleanFunction,
+    ClassicalRunReport,
     bit_oracle,
     classical_query_counts,
     classical_verify,
@@ -122,6 +123,14 @@ class TestClassicalVerify:
         assert report.output == 1
         assert report.queries_used == 6
 
+    def test_report_fields(self):
+        report = ClassicalRunReport(0, (1, 2))
+        assert report == ClassicalRunReport(output=0, query_sequence=(1, 2))
+        assert report == classical_verify(bit_oracle("0100"), 4)
+        assert ClassicalRunReport._fields == ("output", "query_sequence")
+        assert (report.output, report.query_sequence, report.queries_used) == (0, (1, 2), 2)
+        assert ClassicalRunReport(1).queries_used == 0
+
     def test_rejects_odd_arity(self):
         with pytest.raises(ValueError):
             classical_verify(bit_oracle("111"), 3)
@@ -172,8 +181,7 @@ def test_size_caps_live_in_one_module():
         (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DIM,
          limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 20, 12)
     # One sweep budget sizes sweep_range's blocks and bounds a propagation's
-    # terms, unless the algorithm's own matrices hold more.
-    # model._chunk_grid is built on the same block size.
+    # terms. model._chunk_grid is built on the same block size.
     assert limits.SWEEP_BUDGET == 1 << 21
     assert _kernels.SWEEP_BUDGET is limits.SWEEP_BUDGET
     assert (_kernels._block_words(4), _kernels._block_words(3)) == (1 << 19, 1 << 19)
@@ -182,8 +190,6 @@ def test_size_caps_live_in_one_module():
     assert model._chunk_grid(24, 4)[:2] == [(0, 1 << 19), (1 << 19, 1 << 20)]
     assert model._chunk_grid(24, 3)[0] == (0, 1 << 19)
     assert model._chunk_grid(10, 1) == [(0, 1 << 10)]
-    assert _kernels._block_bound(3, 8) == limits.SWEEP_BUDGET
-    assert _kernels._block_bound(12, 1 << 12) == 13 << 24
 
 
 def test_tolerances_live_in_one_module():

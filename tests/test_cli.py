@@ -78,6 +78,8 @@ BAD_INPUTS = [
     # Finite entries whose swept probabilities overflow float64.
     ("algorithm", ["final_unitary", 0, 0], 1e200),
     ("algorithm", ["stages", 0, "unitary", 0, 0], 1e300),
+    # A start state whose norm overflows float64.
+    ("algorithm", ["start", 0], 1e308),
 ]
 
 
@@ -284,6 +286,7 @@ class TestCheck:
             "assert main(['classical', '--n', '4', '--input', '1111']) == 0\n"
             "assert main(['classical', '--n', '4', '--input', '0100', '--json']) == 0\n"
             "assert 'numpy' not in sys.modules\n"
+            "assert 'dataclasses' not in sys.modules\n"
             "assert not hasattr(qverify, 'nope')\n"
             "assert set(qverify.__all__) <= set(dir(qverify))\n"
             "for name in qverify.__all__:\n"
@@ -300,7 +303,10 @@ class TestCheck:
     @staticmethod
     def _assert_invalid_document(tmp_path, capsys, role, text):
         bad, alg_path = tmp_path / "bad.json", tmp_path / "alg.json"
-        bad.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            bad.write_bytes(text)
+        else:
+            bad.write_text(text, encoding="utf-8")
         main(["build", "--n", "2", "--out", str(alg_path)])
         capsys.readouterr()
         argv = ["check", "--algorithm", str(alg_path), "--function", "verify", "--json"]
@@ -319,6 +325,10 @@ class TestCheck:
     @pytest.mark.parametrize("role", ["--algorithm", "--function"])
     def test_empty_document_is_usage_error(self, tmp_path, capsys, role):
         self._assert_invalid_document(tmp_path, capsys, role, "")
+
+    @pytest.mark.parametrize("role", ["--algorithm", "--function"])
+    def test_document_not_utf8_is_usage_error(self, tmp_path, capsys, role):
+        self._assert_invalid_document(tmp_path, capsys, role, b"\xff\xfe")
 
     @pytest.mark.parametrize("document,keys,value", BAD_INPUTS,
                              ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]}" for c in BAD_INPUTS])
@@ -344,6 +354,87 @@ class TestCheck:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_RUN_4_1100 = "output: 1  probability: 1.000000  exact: yes\n"
+_CHECK_JSON = ('{"command": "check", "algorithm": "alg.json", "function": %s, "n_vars": 6, '
+               '"t_queries": 3, "unitary": true, "inputs_checked": 64, ')
+
+# (argv, exit code, stdout, stderr) of every command in text and --json
+# form, run in a directory holding the n = 6 document as alg.json and an
+# all-zeros truth table as zeros.json; a stdout naming a golden file is
+# that file's text.
+OUTPUTS = [
+    (["build", "--n", "2"], 0, "build_n2.json", ""),
+    (["build", "--n", "2", "--format", "text"], 0,
+     "n_vars: 2\nt_queries: 1\ndim: 2\n\nU1 =\n   0.707107   0.707107\n   0.707107  -0.707107\n"
+     "Q1 = diag((-1)^x1, (-1)^x2)\n\nfinal =\n   0.707107   0.707107\n   0.707107  -0.707107\n"
+     "\nstart:  1.000000   0.000000\nlabels: 1 0\n", ""),
+    (["build", "--n", "2", "--out", "built.json"], 0, "", ""),
+    (["run", "--n", "4", "--input", "1100"], 0,
+     "input: 1100\nfinal:  -1.000000   0.000000   0.000000   0.000000\n" + _RUN_4_1100, ""),
+    (["run", "--n", "4", "--input", "1100", "--trace"], 0,
+     "input: 1100\n"
+     "start       1.000000   0.000000   0.000000   0.000000\n"
+     "after U1    0.707107   0.000000   0.707107   0.000000\n"
+     "after Q1   -0.707107   0.000000  -0.707107   0.000000\n"
+     "after U2   -0.500000  -0.500000  -0.500000  -0.500000\n"
+     "after Q2   -0.500000  -0.500000  -0.500000  -0.500000\n"
+     "final      -1.000000   0.000000   0.000000   0.000000\n" + _RUN_4_1100, ""),
+    (["run", "--n", "4", "--input", "1100", "--json"], 0,
+     '{"command": "run", "n_vars": 4, "input": "1100", "output": 1, "probability": '
+     '0.9999999999999996, "exact": true, "p0": 0.0, "p1": 0.9999999999999996, "final_state": '
+     '[-0.9999999999999998, 0.0, 0.0, 0.0]}\n', ""),
+    (["run", "--n", "4", "--input", "1100", "--trace", "--json"], 0, "run_n4_1100_trace.json", ""),
+    (["verify", "--n", "4"], 0,
+     "inputs tested: 16\nqueries per run: 2\nmin correct-output probability: 0.9999999999999996\n"
+     "result: exact\n", ""),
+    (["verify", "--n", "4", "--json"], 0, "verify_n4.json", ""),
+    (["sensitivity", "--n", "4"], 0, "sensitivity: 4\nwitness: 0000\n", ""),
+    (["sensitivity", "--n", "4", "--json"], 0,
+     '{"command": "sensitivity", "n_vars": 4, "sensitivity": 4, "witness": "0000"}\n', ""),
+    (["classical", "--n", "4", "--input", "0100"], 0,
+     "output: 0\nqueries used: 2\nquery order: x1 x2\n", ""),
+    (["classical", "--n", "4", "--input", "0100", "--json"], 0, "classical_n4_0100.json", ""),
+    (["equal", "--y", "101", "--z", "101"], 0, "equal\n", ""),
+    (["equal", "--y", "101", "--z", "101", "--json"], 0,
+     '{"command": "equal", "y": "101", "z": "101", "word": "110011", "n_vars": 6, '
+     '"equal": true}\n', ""),
+    (["equal", "--y", "101", "--z", "100"], 1, "not equal\n", ""),
+    (["equal", "--y", "10", "--z", "01", "--json"], 1, "equal_10_01.json", ""),
+    (["check", "--algorithm", "alg.json"], 0,
+     "matrices unitary: yes\ninputs tested: 64\nresult: exact\n", ""),
+    (["check", "--algorithm", "alg.json", "--json"], 0,
+     _CHECK_JSON % '"verify"'
+     + '"exact": true, "counterexample": null, "min_probability": 0.9999999999999996}\n', ""),
+    (["check", "--algorithm", "alg.json", "--function", "zeros.json"], 1,
+     "matrices unitary: yes\ninputs tested: 64\nresult: FAILED, first counterexample: 000000\n",
+     ""),
+    (["check", "--algorithm", "alg.json", "--function", "zeros.json", "--json"], 1,
+     _CHECK_JSON % '"zeros.json"'
+     + '"exact": false, "counterexample": "000000", "min_probability": 4.440892098500626e-16}\n',
+     ""),
+    (["verify", "--n", "5", "--json"], 2, "", "error: n must be even and within [2, 24], got 5\n"),
+    (["run", "--n", "4", "--input", "11x0"], 2, "",
+     "error: word must contain only '0' and '1': '11x0'\n"),
+]
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("argv,code,out,err", OUTPUTS, ids=[" ".join(c[0]) for c in OUTPUTS])
+    def test_command_prints_its_result_once(self, tmp_path, monkeypatch, capsys,
+                                            argv, code, out, err):
+        (tmp_path / "alg.json").write_bytes((GOLDEN_DIR / "alg6_v2.json").read_bytes())
+        (tmp_path / "zeros.json").write_text(
+            json.dumps({"schema_version": 1, "arity": 6, "table": [0] * 64}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        if out.endswith(".json"):
+            out = (GOLDEN_DIR / out).read_text(encoding="utf-8")
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+        if "--out" in argv:
+            assert (tmp_path / "built.json").read_text(encoding="utf-8") == \
+                (GOLDEN_DIR / "build_n2.json").read_text(encoding="utf-8")
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 """Tests of the numpy kernels against dense execution and plain Python."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,24 @@ class TestVerifyValuesOracle:
         f = BooleanFunction.verify(12)
         assert np.array_equal(f.values(),
                               _kernels.verify_values_range(12, 0, 1 << 12))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 256), (3, 200)])
+    def test_filled_budget_sized_pieces_at_a_time(self, lo, hi, monkeypatch):
+        monkeypatch.setattr(_kernels, "SWEEP_BUDGET", 7)
+        values = _kernels.verify_values_range(8, lo, hi)
+        f = BooleanFunction.verify(8)
+        assert values.dtype == np.uint8
+        assert values.tolist() == [f.evaluate(format(w, "08b")) for w in range(lo, hi)]
+
+    def test_peak_memory_at_the_builder_cap(self):
+        # The 16 MiB table and one budget's worth of int64 words, not
+        # whole-cube int64 temporaries (256 MiB).
+        tracemalloc.start()
+        try:
+            values = _kernels.verify_values_range(24, 0, 1 << 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.nbytes == 1 << 24
+        assert int(values[0]) == 1 and int(values[-1]) == 1 and int(values[1]) == 0
+        assert peak <= 64 << 20

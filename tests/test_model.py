@@ -639,9 +639,9 @@ def _split_case(case):
 
 
 def _count_propagations(monkeypatch, terms):
-    """Bound propagations at `terms` live terms, below the whole cube's, so
-    that every block is propagated on its own; returns the list of
-    (base, size, fits) calls."""
+    """Bound propagations at `terms` live terms, below the whole cube's, by
+    charging each term SWEEP_BUDGET // terms floats, so that every block is
+    propagated on its own; returns the list of (base, size, fits) calls."""
     calls = []
     propagate = _kernels._propagate
 
@@ -650,8 +650,7 @@ def _count_propagations(monkeypatch, terms):
         calls.append((base, size, poly is not None))
         return poly
 
-    monkeypatch.setattr(_kernels, "_block_bound",
-                        lambda t_queries, dim: terms * _kernels._TERM_FLOATS)
+    monkeypatch.setattr(_kernels, "_TERM_FLOATS", _kernels.SWEEP_BUDGET // terms)
     monkeypatch.setattr(_kernels, "_propagate", counted)
     return calls
 
