@@ -4,7 +4,8 @@ Every kernel has one numpy implementation, and shared steps are written
 once: _wht is the one Walsh-Hadamard transform (for the sweep, pair_run and
 linalg.hadamard_power), _pair_states the one paired-stage loop, _pair_diffs
 the one pair mask, gram_residual the one Gram residual (the sweep's norm
-tests, model.unitary_within and linalg.is_unitary), kron_bound the one
+tests, model.unitary_within and linalg.is_unitary), taken one connected
+column block at a time with blocks of one shape stacked, kron_bound the one
 bound of a Kronecker product's residual by its factors', _propagate the one
 substitution of a block's top variables by their signs, and _fan_out the
 one walk over grouped entries (a propagation step, and a Kronecker row
@@ -67,21 +68,85 @@ def scatter(rows, cols, values, shape) -> np.ndarray:
     return m
 
 
+def _ranks(groups: np.ndarray) -> np.ndarray:
+    """Each item's place among the items of its group, in item order."""
+    order = np.argsort(groups, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size) - np.searchsorted(groups[order], groups[order])
+    return ranks
+
+
+def _column_blocks(r: np.ndarray, c: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
+    """Per column, the least column of its connected block of B^T B, for
+    entries (r, c) sorted by row, each row's first at starts: two columns
+    share a block when they share a row, and a column without entries is a
+    block of its own. Row minima are one reduceat over the rows; a pass
+    that finds one minimum for every row has found one block."""
+    block = np.arange(size)
+    low = np.minimum.reduceat(c, starts)
+    while low.min() != low.max():
+        # Each column takes the least minimum of its rows, then jumps to
+        # that column's block: labels stay columns of the same block.
+        row_low = np.empty(size, dtype=np.int64)
+        row_low[r[starts]] = low
+        moved = block.copy()
+        np.minimum.at(moved, c, row_low[r])
+        moved = moved[moved]
+        if np.array_equal(moved, block):
+            return block
+        block = moved
+        low = np.minimum.reduceat(block[c], starts)
+    block[c] = low[0]
+    return block
+
+
 def gram_residual(entries, cols) -> float:
     """The largest row sum of |B^T B - I|, where B is the columns marked
-    `cols` of a square matrix given as its (rows, cols, values) entries,
-    cut to the rows those columns reach. It bounds the spectral norm of the
-    symmetric Gram error, so how far |B s|^2 can be from |s|^2; inf or nan,
-    without a warning, where huge entries overflow."""
+    `cols` of a square matrix given as its row-major (rows, cols, values)
+    entries, cut to the rows those columns reach. It bounds the spectral
+    norm of the symmetric Gram error, so how far |B s|^2 can be from |s|^2;
+    inf or nan, without a warning, where huge entries overflow.
+
+    B^T B is zero between columns that share no row, so it is taken one
+    connected block at a time (_column_blocks): the blocks of one shape are
+    scattered into one stack, multiplied by one np.matmul. A builder stage
+    is blocks of 1 x 1 and 2 x 2, a dense matrix one block, and a marked
+    column without entries a block with no rows, whose row sum is 1."""
     r, c, v = entries
     kept = cols[c] & (v != 0)
-    hit = np.bincount(r[kept], minlength=cols.size) > 0
-    block = scatter((np.cumsum(hit) - 1)[r[kept]], (np.cumsum(cols) - 1)[c[kept]], v[kept],
-                    (np.count_nonzero(hit), np.count_nonzero(cols)))
+    r, c, v = r[kept], c[kept], v[kept]
+    size = cols.size
+    ptr = np.searchsorted(r, np.arange(size + 1))
+    starts = ptr[:-1][ptr[:-1] < ptr[1:]]
+    block = _column_blocks(r, c, starts, size) if r.size else np.arange(size)
+    marked = np.flatnonzero(cols)
+    row_block = block[c[starts]]
+    heights = np.bincount(row_block, minlength=size)
+    widths = np.bincount(block[marked], minlength=size)
+    # The blocks of one shape fill consecutive slots of one buffer, each
+    # block row after row, its rows and columns in the matrix's order.
+    ids = np.flatnonzero(widths)
+    keys, group = np.unique(heights[ids] * (size + 1) + widths[ids], return_inverse=True)
+    h, w = np.divmod(keys, size + 1)
+    counts = np.bincount(group, minlength=keys.size)
+    sizes = counts * h * w
+    ends = np.cumsum(sizes)
+    first = np.zeros(size, dtype=np.int64)
+    first[ids] = (ends - sizes)[group] + _ranks(group) * (h * w)[group]
+    row_at, col_at = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+    row_at[r[starts]] = first[row_block] + _ranks(row_block) * widths[row_block]
+    col_at[marked] = _ranks(block[marked])
+    slots = np.zeros(sizes.sum())
+    slots[row_at[r] + col_at[c]] = v
+    worst = []
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = block.T @ block
-        np.fill_diagonal(gram, gram.diagonal() - 1.0)
-        return float(np.abs(gram, out=gram).sum(axis=1).max(initial=0.0))
+        for part, shape in zip(np.split(slots, ends[:-1]), zip(counts, h, w)):
+            stack = part.reshape(shape)
+            gram = stack.transpose(0, 2, 1) @ stack
+            diagonal = np.arange(shape[2])
+            gram[:, diagonal, diagonal] -= 1.0
+            worst.append(np.abs(gram, out=gram).sum(axis=2).max())
+    return float(np.max(worst, initial=0.0))
 
 
 def kron_bound(final, cols) -> float:

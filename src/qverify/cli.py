@@ -11,7 +11,9 @@ Every command handler computes its result and returns (exit code, JSON
 payload, text lines); `main` alone writes it to stdout, the payload as one
 JSON line under --json and the lines otherwise, and an error as one line
 on stderr. Each handler imports the modules it runs, so that `classical`
-starts without numpy.
+starts without numpy, and `main` runs numpy's BLAS on one thread unless
+the environment sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .words import check_word
@@ -26,6 +29,8 @@ from .words import check_word
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt_state(state) -> str:
@@ -242,6 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # One BLAS thread, which numpy reads as it loads: a second one spins
+    # while numpy starts and slows the small Gram products. A user's
+    # setting of any of the three wins, and a caller that has loaded numpy
+    # already keeps its environment.
+    if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_ENV):
+        os.environ.update(dict.fromkeys(_THREAD_ENV, "1"))
     args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.func(args)

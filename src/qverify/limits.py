@@ -23,10 +23,12 @@ MAX_DIM = 1 << 16
 # Largest dimension an algorithm document may declare, whatever form its
 # matrices take: that of the builder's n = 24 algorithm. The loader keeps
 # the nonzeros and kron forms without scattering them, but a small
-# document could otherwise declare any size, and the one Gram residual
-# (_kernels.gram_residual) scatters each stage and each final factor, one
-# at a time, into a dense block and its Gram product, up to dim**2 floats
-# each: 128 MiB at this cap. The builder's own final factors are 4 x 4.
+# document could otherwise declare any size. The one Gram residual
+# (_kernels.gram_residual) scatters each connected column block of a stage
+# or final factor and takes its Gram product: a builder stage is 1 x 1 and
+# 2 x 2 blocks, but a dense stage is one block of up to dim**2 floats,
+# 128 MiB at this cap, so the cap stays. The builder's own final factors
+# are 4 x 4.
 MAX_DOC_DIM = 1 << 12
 
 # Sensitivity costs N * 2**N table lookups; above 20 variables that stops

@@ -111,3 +111,17 @@ TWO_BIT_RUNS = {
     "10": ((-R, R), (0, -1), 0),
     "11": ((-R, -R), (-1, 0), 1),
 }
+
+
+def dense_gram_residual(entries, cols):
+    """gram_residual by its definition: B scattered whole, cut to the rows
+    the marked columns reach, and one Gram product."""
+    r, c, v = (np.ravel(a) for a in entries)
+    kept = cols[c] & (v != 0)
+    hit = np.bincount(r[kept], minlength=cols.size) > 0
+    block = np.zeros((np.count_nonzero(hit), np.count_nonzero(cols)))
+    block[(np.cumsum(hit) - 1)[r[kept]], (np.cumsum(cols) - 1)[c[kept]]] = v[kept]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = block.T @ block
+        np.fill_diagonal(gram, gram.diagonal() - 1.0)
+        return float(np.abs(gram).sum(axis=1).max(initial=0.0))

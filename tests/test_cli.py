@@ -90,11 +90,13 @@ def cli(argv):
     return code, out.getvalue()
 
 
-def _run_python(script: str) -> None:
-    """Run script in a fresh interpreter on this checkout's sources."""
+def _run_python(script: str, **env_vars) -> None:
+    """Run script in a fresh interpreter on this checkout's sources, with
+    env_vars set in its environment, or removed where they are None."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **env_vars}
+    env = {name: value for name, value in env.items() if value is not None}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
@@ -262,6 +264,32 @@ class TestCheck:
         payload = json.loads(out)
         assert code == 0
         assert (payload["unitary"], payload["exact"]) == (False, True)
+
+    def test_huge_entry_in_an_unreached_column_is_not_unitary(self, tmp_path):
+        # The start state never reaches column 1 of U1, so the check stays
+        # exact, but the entry's 1e300**2 overflows the Gram residual.
+        path = tmp_path / "alg.json"
+        doc = algorithm_to_document(build_algorithm(4))
+        doc["stages"][0]["unitary"][1][1] = 1e300
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert not load_algorithm(str(path)).unitary_within()
+        code, out = cli(["check", "--algorithm", str(path), "--json"])
+        assert code == 0
+        assert (json.loads(out)["unitary"], json.loads(out)["exact"]) == (False, True)
+
+    @pytest.mark.parametrize("command", [["verify", "--n", "4"],
+                                         ["classical", "--n", "4", "--input", "1111"]])
+    def test_one_blas_thread_unless_the_environment_sets_one(self, command):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        check = (
+            "import os\n"
+            "from qverify.cli import main\n"
+            f"assert main({command!r}) == 0\n"
+            f"got = [os.environ.get(name) for name in {names!r}]\n")
+        _run_python(check + "assert got == ['1', '1', '1'], got\n",
+                    **dict.fromkeys(names))
+        _run_python(check + "assert got == [None, '2', None], got\n",
+                    **{**dict.fromkeys(names), "OMP_NUM_THREADS": "2"})
 
     def test_check_and_verify_do_not_import_numpy_ma(self, tmp_path):
         # numpy 2's np.unique imports numpy.ma unless asked for indices.

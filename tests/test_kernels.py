@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qverify
+import refdata
 from qverify import BooleanFunction, build_algorithm, run
 from qverify import _kernels
 from qverify.model import EXACT_TOL, _sweep_arrays
@@ -16,6 +17,117 @@ class TestBackendSelection:
         # The benchmark records these; numpy is the only backend.
         assert qverify.BACKEND == "numpy"
         assert qverify.HAVE_NUMBA is False
+
+
+def _entries(m: np.ndarray):
+    """The row-major (rows, cols, values) entries != 0 of a dense matrix."""
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
+def _permuted_blocks(seed: int, heights, widths, scale=1.0) -> np.ndarray:
+    """A square matrix whose rows and columns are seeded permutations of a
+    block diagonal of random blocks heights[i] x widths[i]."""
+    rng = np.random.default_rng(seed)
+    size = sum(heights)
+    m = np.zeros((size, size))
+    r0 = c0 = 0
+    for h, w in zip(heights, widths):
+        m[r0:r0 + h, c0:c0 + w] = rng.standard_normal((h, w)) * scale
+        r0, c0 = r0 + h, c0 + w
+    return m[rng.permutation(size)][:, rng.permutation(size)]
+
+
+def _same_residual(entries, cols, rel=1e-12, abs=1e-15):
+    got = _kernels.gram_residual(entries, cols)
+    want = refdata.dense_gram_residual(entries, cols)
+    assert got == pytest.approx(want, rel=rel, abs=abs)
+
+
+class TestGramResidual:
+    """gram_residual takes one Gram per connected block of B^T B; it must
+    give the dense formula's value, tests/refdata.dense_gram_residual."""
+
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_builder_stages_on_all_and_on_reached_columns(self, n):
+        alg = build_algorithm(n)
+        reached = alg.start != 0
+        for stage in alg.stages:
+            r, c, v = stage.nonzeros
+            for cols in (np.ones(alg.dim, dtype=bool), reached):
+                _same_residual(stage.nonzeros, cols)
+            reached = np.bincount(r[reached[c] & (v != 0)], minlength=alg.dim) > 0
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_dense_orthogonal(self, size):
+        q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
+        every = np.ones(size, dtype=bool)
+        _same_residual(_entries(q), every, abs=1e-13)
+        assert _kernels.gram_residual(_entries(q), every) < 1e-12
+        # A damaged entry shows at the dense formula's size.
+        q[3, 5] += 0.25
+        _same_residual(_entries(q), every)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permuted_blocks_of_mixed_shapes(self, seed):
+        heights, widths = [1, 2, 2, 3, 5, 1, 4, 2, 3], [1, 2, 3, 2, 5, 1, 4, 3, 2]
+        m = _permuted_blocks(seed, heights, widths)
+        cols = np.random.default_rng(seed).random(m.shape[0]) < 0.7
+        for marked in (np.ones(m.shape[0], dtype=bool), cols):
+            _same_residual(_entries(m), marked)
+
+    def test_orthogonal_blocks_keep_norms(self):
+        q = np.zeros((6, 6))
+        q[:2, :2] = [[0.6, 0.8], [-0.8, 0.6]]
+        q[2:5, 2:5] = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        q[5, 5] = -1.0
+        perm = np.random.default_rng(6).permutation(6)
+        _same_residual(_entries(q[perm][:, perm]), np.ones(6, dtype=bool), abs=1e-15)
+        assert _kernels.gram_residual(_entries(q[perm][:, perm]), np.ones(6, dtype=bool)) < 1e-15
+
+    def test_unmarked_column_splits_a_block(self):
+        # Columns 0 and 2 share a block only through column 1.
+        m = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0], [0.0, 0.0, 0.0]])
+        for cols in ([True, True, True], [True, False, True], [False, True, False]):
+            _same_residual(_entries(m), np.array(cols))
+        assert _kernels.gram_residual(_entries(m), np.array([True, False, True])) == 15.0
+
+    def test_marked_column_without_entries_adds_one(self):
+        m = np.diag([1.0, 0.0, 1.0])
+        for cols in ([True, True, True], [True, False, True], [False, True, False]):
+            _same_residual(_entries(m), np.array(cols))
+        assert _kernels.gram_residual(_entries(m), np.ones(3, dtype=bool)) == 1.0
+
+    def test_no_marked_column(self):
+        alg = build_algorithm(6)
+        none = np.zeros(alg.dim, dtype=bool)
+        assert _kernels.gram_residual(alg.stages[0].nonzeros, none) == 0.0
+        assert refdata.dense_gram_residual(alg.stages[0].nonzeros, none) == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_huge_entries_overflow_where_the_dense_formula_does(self, seed):
+        # 1e300 squared overflows. Whether a sum of +inf and -inf comes out
+        # nan or inf is the BLAS kernel's choice; either fails every tol.
+        rng = np.random.default_rng(seed)
+        m = _permuted_blocks(seed, [1, 2, 3, 2], [1, 3, 2, 2])
+        huge = np.flatnonzero(m)[rng.choice(np.count_nonzero(m), size=3, replace=False)]
+        m.flat[huge] = rng.choice([-1e300, 1e300], size=3)
+        cols = rng.random(8) < 0.6
+        for marked in (np.ones(8, dtype=bool), cols):
+            got = _kernels.gram_residual(_entries(m), marked)
+            want = refdata.dense_gram_residual(_entries(m), marked)
+            assert np.isfinite(got) == np.isfinite(want)
+            if np.isfinite(want):
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_nan_of_one_block_is_not_dropped_by_the_others(self):
+        # Python's max(0.0, nan) is 0.0; the blocks' worst must stay nan.
+        # The 1 x 1 block of column 0 is measured before the nan's 2 x 2.
+        m = np.diag([1.0, np.nan, 1.0])
+        m[1, 2] = 2.0
+        every = np.ones(3, dtype=bool)
+        assert np.isnan(refdata.dense_gram_residual(_entries(m), every))
+        assert np.isnan(_kernels.gram_residual(_entries(m), every))
 
 
 class TestPairRun:
