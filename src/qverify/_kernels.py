@@ -61,13 +61,6 @@ from .limits import MATRIX_TOL, SWEEP_BUDGET
 # ---------------------------------------------------------------------------
 
 
-def scatter(rows, cols, values, shape) -> np.ndarray:
-    """A new float64 array of the given shape, values at (rows, cols)."""
-    m = np.zeros(shape)
-    m[rows, cols] = values
-    return m
-
-
 def _ranks(groups: np.ndarray) -> np.ndarray:
     """Each item's place among the items of its group, in item order."""
     order = np.argsort(groups, kind="stable")
@@ -329,12 +322,15 @@ def sweep_range(start, stages, final_t, row_labels, rest, n_vars, lo, hi, expect
         amps.fill(0.0)
         amps[rows, masks] = coeffs
         _wht(amps)
-        probs = amps * amps
-        p = [probs[row_labels == b].sum(axis=0) for b in (0, 1)]
-        if rest is not None:
+        if rest is None:
+            probs = amps * amps
+            p0, p1 = (probs[row_labels == b].sum(axis=0) for b in (0, 1))
+        else:
+            # Every kept row carries the label that rest does not.
             label, norm2 = rest
-            p[label] = np.maximum(norm2 - p[1 - label], 0.0)
-        p0, p1 = p
+            kept = np.square(amps, out=amps).sum(axis=0)
+            other = np.maximum(norm2 - kept, 0.0)
+            p0, p1 = (kept, other) if label else (other, kept)
         top = np.maximum(p0, p1)
         if not math.isfinite(top.max()):  # max keeps a nan
             raise ValueError("swept output probabilities overflow: matrix entries too large")

@@ -1,6 +1,5 @@
 """Classical side: Boolean functions, sensitivity, and the query counts of
-the decision-tree baseline, which lives in `classical` and is re-exported
-here.
+the decision-tree baseline, which itself lives in `classical`.
 
 The built-in verifier function accepts an even-length word exactly when
 every consecutive bit pair (x1,x2), (x3,x4), ... is equal, i.e. when the
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .classical import ClassicalRunReport, bit_oracle, classical_verify  # noqa: F401
 from .limits import MAX_SENSITIVITY_VARS, MAX_SWEEP_VARS
 from .words import index_to_word, parse_word
 

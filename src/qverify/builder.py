@@ -20,7 +20,6 @@ output 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,19 +28,6 @@ from .linalg import hadamard_power, is_power_of_two
 from .model import Kron, Nonzeros, QueryAlgorithm, QuerySpec
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    """Stage i's index set and its consecutive-pair partition."""
-
-    stage: int
-    indices: np.ndarray
-    pairs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.indices.setflags(write=False)
-        self.pairs.setflags(write=False)
 
 
 def index_set(i: int, k: int) -> np.ndarray:
@@ -56,18 +42,13 @@ def index_set(i: int, k: int) -> np.ndarray:
     return np.arange(1 << i, dtype=np.int64) * spacing
 
 
-def stage_plan(i: int, k: int) -> StagePlan:
-    indices = index_set(i, k)
-    return StagePlan(stage=i, indices=indices, pairs=indices.reshape(-1, 2).copy())
-
-
 def build_stage_nonzeros(i: int, k: int) -> Nonzeros:
     """Identity with a Hadamard block at each stage-i pair (t1, t2), as its
     K + 2**i nonzeros."""
-    plan = stage_plan(i, k)
-    t1, t2 = plan.pairs[:, 0], plan.pairs[:, 1]
+    indices = index_set(i, k)
+    t1, t2 = indices[0::2], indices[1::2]
     fixed = np.ones(k, dtype=bool)
-    fixed[plan.indices] = False
+    fixed[indices] = False
     fixed = np.flatnonzero(fixed)
     rows = np.concatenate((fixed, t1, t1, t2, t2))
     cols = np.concatenate((fixed, t1, t2, t1, t2))
@@ -84,10 +65,10 @@ def build_stage_unitary(i: int, k: int) -> np.ndarray:
 
 def build_stage_query(i: int, k: int) -> QuerySpec:
     """Query variable 2i-1 at t1 slots and 2i at t2 slots, fixed elsewhere."""
-    plan = stage_plan(i, k)
+    indices = index_set(i, k)
     var_map = np.zeros(k, dtype=np.int64)
-    var_map[plan.pairs[:, 0]] = 2 * i - 1
-    var_map[plan.pairs[:, 1]] = 2 * i
+    var_map[indices[0::2]] = 2 * i - 1
+    var_map[indices[1::2]] = 2 * i
     return QuerySpec(var_map)
 
 

@@ -46,15 +46,6 @@ def as_state(v: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
     return a
 
 
-def apply(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Matrix-vector product; raises ValueError on a dimension mismatch."""
-    m = as_matrix(matrix)
-    v = np.asarray(vector, dtype=np.float64)
-    if v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"cannot apply {m.shape} matrix to length-{v.shape} vector")
-    return m @ v
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor (Kronecker) product of two square matrices."""
     return np.kron(as_matrix(a), as_matrix(b))

@@ -39,28 +39,6 @@ from .linalg import as_matrix, as_state
 from .words import index_to_word, parse_word
 
 
-@dataclass(frozen=True)
-class QueryEntry:
-    """One diagonal slot of a query: fixed +1, or the sign (-1)**x_k.
-
-    var_index is the 1-based Boolean variable index, or None for a fixed
-    slot.
-    """
-
-    var_index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.var_index is not None and self.var_index < 1:
-            raise ValueError(f"variable indices are 1-based, got {self.var_index}")
-
-    @property
-    def is_fixed(self) -> bool:
-        return self.var_index is None
-
-
-FIXED = QueryEntry()
-
-
 class QuerySpec:
     """Input-dependent diagonal of one query transformation.
 
@@ -79,14 +57,6 @@ class QuerySpec:
             raise ValueError("variable indices must be >= 1 (0 marks a fixed slot)")
         vm.setflags(write=False)
         self.var_map = vm
-
-    @classmethod
-    def from_entries(cls, entries) -> "QuerySpec":
-        return cls([0 if e.is_fixed else e.var_index for e in entries])
-
-    @property
-    def entries(self) -> tuple[QueryEntry, ...]:
-        return tuple(QueryEntry(None if v == 0 else int(v)) for v in self.var_map)
 
     @property
     def max_var(self) -> int:
@@ -108,7 +78,8 @@ class QuerySpec:
 class Nonzeros(NamedTuple):
     """A square matrix as its stored entries, in row-major order: every
     entry != 0, and every -0.0 so that it survives a document round trip.
-    Entries not listed are 0.0, and no (row, col) pair is listed twice."""
+    Entries not listed are 0.0, and no (row, col) pair is listed twice.
+    QueryAlgorithm enforces this, dropping the +0.0 entries it is given."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -127,7 +98,8 @@ class Nonzeros(NamedTuple):
 
     def dense(self, dim: int) -> np.ndarray:
         """The matrix as a new read-only dim x dim float64 array."""
-        m = _kernels.scatter(*self, (dim, dim))
+        m = np.zeros((dim, dim))
+        m[self.rows, self.cols] = self.values
         m.setflags(write=False)
         return m
 
@@ -188,6 +160,8 @@ def _stored(m, dim: int, what: str) -> Nonzeros:
                 and ((r >= 0) & (r < dim) & (c >= 0) & (c < dim)).all()
                 and (np.diff(r * dim + c) > 0).all()):
             raise ValueError(f"{what} must list distinct entries below {dim} in row-major order")
+        if not (keep := Nonzeros.stored(m.values)).all():
+            m = Nonzeros(*(a[keep] for a in m))
     else:
         a = as_matrix(m)
         if a.shape[0] != dim:

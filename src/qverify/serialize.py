@@ -107,8 +107,8 @@ def _indices(value: list, dim: int, what: str) -> np.ndarray:
 
 def _matrix(value, dim: int, what: str):
     """A document matrix: dense rows as a float64 array, or the nonzeros
-    form {"rows", "cols", "values"} as Nonzeros, sorted row-major and
-    without the +0.0 entries it may list."""
+    form {"rows", "cols", "values"} as Nonzeros, sorted row-major; the
+    model drops the +0.0 entries it may list."""
     if not isinstance(value, dict):
         return _reals(value, what)
     _require("kron" not in value, f"{what} cannot take the kron form")
@@ -124,7 +124,6 @@ def _matrix(value, dim: int, what: str):
     keys = r * dim + c
     order = np.argsort(keys, kind="stable")
     _require(not (np.diff(keys[order]) == 0).any(), f"{what} lists an entry twice")
-    order = order[Nonzeros.stored(v[order])]
     return Nonzeros(r[order], c[order], v[order])
 
 

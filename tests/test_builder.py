@@ -12,7 +12,6 @@ from qverify import (
     index_set,
     is_unitary,
     run,
-    stage_plan,
     tensor,
 )
 
@@ -50,18 +49,6 @@ class TestIndexSet:
             assert indices.shape == (1 << i,)
             assert np.array_equal(indices, np.arange(1 << i) * (k >> i))
             assert indices[0] == 0
-
-
-class TestStagePlan:
-    def test_pairs_partition_consecutive_indices(self):
-        plan = stage_plan(2, 8)
-        assert plan.stage == 2
-        assert plan.pairs.tolist() == [[0, 2], [4, 6]]
-        assert np.array_equal(plan.pairs.reshape(-1), plan.indices)
-
-    def test_pair_count(self):
-        for i in range(1, 6):
-            assert stage_plan(i, 32).pairs.shape == (1 << (i - 1), 2)
 
 
 class TestStageMatrices:
@@ -159,7 +146,7 @@ class TestBuildAlgorithm:
         k = alg.dim
         for i, stage in enumerate(alg.stages, start=1):
             # The identity with a Hadamard block at each stage-i pair.
-            t1, t2 = stage_plan(i, k).pairs.T
+            t1, t2 = index_set(i, k).reshape(-1, 2).T
             ref = np.eye(k)
             ref[t1, t1] = ref[t1, t2] = ref[t2, t1] = 1 / np.sqrt(2)
             ref[t2, t2] = -1 / np.sqrt(2)

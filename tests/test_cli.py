@@ -306,6 +306,25 @@ class TestCheck:
             "assert 'numpy.ma' not in sys.modules\n")
         _run_python(script)
 
+    def test_only_classical_imports_the_decision_tree(self, tmp_path):
+        alg_path = tmp_path / "alg.json"
+        assert main(["build", "--n", "4", "--out", str(alg_path)]) == 0
+        script = (
+            "import sys\n"
+            "from qverify.cli import main\n"
+            "assert main(['verify', '--n', '4']) == 0\n"
+            "assert main(['sensitivity', '--n', '4']) == 0\n"
+            f"assert main(['check', '--algorithm', {str(alg_path)!r}]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'qverify.classical' not in sys.modules\n")
+        _run_python(script)
+        _run_python(
+            "import sys\n"
+            "from qverify.cli import main\n"
+            "assert main(['classical', '--n', '4', '--input', '1111']) == 0\n"
+            "assert 'qverify.classical' in sys.modules\n"
+            "assert 'numpy' not in sys.modules\n")
+
     def test_classical_and_package_names_do_not_import_numpy(self):
         script = (
             "import sys\n"

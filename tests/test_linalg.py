@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qverify import apply, hadamard_power, is_unitary, tensor
+from qverify import hadamard_power, is_unitary, tensor
 from qverify.linalg import as_state
 
 import refdata
@@ -19,54 +19,6 @@ H2X2 = 0.5 * np.array([
     [1, 1, -1, -1],
     [1, -1, -1, 1],
 ])
-
-
-def random_orthogonal(rng, k):
-    q, r = np.linalg.qr(rng.standard_normal((k, k)))
-    return q * np.sign(np.diag(r))
-
-
-class TestApply:
-    def test_identity(self):
-        out = apply(np.eye(4), [1.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(out, [1.0, 0.0, 0.0, 0.0])
-
-    def test_hadamard_pair_collapses_uniform_state(self):
-        # Matches the final step of the 4-bit run table for word 0000.
-        out = apply(H2X2, [0.5, 0.5, 0.5, 0.5])
-        assert np.allclose(out, [1, 0, 0, 0], atol=1e-9)
-
-    def test_hadamard_pair_on_alternating_signs(self):
-        # Final step of the 4-bit run table for word 0001.
-        out = apply(H2X2, [0.5, -0.5, 0.5, -0.5])
-        assert np.allclose(out, [0, 1, 0, 0], atol=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply(np.eye(4), np.zeros(3))
-
-    def test_non_square_matrix(self):
-        with pytest.raises(ValueError):
-            apply(np.zeros((2, 3)), np.zeros(3))
-
-    @pytest.mark.parametrize("k", [2, 4, 8, 32])
-    def test_unitary_preserves_norm(self, rng, k):
-        m = random_orthogonal(rng, k)
-        for _ in range(25):
-            v = rng.standard_normal(k)
-            v /= np.linalg.norm(v)
-            out = apply(m, v)
-            assert abs(out @ out - 1.0) <= 1e-9
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
-    def test_norm_preserved_on_arbitrary_unit_vectors(self, raw):
-        v = np.asarray(raw)
-        norm = np.linalg.norm(v)
-        if norm < 1e-6:
-            return
-        v = as_state(v / norm)
-        out = apply(H2X2, v)
-        assert abs(out @ out - 1.0) <= 1e-9
 
 
 class TestTensor:

@@ -12,7 +12,6 @@ from qverify import (
     Kron,
     Nonzeros,
     QueryAlgorithm,
-    QueryEntry,
     QuerySpec,
     build_algorithm,
     check_exact,
@@ -24,25 +23,16 @@ from qverify import (
 )
 from qverify import _kernels, model
 from qverify._kernels import sweep_range
-from qverify.model import EXACT_TOL, FIXED, _sweep_arrays
+from qverify.model import EXACT_TOL, _sweep_arrays
 from qverify.serialize import load_algorithm, save_algorithm
 
 import refdata
 
 
 class TestQuerySpec:
-    def test_entries_round_trip(self):
-        spec = QuerySpec([1, 0, 2, 0])
-        assert spec.entries == (QueryEntry(1), FIXED, QueryEntry(2), FIXED)
-        assert QuerySpec.from_entries(spec.entries) == spec
-
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
             QuerySpec([1, -1])
-
-    def test_entry_rejects_zero_index(self):
-        with pytest.raises(ValueError):
-            QueryEntry(0)
 
     def test_max_var(self):
         assert QuerySpec([0, 0, 7, 2]).max_var == 7

@@ -117,6 +117,22 @@ class TestAlgorithmDocuments:
         assert np.array_equal(np.signbit(loaded), np.signbit(unitary))
         assert loaded.tobytes() == unitary.tobytes()
 
+    def test_explicit_zeros_given_as_nonzeros_round_trip_byte_stable(self):
+        alg = build_algorithm(8)
+        r, c, v = alg.stages[0].nonzeros
+        # A +0.0 at (0, 1) and a -0.0 at (1, 0), both unlisted, in row-major order.
+        at = np.searchsorted(r * alg.dim + c, [1, alg.dim])
+        given = Nonzeros(np.insert(r, at, [0, 1]), np.insert(c, at, [1, 0]),
+                         np.insert(v, at, [0.0, -0.0]))
+        stages = [(given, alg.stages[0].query), *alg.stages[1:]]
+        built = QueryAlgorithm(alg.n_vars, alg.start, stages, alg.final, alg.labels)
+        stored = built.stages[0].nonzeros
+        assert stored.values.size == v.size + 1
+        assert (stored.rows[1:3].tolist(), stored.cols[1:3].tolist()) == ([0, 1], [8, 0])
+        assert np.signbit(stored.values[2])
+        text = dumps_algorithm(built)
+        assert dumps_algorithm(document_to_algorithm(json.loads(text))) == text
+
     @pytest.mark.parametrize("n", range(2, 17, 2))
     def test_builder_documents_reload_bitwise(self, n, tmp_path):
         path = tmp_path / "alg.json"
