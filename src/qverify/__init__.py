@@ -7,7 +7,8 @@ decision-tree baseline.
 
 Public names are resolved lazily (PEP 562): `import qverify` loads none of
 its modules, and the first use of a name imports only the module that
-defines it. So code that touches only the decision tree never loads numpy.
+defines it. So code that touches only the decision tree, or the
+sensitivity of the built-in verifier, never loads numpy.
 """
 
 import importlib

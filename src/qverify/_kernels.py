@@ -9,9 +9,11 @@ column block at a time with blocks of one shape stacked, kron_bound the one
 bound of a Kronecker product's residual by its factors', _propagate the one
 substitution of a block's top variables by their signs, and _fan_out the
 one walk over grouped entries (a propagation step, and a Kronecker row
-cut). Input words are passed as integers; variable k (1-based) of an
-n-variable word w is the bit (w >> (n - k)) & 1, so integer order equals
-lexicographic word order.
+cut). table_sensitivity is no kernel of its own: it packs a truth table
+array into the int that boolfunc.bit_sensitivity, the one sensitivity
+algorithm, reads. Input words are passed as integers; variable k
+(1-based) of an n-variable word w is the bit (w >> (n - k)) & 1, so
+integer order equals lexicographic word order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .boolfunc import bit_sensitivity
 from .limits import MATRIX_TOL, SWEEP_BUDGET
 
 # ---------------------------------------------------------------------------
@@ -422,14 +425,11 @@ def verify_values_range(n_vars: int, lo: int, hi: int) -> np.ndarray:
 
 
 def table_sensitivity(table: np.ndarray, n_vars: int) -> tuple[int, int]:
-    """(max sensitivity, lexicographically first maximizing input)."""
-    table = np.ascontiguousarray(table, dtype=np.uint8)
-    idx = np.arange(table.shape[0], dtype=np.int64)
-    counts = np.zeros(table.shape[0], dtype=np.int64)
-    for pos in range(n_vars):
-        counts += table != table[idx ^ (1 << pos)]
-    best = int(np.argmax(counts))
-    return int(counts[best]), best
+    """(max sensitivity, lexicographically first maximizing input) of a
+    truth table array: the adapter that packs it into one int, bit w =
+    table[w], for the one sensitivity algorithm, boolfunc.bit_sensitivity."""
+    packed = np.packbits(table, bitorder="little")
+    return bit_sensitivity(int.from_bytes(packed.tobytes(), "little"), n_vars)
 
 
 def classical_query_counts(n_vars: int) -> np.ndarray:

@@ -4,7 +4,8 @@ FOUR_BIT_RUNS holds, for every 4-bit word, the state after stage 1
 (unitary + query), the state after stage 2, the final state, and the output
 bit. The 6-bit fixtures are the stage matrices and query layouts written
 out entry by entry, independent of the builder's index arithmetic.
-`naive_check` is the word-by-word reference for exhaustive sweeps.
+`naive_check` is the word-by-word reference for exhaustive sweeps, and
+`naive_sensitivity` the flip-by-flip one for sensitivity.
 """
 
 import numpy as np
@@ -26,6 +27,18 @@ def naive_check(alg, f):
                 ((p1 > p0) != bool(expected) or max(p0, p1) < 1.0 - EXACT_TOL):
             counterexample = word
     return counterexample, min(probs)
+
+
+def naive_sensitivity(table, n):
+    """(max sensitivity, first maximizing input) by the definition: per
+    variable, count the words whose value changes when its bit flips."""
+    table = np.ascontiguousarray(table, dtype=np.uint8)
+    idx = np.arange(table.shape[0], dtype=np.int64)
+    counts = np.zeros(table.shape[0], dtype=np.int64)
+    for pos in range(n):
+        counts += table != table[idx ^ (1 << pos)]
+    best = int(np.argmax(counts))
+    return int(counts[best]), best
 
 R = 1.0 / np.sqrt(2.0)   # 1/sqrt(2)
 H = 0.5

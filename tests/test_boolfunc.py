@@ -10,6 +10,8 @@ from qverify import (
     classical_worst_case,
     sensitivity,
 )
+from qverify import _kernels
+from qverify.boolfunc import verify_bits
 
 import refdata
 
@@ -95,7 +97,43 @@ class TestSensitivity:
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):
-            sensitivity(BooleanFunction.verify(22))
+            sensitivity(BooleanFunction.verify(26))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_definition_on_random_tables(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.01, 0.5, 0.99):
+            table = (rng.random(1 << n) < density).astype(np.uint8)
+            value, first = refdata.naive_sensitivity(table, n)
+            assert _kernels.table_sensitivity(table, n) == (value, first)
+            assert sensitivity(BooleanFunction.from_table(table)) == \
+                (value, format(first, f"0{n}b"))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_constant_tables(self, n, bit):
+        table = np.full(1 << n, bit, dtype=np.uint8)
+        assert refdata.naive_sensitivity(table, n) == (0, 0)
+        assert _kernels.table_sensitivity(table, n) == (0, 0)
+        assert sensitivity(BooleanFunction.from_table(table)) == (0, "0" * n)
+
+    @pytest.mark.parametrize("n,word", [(2, 3), (3, 5), (8, 200)])
+    def test_maximum_first_reached_past_word_zero(self, n, word):
+        # One accepted word: flipping any of its bits changes the value,
+        # while every other word has at most one such flip.
+        table = np.zeros(1 << n, dtype=np.uint8)
+        table[word] = 1
+        assert refdata.naive_sensitivity(table, n) == (n, word)
+        assert _kernels.table_sensitivity(table, n) == (n, word)
+        assert sensitivity(BooleanFunction.from_table(table)) == (n, format(word, f"0{n}b"))
+
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_verify_bits_is_the_verifier_table(self, n):
+        bits = verify_bits(n)
+        packed = np.frombuffer(bits.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
+        table = np.unpackbits(packed, bitorder="little")
+        assert np.array_equal(table[:1 << n], _kernels.verify_values_range(n, 0, 1 << n))
+        assert not table[1 << n:].any()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_verifier_sensitivity_equals_arity(self, n):
@@ -179,7 +217,7 @@ def test_size_caps_live_in_one_module():
     assert (builder.MAX_BUILD_VARS, model.MAX_SWEEP_VARS, linalg.MAX_DIM,
             boolfunc.MAX_SENSITIVITY_VARS, strings.MAX_STRING_LEN) == \
         (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DIM,
-         limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 20, 12)
+         limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 24, 12)
     # One sweep budget sizes sweep_range's blocks and bounds a propagation's
     # terms. model._chunk_grid is built on the same block size.
     assert limits.SWEEP_BUDGET == 1 << 21

@@ -207,6 +207,21 @@ class TestClassical:
         assert payload["query_sequence"] == [1, 2, 3, 4]
 
 
+class TestSensitivity:
+    def test_does_not_import_numpy(self):
+        _run_python(
+            "import sys\n"
+            "from qverify.cli import main\n"
+            "assert main(['sensitivity', '--n', '4']) == 0\n"
+            "assert main(['sensitivity', '--n', '20', '--json']) == 0\n"
+            "assert 'numpy' not in sys.modules\n")
+
+    def test_huge_n_is_refused_before_any_table_is_built(self, capsys):
+        assert main(["sensitivity", "--n", "1000000"]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: sensitivity sweep capped at 24 variables, got 1000000\n")
+
+
 class TestCheck:
     def test_stored_algorithm_passes(self, tmp_path, capsys):
         path = tmp_path / "alg.json"
