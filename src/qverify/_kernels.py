@@ -1,19 +1,18 @@
-"""Numeric kernels for exhaustive sweeps and the classical side.
+"""Numeric kernels for exhaustive sweeps.
 
 Every kernel has one numpy implementation, and shared steps are written
 once: _wht is the one Walsh-Hadamard transform (for the sweep, pair_run and
-linalg.hadamard_power), _pair_states the one paired-stage loop, _pair_diffs
-the one pair mask, gram_residual the one Gram residual (the sweep's norm
-tests, model.unitary_within and linalg.is_unitary), taken one connected
-column block at a time with blocks of one shape stacked, kron_bound the one
-bound of a Kronecker product's residual by its factors', _propagate the one
+linalg.hadamard_power), _pair_states the one paired-stage loop,
+gram_residual the one Gram residual (the sweep's norm tests,
+model.unitary_within and linalg.is_unitary), taken one connected column
+block at a time with blocks of one shape stacked, kron_bound the one bound
+of a Kronecker product's residual by its factors', _propagate the one
 substitution of a block's top variables by their signs, and _fan_out the
 one walk over grouped entries (a propagation step, and a Kronecker row
-cut). table_sensitivity is no kernel of its own: it packs a truth table
-array into the int that boolfunc.bit_sensitivity, the one sensitivity
-algorithm, reads. Input words are passed as integers; variable k
-(1-based) of an n-variable word w is the bit (w >> (n - k)) & 1, so
-integer order equals lexicographic word order.
+cut). The classical side (truth tables, sensitivity, query counts) lives
+in boolfunc. Input words are passed as integers; variable k (1-based) of an
+n-variable word w is the bit (w >> (n - k)) & 1, so integer order equals
+lexicographic word order.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfunc import bit_sensitivity
+# Re-exported because the benchmark (perfbench/) calls both as _kernels.*.
+from .boolfunc import table_sensitivity, verify_values_range  # noqa: F401
 from .limits import MATRIX_TOL, SWEEP_BUDGET
 
 # ---------------------------------------------------------------------------
@@ -400,42 +400,3 @@ def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol) -> tuple[int,
     ok = ((p1 > p0) == (expected == 1)) & (np.maximum(p0, p1) >= 1.0 - tol)
     first = -1 if bool(ok.all()) else lo + int(np.argmin(ok))
     return first, float(np.where(expected == 1, p1, p0).min(initial=math.inf))
-
-
-# ---------------------------------------------------------------------------
-# classical side: truth values, sensitivity, decision-tree query counts
-# ---------------------------------------------------------------------------
-
-
-def _pair_diffs(n_vars: int, ints: np.ndarray) -> np.ndarray:
-    """Bit n - 2j - 2 of each result is set iff pair j's two variables
-    (x_{2j+1}, x_{2j+2}, j from 0) differ on that input integer."""
-    low_bits = sum(1 << (n_vars - 2 * j - 2) for j in range(n_vars // 2))
-    return (ints ^ (ints >> 1)) & low_bits
-
-
-def verify_values_range(n_vars: int, lo: int, hi: int) -> np.ndarray:
-    """Pair-equality verifier outputs, as uint8, for every input integer in
-    [lo, hi), filled SWEEP_BUDGET words at a time."""
-    out = np.empty(hi - lo, dtype=np.uint8)
-    for at in range(lo, hi, SWEEP_BUDGET):
-        ints = np.arange(at, min(at + SWEEP_BUDGET, hi), dtype=np.int64)
-        out[at - lo:at - lo + ints.size] = _pair_diffs(n_vars, ints) == 0
-    return out
-
-
-def table_sensitivity(table: np.ndarray, n_vars: int) -> tuple[int, int]:
-    """(max sensitivity, lexicographically first maximizing input) of a
-    truth table array: the adapter that packs it into one int, bit w =
-    table[w], for the one sensitivity algorithm, boolfunc.bit_sensitivity."""
-    packed = np.packbits(table, bitorder="little")
-    return bit_sensitivity(int.from_bytes(packed.tobytes(), "little"), n_vars)
-
-
-def classical_query_counts(n_vars: int) -> np.ndarray:
-    """Queries used by the left-to-right pair scan, for every input word: it
-    stops at the first differing pair j, the highest set bit p = n - 2j - 2
-    of _pair_diffs, after 2j + 2 = n - p queries, and asks all n otherwise."""
-    diffs = _pair_diffs(n_vars, np.arange(1 << n_vars, dtype=np.int64))
-    # frexp's exponent is p + 1 for a highest set bit p, and 0 for 0.
-    return np.minimum(n_vars + 1 - np.frexp(diffs)[1], n_vars).astype(np.int64)

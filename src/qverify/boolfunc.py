@@ -1,5 +1,6 @@
-"""Classical side: Boolean functions, sensitivity, and the query counts of
-the decision-tree baseline, which itself lives in `classical`.
+"""Classical side: Boolean functions, their truth tables, sensitivity, and
+the query counts of the decision-tree baseline, which itself lives in
+`classical`.
 
 The built-in verifier function accepts an even-length word exactly when
 every consecutive bit pair (x1,x2), (x3,x4), ... is equal, i.e. when the
@@ -7,54 +8,62 @@ word is a valid duplicate-each-bit codeword. Arbitrary functions are
 supported through explicit truth tables so loaded algorithms can be
 checked against anything.
 
-This module imports numpy and `_kernels` only inside the functions that use
-them, as `words.parse_word` does. The verifier's sensitivity runs on its
-truth table held as one Python int (`verify_bits`, `bit_sensitivity`), so
-numpy is loaded only for explicit tables and for the table arrays of the
-sweeps.
+The verifier's truth table is built once, as one Python int
+(`verify_bits`); its sensitivity reads the int and its arrays are unpacked
+from it. Numpy is imported only inside the functions that take or return
+arrays, so `evaluate` and the verifier's sensitivity run without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .limits import MAX_SENSITIVITY_VARS, MAX_SWEEP_VARS
-from .words import index_to_word, parse_word
+from .limits import MAX_SWEEP_VARS
+from .words import check_word, index_to_word
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
 class BooleanFunction:
     """An N-variable Boolean function: the built-in verifier or a table.
 
     `table` is None for the built-in pair-equality verifier and otherwise
-    holds all 2**N output bits indexed by input word value.
+    holds all 2**N output bits indexed by input word value, read-only.
+    Instances are immutable and compare by identity.
     """
 
-    arity: int
-    table: np.ndarray | None = None
+    __slots__ = ("arity", "table")
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError(f"arity must be positive, got {self.arity}")
-        if self.table is None:
-            if self.arity % 2 != 0:
-                raise ValueError(f"the pair verifier needs an even arity, got {self.arity}")
+    def __init__(self, arity: int, table: np.ndarray | None = None) -> None:
+        if arity < 1:
+            raise ValueError(f"arity must be positive, got {arity}")
+        if table is None:
+            if arity % 2 != 0:
+                raise ValueError(f"the pair verifier needs an even arity, got {arity}")
         else:
             import numpy as np
 
-            table = np.asarray(self.table)
-            if table.ndim != 1 or table.shape[0] != (1 << self.arity):
+            table = np.asarray(table)
+            if table.ndim != 1 or table.shape[0] != (1 << arity):
                 raise ValueError(
-                    f"truth table must have 2**{self.arity} entries, got shape {table.shape}")
+                    f"truth table must have 2**{arity} entries, got shape {table.shape}")
             if not np.isin(table, (0, 1)).all():
                 raise ValueError("truth table entries must be 0 or 1")
             table = np.ascontiguousarray(table, dtype=np.uint8)
             table.setflags(write=False)
-            object.__setattr__(self, "table", table)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "table", table)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor: slots are read-only.
+        return type(self), (self.arity, self.table)
 
     @classmethod
     def verify(cls, n: int) -> "BooleanFunction":
@@ -71,10 +80,10 @@ class BooleanFunction:
 
     def evaluate(self, word: str) -> int:
         """Function value on one word; raises ValueError on a length mismatch."""
-        bits = parse_word(word, self.arity)
+        w = int(check_word(word, self.arity), 2)
         if self.table is None:
-            return int((bits[0::2] == bits[1::2]).all())
-        return int(self.table[int(word, 2)])
+            return int(_pair_diffs(w, self.arity) == 0)
+        return int(self.table[w])
 
     __call__ = evaluate
 
@@ -82,9 +91,7 @@ class BooleanFunction:
         """Output bits for every input integer in [lo, hi)."""
         if self.table is not None:
             return self.table[lo:hi]
-        from . import _kernels
-
-        return _kernels.verify_values_range(self.arity, lo, hi)
+        return verify_values_range(self.arity, lo, hi)
 
     def values(self) -> np.ndarray:
         """The full truth table as a uint8 array."""
@@ -97,17 +104,15 @@ def sensitivity(f: BooleanFunction) -> tuple[int, str]:
     The sensitivity on a word is the number of single-bit flips that change
     the function value; the result maximizes over all 2**N words. The
     built-in verifier's table is built as an int (verify_bits), an explicit
-    one is packed into one (_kernels.table_sensitivity).
+    one is packed into one (table_sensitivity).
     """
-    if f.arity > MAX_SENSITIVITY_VARS:
+    if f.arity > MAX_SWEEP_VARS:
         raise ValueError(
-            f"sensitivity sweep capped at {MAX_SENSITIVITY_VARS} variables, got {f.arity}")
+            f"sensitivity sweep capped at {MAX_SWEEP_VARS} variables, got {f.arity}")
     if f.table is None:
         value, witness = bit_sensitivity(verify_bits(f.arity), f.arity)
     else:
-        from . import _kernels
-
-        value, witness = _kernels.table_sensitivity(f.table, f.arity)
+        value, witness = table_sensitivity(f.table, f.arity)
     return value, index_to_word(witness, f.arity)
 
 
@@ -119,6 +124,16 @@ def verify_bits(n: int) -> int:
     for m in range(0, n, 2):
         bits |= bits << (3 << m)
     return bits
+
+
+def verify_values_range(n: int, lo: int, hi: int) -> np.ndarray:
+    """Verifier outputs, as uint8, for every input integer in [lo, hi):
+    bits [lo, hi) of verify_bits(n), unpacked."""
+    import numpy as np
+
+    bits = verify_bits(n) >> lo & ((1 << (hi - lo)) - 1)
+    packed = np.frombuffer(bits.to_bytes((hi - lo + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=hi - lo, bitorder="little")
 
 
 def bit_sensitivity(bits: int, n: int) -> tuple[int, int]:
@@ -155,17 +170,35 @@ def bit_sensitivity(bits: int, n: int) -> tuple[int, int]:
     return value, (words & -words).bit_length() - 1
 
 
+def table_sensitivity(table: np.ndarray, n: int) -> tuple[int, int]:
+    """bit_sensitivity of a truth table array, packed into one int, bit w =
+    table[w]."""
+    import numpy as np
+
+    packed = np.packbits(table, bitorder="little")
+    return bit_sensitivity(int.from_bytes(packed.tobytes(), "little"), n)
+
+
+def _pair_diffs(words, n: int):
+    """The pair rule, on an int or an int64 array of n-bit words: bit
+    n - 2j - 2 (mask (1 << n) // 3) is set iff pair j, from 0, differs."""
+    return (words ^ (words >> 1)) & ((1 << n) // 3)
+
+
 def classical_query_counts(n: int) -> np.ndarray:
     """Queries used by classical_verify on every n-bit word, by word value:
-    2j + 2 when pair j is the first that differs, else n."""
+    2j + 2 = n - p when pair j, bit p of _pair_diffs, is the first that
+    differs, else n."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"verifier arity must be even and >= 2, got {n}")
     if n > MAX_SWEEP_VARS:
         raise ValueError(
             f"exhaustive classical sweep capped at {MAX_SWEEP_VARS} variables, got {n}")
-    from . import _kernels
+    import numpy as np
 
-    return _kernels.classical_query_counts(n)
+    diffs = _pair_diffs(np.arange(1 << n, dtype=np.int64), n)
+    # frexp's exponent is p + 1 for a highest set bit p, and 0 for 0.
+    return np.minimum(n + 1 - np.frexp(diffs)[1], n).astype(np.int64)
 
 
 def classical_worst_case(n: int) -> int:

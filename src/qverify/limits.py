@@ -3,7 +3,7 @@
 Every cap is enforced with a loud ValueError at the call that would exceed
 it, never by silent truncation. The modules that use a cap or a tolerance
 re-export it under its old name (`builder.MAX_BUILD_VARS`,
-`model.MAX_SWEEP_VARS`, `linalg.MAX_DIM`, `boolfunc.MAX_SENSITIVITY_VARS`,
+`model.MAX_SWEEP_VARS`, `boolfunc.MAX_SWEEP_VARS`, `linalg.MAX_DIM`,
 `strings.MAX_STRING_LEN`, `linalg.MATRIX_TOL`, `linalg.NORM_TOL`,
 `model.EXACT_TOL`).
 """
@@ -12,8 +12,12 @@ re-export it under its old name (`builder.MAX_BUILD_VARS`,
 # the builder refuses them outright.
 MAX_BUILD_VARS = 24
 
-# 2**24 pipeline executions is the loud upper limit for exhaustive sweeps,
-# quantum (check_exact) and classical (classical_query_counts) alike.
+# 2**24 words is the loud upper limit for exhaustive sweeps: quantum
+# (check_exact), classical (classical_query_counts) and sensitivity alike.
+# Sensitivity takes a few bit operations per variable on the truth table
+# held as one 2**N-bit int (boolfunc.bit_sensitivity): at 24 variables the
+# verifier's takes about 0.2 s and 35 MB peak RSS on a 2-vCPU guest. It is
+# checked before any table int is built.
 MAX_SWEEP_VARS = 24
 
 # Largest matrix dimension hadamard_power builds; a dense float64 matrix of
@@ -31,12 +35,6 @@ MAX_DIM = 1 << 16
 # are 4 x 4.
 MAX_DOC_DIM = 1 << 12
 
-# Sensitivity takes a few bit operations per variable on the truth table
-# held as one 2**N-bit int (boolfunc.bit_sensitivity). At 24 variables the
-# verifier's takes about 0.2 s and 35 MB peak RSS on a 2-vCPU guest, so the
-# cap matches MAX_SWEEP_VARS. It is checked before any table int is built.
-MAX_SENSITIVITY_VARS = 24
-
 # Keeps the 2**k amplitude vector of string equality small; longer strings
 # are out of scope.
 MAX_STRING_LEN = 12
@@ -52,7 +50,6 @@ NORM_TOL = 1e-9
 EXACT_TOL = 1e-9
 
 # Floats (16 MiB) an exhaustive sweep keeps live: the output amplitudes of
-# one block of sweep_range's words, the polynomial's terms while a
-# propagation moves and merges them, each charged the floats it occupies,
-# and the words of a truth table filled at once (verify_values_range).
+# one block of sweep_range's words, and the polynomial's terms while a
+# propagation moves and merges them, each charged the floats it occupies.
 SWEEP_BUDGET = 1 << 21

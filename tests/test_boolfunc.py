@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from qverify import (
     classical_worst_case,
     sensitivity,
 )
-from qverify import _kernels
-from qverify.boolfunc import verify_bits
+from qverify.boolfunc import table_sensitivity, verify_bits, verify_values_range
 
 import refdata
 
@@ -44,6 +45,23 @@ class TestEvaluate:
     def test_rejects_odd_arity(self):
         with pytest.raises(ValueError):
             BooleanFunction.verify(5)
+
+    def test_immutable_and_compared_by_identity(self):
+        f = BooleanFunction.from_table([0, 1, 1, 0])
+        for name in ("arity", "table", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+        for name in ("arity", "table"):
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        with pytest.raises(ValueError):
+            f.table[0] = 1
+        assert (f.arity, f.table.tolist()) == (2, [0, 1, 1, 0])
+        assert f == f and f != BooleanFunction.from_table([0, 1, 1, 0])
+        # A copy is rebuilt through the constructor: equal content, new identity.
+        g = pickle.loads(pickle.dumps(f))
+        assert (g.arity, g.table.tolist(), g.table.flags.writeable) == (2, [0, 1, 1, 0], False)
+        assert g != f and pickle.loads(pickle.dumps(BooleanFunction.verify(4))).table is None
 
     def test_truth_table_lookup(self):
         f = BooleanFunction.from_table([0, 1, 1, 0])
@@ -105,7 +123,7 @@ class TestSensitivity:
         for density in (0.01, 0.5, 0.99):
             table = (rng.random(1 << n) < density).astype(np.uint8)
             value, first = refdata.naive_sensitivity(table, n)
-            assert _kernels.table_sensitivity(table, n) == (value, first)
+            assert table_sensitivity(table, n) == (value, first)
             assert sensitivity(BooleanFunction.from_table(table)) == \
                 (value, format(first, f"0{n}b"))
 
@@ -114,7 +132,7 @@ class TestSensitivity:
     def test_constant_tables(self, n, bit):
         table = np.full(1 << n, bit, dtype=np.uint8)
         assert refdata.naive_sensitivity(table, n) == (0, 0)
-        assert _kernels.table_sensitivity(table, n) == (0, 0)
+        assert table_sensitivity(table, n) == (0, 0)
         assert sensitivity(BooleanFunction.from_table(table)) == (0, "0" * n)
 
     @pytest.mark.parametrize("n,word", [(2, 3), (3, 5), (8, 200)])
@@ -124,7 +142,7 @@ class TestSensitivity:
         table = np.zeros(1 << n, dtype=np.uint8)
         table[word] = 1
         assert refdata.naive_sensitivity(table, n) == (n, word)
-        assert _kernels.table_sensitivity(table, n) == (n, word)
+        assert table_sensitivity(table, n) == (n, word)
         assert sensitivity(BooleanFunction.from_table(table)) == (n, format(word, f"0{n}b"))
 
     @pytest.mark.parametrize("n", range(2, 21, 2))
@@ -132,7 +150,7 @@ class TestSensitivity:
         bits = verify_bits(n)
         packed = np.frombuffer(bits.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
         table = np.unpackbits(packed, bitorder="little")
-        assert np.array_equal(table[:1 << n], _kernels.verify_values_range(n, 0, 1 << n))
+        assert np.array_equal(table[:1 << n], verify_values_range(n, 0, 1 << n))
         assert not table[1 << n:].any()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
@@ -214,10 +232,12 @@ class TestClassicalVerify:
 
 def test_size_caps_live_in_one_module():
     from qverify import _kernels, boolfunc, builder, limits, linalg, model, strings
-    assert (builder.MAX_BUILD_VARS, model.MAX_SWEEP_VARS, linalg.MAX_DIM,
-            boolfunc.MAX_SENSITIVITY_VARS, strings.MAX_STRING_LEN) == \
-        (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DIM,
-         limits.MAX_SENSITIVITY_VARS, limits.MAX_STRING_LEN) == (24, 24, 1 << 16, 24, 12)
+    # Sensitivity sweeps all 2**N words, under the one sweep cap.
+    assert (builder.MAX_BUILD_VARS, model.MAX_SWEEP_VARS, boolfunc.MAX_SWEEP_VARS,
+            linalg.MAX_DIM, strings.MAX_STRING_LEN) == \
+        (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_SWEEP_VARS,
+         limits.MAX_DIM, limits.MAX_STRING_LEN) == (24, 24, 24, 1 << 16, 12)
+    assert not hasattr(limits, "MAX_SENSITIVITY_VARS")
     # One sweep budget sizes sweep_range's blocks and bounds a propagation's
     # terms. model._chunk_grid is built on the same block size.
     assert limits.SWEEP_BUDGET == 1 << 21

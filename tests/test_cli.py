@@ -214,7 +214,24 @@ class TestSensitivity:
             "from qverify.cli import main\n"
             "assert main(['sensitivity', '--n', '4']) == 0\n"
             "assert main(['sensitivity', '--n', '20', '--json']) == 0\n"
-            "assert 'numpy' not in sys.modules\n")
+            "assert 'numpy' not in sys.modules\n"
+            "assert 'dataclasses' not in sys.modules\n"
+            "assert 'qverify._kernels' not in sys.modules\n")
+
+    def test_classical_side_never_loads_the_kernels(self):
+        # The verifier's table, its query counts and a table's sensitivity
+        # live in boolfunc; evaluate alone needs no numpy either.
+        _run_python(
+            "import sys\n"
+            "from qverify import BooleanFunction, classical_query_counts, sensitivity\n"
+            "f = BooleanFunction.verify(8)\n"
+            "assert (f.evaluate('11001100'), f.evaluate('11001110')) == (1, 0)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "table = f.values()\n"
+            "assert int(table.sum()) == 16\n"
+            "assert int(classical_query_counts(8).max()) == 8\n"
+            "assert sensitivity(BooleanFunction.from_table(table)) == (8, '0' * 8)\n"
+            "assert 'qverify._kernels' not in sys.modules\n")
 
     def test_huge_n_is_refused_before_any_table_is_built(self, capsys):
         assert main(["sensitivity", "--n", "1000000"]) == 2

@@ -8,7 +8,8 @@ import pytest
 import qverify
 import refdata
 from qverify import BooleanFunction, build_algorithm, run
-from qverify import _kernels
+from qverify import _kernels, boolfunc
+from qverify.boolfunc import verify_values_range
 from qverify.model import EXACT_TOL, _sweep_arrays
 
 
@@ -146,7 +147,7 @@ class TestPairSweep:
     @pytest.mark.parametrize("n", [2, 6, 10])
     def test_matches_dense_sweep(self, n):
         alg = build_algorithm(n)
-        expected = _kernels.verify_values_range(n, 0, 1 << n)
+        expected = verify_values_range(n, 0, 1 << n)
         dense = _kernels.sweep_range(*_sweep_arrays(alg), n, 0, 1 << n, expected, EXACT_TOL)
         pair = _kernels.pair_sweep_range(n, 0, 1 << n, expected, EXACT_TOL)
         assert dense[0] == pair[0] == -1
@@ -155,7 +156,7 @@ class TestPairSweep:
     @pytest.mark.parametrize("n", [2, 6, 10])
     def test_flipped_table_gives_the_same_counterexample(self, n):
         flip = int(np.random.default_rng(n).integers(0, 1 << n))
-        expected = _kernels.verify_values_range(n, 0, 1 << n)
+        expected = verify_values_range(n, 0, 1 << n)
         expected[flip] ^= 1
         dense = _kernels.sweep_range(*_sweep_arrays(build_algorithm(n)), n, 0, 1 << n,
                                      expected, EXACT_TOL)
@@ -167,7 +168,7 @@ class TestPairSweep:
         n = 6
         # Complemented expectations make every word a failure; the reported
         # one must be the range start, for the reference and the kernel.
-        expected = 1 - _kernels.verify_values_range(n, 0, 1 << n)
+        expected = 1 - verify_values_range(n, 0, 1 << n)
         first, _ = _kernels.pair_sweep_range(n, 17, 40, expected[17:40], EXACT_TOL)
         assert first == 17
         arrays = _sweep_arrays(build_algorithm(n))
@@ -175,7 +176,7 @@ class TestPairSweep:
 
     def test_empty_range(self):
         n = 4
-        expected = _kernels.verify_values_range(n, 5, 5)
+        expected = verify_values_range(n, 5, 5)
         arrays = _sweep_arrays(build_algorithm(n))
         assert _kernels.sweep_range(*arrays, n, 5, 5, expected, EXACT_TOL) == (-1, np.inf)
         assert _kernels.pair_sweep_range(n, 5, 5, expected, EXACT_TOL) == (-1, np.inf)
@@ -184,7 +185,7 @@ class TestPairSweep:
 class TestVerifyValuesOracle:
     def test_against_python_pair_scan(self):
         n = 8
-        values = _kernels.verify_values_range(n, 0, 1 << n)
+        values = verify_values_range(n, 0, 1 << n)
         for w in range(1 << n):
             word = format(w, f"0{n}b")
             expected = all(word[i] == word[i + 1] for i in range(0, n, 2))
@@ -193,22 +194,34 @@ class TestVerifyValuesOracle:
     def test_matches_boolean_function(self):
         f = BooleanFunction.verify(12)
         assert np.array_equal(f.values(),
-                              _kernels.verify_values_range(12, 0, 1 << 12))
+                              verify_values_range(12, 0, 1 << 12))
 
-    @pytest.mark.parametrize("lo,hi", [(0, 256), (3, 200)])
-    def test_filled_budget_sized_pieces_at_a_time(self, lo, hi, monkeypatch):
-        monkeypatch.setattr(_kernels, "SWEEP_BUDGET", 7)
-        values = _kernels.verify_values_range(8, lo, hi)
+    def test_reexported_for_the_benchmark(self):
+        assert _kernels.verify_values_range is verify_values_range
+        assert _kernels.table_sensitivity is boolfunc.table_sensitivity
+
+    # Empty, unaligned, inside one byte, straddling a byte boundary, and
+    # ending at 1 << n.
+    @pytest.mark.parametrize("lo,hi", [(0, 256), (3, 200), (5, 5), (9, 14), (6, 10),
+                                       (13, 256)])
+    def test_ranges_match_evaluate(self, lo, hi):
+        values = verify_values_range(8, lo, hi)
         f = BooleanFunction.verify(8)
         assert values.dtype == np.uint8
         assert values.tolist() == [f.evaluate(format(w, "08b")) for w in range(lo, hi)]
 
+    def test_seeded_ranges_slice_the_whole_table(self):
+        n = 14
+        whole = verify_values_range(n, 0, 1 << n)
+        for lo, hi in np.sort(np.random.default_rng(n).integers(0, (1 << n) + 1, (20, 2))):
+            assert np.array_equal(verify_values_range(n, int(lo), int(hi)), whole[lo:hi])
+
     def test_peak_memory_at_the_builder_cap(self):
-        # The 16 MiB table and one budget's worth of int64 words, not
-        # whole-cube int64 temporaries (256 MiB).
+        # The 16 MiB table and its 2 MiB int, not whole-cube int64
+        # temporaries (256 MiB).
         tracemalloc.start()
         try:
-            values = _kernels.verify_values_range(24, 0, 1 << 24)
+            values = verify_values_range(24, 0, 1 << 24)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
