@@ -26,8 +26,8 @@ _EXPORTS = {
     "classical": ("ClassicalRunReport", "bit_oracle", "classical_verify"),
     "linalg": ("hadamard_power", "is_unitary", "tensor"),
     "model": ("ComputeResult", "ExactnessReport", "Kron", "Nonzeros", "QueryAlgorithm",
-              "QuerySpec", "RunTrace", "Stage", "check_exact", "compute", "measure",
-              "realize_query", "run", "run_batch"),
+              "RunTrace", "Stage", "check_exact", "compute", "measure", "realize_query", "run",
+              "run_batch"),
     "serialize": ("algorithm_to_document", "document_to_algorithm", "dumps_algorithm",
                   "load_algorithm", "load_function", "save_algorithm"),
     "strings": ("StringPair", "deinterleave", "interleave", "strings_equal"),

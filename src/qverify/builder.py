@@ -25,7 +25,7 @@ import numpy as np
 
 from .limits import MAX_BUILD_VARS
 from .linalg import hadamard_power, is_power_of_two
-from .model import Kron, Nonzeros, QueryAlgorithm, QuerySpec
+from .model import Kron, Nonzeros, QueryAlgorithm
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -63,13 +63,15 @@ def build_stage_unitary(i: int, k: int) -> np.ndarray:
     return build_stage_nonzeros(i, k).dense(k).copy()
 
 
-def build_stage_query(i: int, k: int) -> QuerySpec:
-    """Query variable 2i-1 at t1 slots and 2i at t2 slots, fixed elsewhere."""
+def build_stage_query(i: int, k: int) -> np.ndarray:
+    """Stage i's read-only var_map: variable 2i-1 at t1 slots and 2i at t2
+    slots, fixed (0) elsewhere."""
     indices = index_set(i, k)
     var_map = np.zeros(k, dtype=np.int64)
     var_map[indices[0::2]] = 2 * i - 1
     var_map[indices[1::2]] = 2 * i
-    return QuerySpec(var_map)
+    var_map.setflags(write=False)
+    return var_map
 
 
 def final_factors(t: int) -> Kron:

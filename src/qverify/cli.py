@@ -57,7 +57,7 @@ def _cmd_build(args):
         for i, stage in enumerate(alg.stages, start=1):
             lines.append(f"U{i} =")
             lines += ["  " + _fmt_state(row) for row in stage.unitary]
-            diag = ", ".join("1" if v == 0 else f"(-1)^x{v}" for v in stage.query.var_map)
+            diag = ", ".join("1" if v == 0 else f"(-1)^x{v}" for v in stage.query)
             lines.append(f"Q{i} = diag({diag})")
             lines.append("")
         lines.append("final =")

@@ -1,4 +1,4 @@
-"""Quantum query algorithm model: query specs, the pipeline executor,
+"""Quantum query algorithm model: queries, the pipeline executor,
 measurement, and exhaustive exactness checking.
 
 An algorithm is a start state, T stages of (input-independent unitary,
@@ -7,16 +7,17 @@ per basis state. Running on a word applies
 
     start -> U_1 -> Q_1 -> ... -> U_T -> Q_T -> final unitary -> measure
 
-where query Q_i multiplies each basis amplitude by +1 or by (-1)**x_k as
-its spec dictates. Measuring sums squared amplitudes per label; an
-algorithm computes a function exactly when the correct output has
-probability 1 (within EXACT_TOL) on every word.
+where query Q_i is its var_map: slot j's amplitude is kept when entry j is
+0, and multiplied by (-1)**x_k when it is k >= 1. Measuring sums squared
+amplitudes per label; an algorithm computes a function exactly when the
+correct output has probability 1 (within EXACT_TOL) on every word.
 
 Matrices take one of two forms in memory: a stage unitary is its Nonzeros,
 and the final unitary a Kron of Nonzeros factors, one factor for a matrix
 given whole. `run` is the one executor: it applies each stage straight from
-its stored entries and the final unitary one factor at a time, so no dense
-copy of either form is made; `run_batch` is `run` on each word, stacked.
+its stored entries, and the final unitary one factor at a time, making
+each factor dense on every call (all K x K entries for a final unitary
+given whole); `run_batch` is `run` on each word, stacked.
 
 All objects are immutable after construction and safe to share across
 threads; `run` is a pure function, so identical inputs give bitwise
@@ -26,7 +27,6 @@ identical traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -37,42 +37,6 @@ from .boolfunc import BooleanFunction
 from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
 from .linalg import as_matrix, as_state
 from .words import index_to_word, parse_word
-
-
-class QuerySpec:
-    """Input-dependent diagonal of one query transformation.
-
-    Stored as `var_map`: 0 keeps the amplitude unchanged, k >= 1 multiplies
-    it by (-1)**x_k. For every word the realized matrix is diagonal with
-    entries in {+1, -1}, hence unitary.
-    """
-
-    __slots__ = ("var_map",)
-
-    def __init__(self, var_map) -> None:
-        vm = np.array(var_map, dtype=np.int64)
-        if vm.ndim != 1 or vm.size == 0:
-            raise ValueError("query diagonal must be a non-empty 1-D sequence")
-        if vm.min() < 0:
-            raise ValueError("variable indices must be >= 1 (0 marks a fixed slot)")
-        vm.setflags(write=False)
-        self.var_map = vm
-
-    @property
-    def max_var(self) -> int:
-        return int(self.var_map.max())
-
-    def __len__(self) -> int:
-        return int(self.var_map.size)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuerySpec) and np.array_equal(self.var_map, other.var_map)
-
-    def __hash__(self) -> int:
-        return hash(self.var_map.tobytes())
-
-    def __repr__(self) -> str:
-        return f"QuerySpec({self.var_map.tolist()})"
 
 
 class Nonzeros(NamedTuple):
@@ -132,15 +96,31 @@ class Kron(NamedTuple):
 
 
 class Stage(NamedTuple):
-    """One stage: the stored entries of its unitary, and its query."""
+    """One stage: the stored entries of its unitary, and its var_map."""
 
     nonzeros: Nonzeros
-    query: QuerySpec
+    query: np.ndarray
 
     @property
     def unitary(self) -> np.ndarray:
         """The dense unitary, built on each access."""
         return self.nonzeros.dense(len(self.query))
+
+
+def _var_map(var_map) -> np.ndarray:
+    """A query's var_map as a new read-only int64 array. Its entries must
+    be integers >= 0: bools, floats and objects are refused, never cast."""
+    vm = np.asarray(var_map)
+    if vm.ndim != 1 or vm.size == 0:
+        raise ValueError("query diagonal must be a non-empty 1-D sequence")
+    if vm.dtype.kind not in "iu" or not isinstance(var_map, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in var_map):
+        raise ValueError("variable indices must be integers, not bools, floats or other values")
+    vm = vm.astype(np.int64)
+    if vm.min() < 0:
+        raise ValueError("variable indices must be >= 1 (0 marks a fixed slot)")
+    vm.setflags(write=False)
+    return vm
 
 
 def _locked(a: np.ndarray, what: str) -> np.ndarray:
@@ -217,13 +197,11 @@ class QueryAlgorithm:
 
         built: list[Stage] = []
         for idx, (unitary, query) in enumerate(stages, start=1):
-            if not isinstance(query, QuerySpec):
-                query = QuerySpec(query)
-            if len(query) != dim:
-                raise ValueError(f"stage {idx} query has {len(query)} slots, expected {dim}")
-            if query.max_var > n_vars:
-                raise ValueError(
-                    f"stage {idx} queries variable {query.max_var} but n_vars = {n_vars}")
+            query = _var_map(query)
+            if query.size != dim:
+                raise ValueError(f"stage {idx} query has {query.size} slots, expected {dim}")
+            if (top := int(query.max())) > n_vars:
+                raise ValueError(f"stage {idx} queries variable {top} but n_vars = {n_vars}")
             built.append(Stage(_stored(unitary, dim, f"stage {idx} unitary"), query))
         if not built:
             raise ValueError("an algorithm needs at least one stage")
@@ -268,15 +246,14 @@ class QueryAlgorithm:
             and _kernels.kron_bound(self.final, every) <= tol
 
 
-@dataclass(frozen=True)
-class RunTrace:
+class RunTrace(NamedTuple):
     """States after each transformation: start, then alternating unitary /
     query states per stage, then the state after the final unitary.
 
     Length is always 2 * t_queries + 2.
     """
 
-    states: tuple[np.ndarray, ...]
+    states: tuple
 
     @property
     def final(self) -> np.ndarray:
@@ -287,8 +264,7 @@ class RunTrace:
         return self.states[2 * i]
 
 
-@dataclass(frozen=True)
-class ComputeResult:
+class ComputeResult(NamedTuple):
     output: int
     probability: float
     exact: bool
@@ -296,8 +272,7 @@ class ComputeResult:
     p1: float
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     """Result of an exhaustive exactness sweep.
 
     `counterexample` is the lexicographically first word on which the
@@ -312,23 +287,22 @@ class ExactnessReport:
     inputs_checked: int
 
 
-def query_signs(spec: QuerySpec, bits: np.ndarray) -> np.ndarray:
-    """The +-1 diagonal realized by a query spec on concrete input bits."""
-    extended = np.concatenate(([0], bits)).astype(np.float64)
-    return 1.0 - 2.0 * extended[spec.var_map]
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """(-1)**x_k at index k >= 1 for these bits, and +1 at index 0."""
+    return 1.0 - 2.0 * np.concatenate(([0], bits))
 
 
-def realize_query(spec: QuerySpec, word: str) -> np.ndarray:
-    """Concrete diagonal query matrix for one input word.
+def realize_query(var_map, word: str) -> np.ndarray:
+    """Concrete diagonal query matrix of a var_map for one input word.
 
-    The word only needs to cover the variables the spec mentions, so specs
-    can be realized standalone without a full algorithm around them.
+    The word only needs to cover the variables the var_map mentions, so a
+    query can be realized standalone without a full algorithm around it.
     """
+    var_map = _var_map(var_map)
     bits = parse_word(word)
-    if spec.max_var > bits.shape[0]:
-        raise ValueError(
-            f"query references variable {spec.max_var} but the word has {bits.shape[0]} bits")
-    return np.diag(query_signs(spec, bits))
+    if (top := int(var_map.max())) > bits.shape[0]:
+        raise ValueError(f"query references variable {top} but the word has {bits.shape[0]} bits")
+    return np.diag(_signs(bits)[var_map])
 
 
 def run(alg: QueryAlgorithm, word: str) -> RunTrace:
@@ -336,12 +310,12 @@ def run(alg: QueryAlgorithm, word: str) -> RunTrace:
     transformation (exactly t_queries query applications). A stage is
     applied from its stored entries: each row sums its values times the
     state at their columns, from +0.0, as a dense product would."""
-    bits = parse_word(word, alg.n_vars)
+    signs = _signs(parse_word(word, alg.n_vars))
     states = [alg.start]
     for (rows, cols, values), query in alg.stages:
         product = np.bincount(rows, weights=values * states[-1][cols], minlength=alg.dim)
         states.append(product.astype(np.float64, copy=False))  # int zeros when rows is empty
-        states.append(states[-1] * query_signs(query, bits))
+        states.append(states[-1] * signs[query])
     states.append(alg.final.apply(states[-1][None])[0])
     for s in states:
         s.setflags(write=False)
@@ -399,7 +373,7 @@ def run_batch(alg: QueryAlgorithm, words) -> list[np.ndarray]:
 def _sweep_arrays(alg: QueryAlgorithm) -> _kernels.SweepArrays:
     """Kernel-ready arrays for _kernels.sweep_range (see sweep_arrays there)."""
     return _kernels.sweep_arrays(alg.n_vars, alg.start, [st.nonzeros for st in alg.stages],
-                                 [st.query.var_map for st in alg.stages],
+                                 [st.query for st in alg.stages],
                                  alg.final, alg.labels)
 
 

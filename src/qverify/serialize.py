@@ -61,7 +61,7 @@ import numpy as np
 
 from .boolfunc import BooleanFunction
 from .limits import MAX_DOC_DIM
-from .model import Kron, Nonzeros, QueryAlgorithm, QuerySpec
+from .model import Kron, Nonzeros, QueryAlgorithm
 
 # The last algorithm version; the loader reads every version up to it.
 ALGORITHM_SCHEMA_VERSION = 3
@@ -176,7 +176,7 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
     stages = []
     for stage in alg.stages:
         diagonal = [{"fixed": True} if v == 0 else {"var": int(v)}
-                    for v in stage.query.var_map]
+                    for v in stage.query]
         stages.append({"unitary": _matrix_document(stage.nonzeros, alg.dim),
                        "query_diagonal": diagonal})
     return {
@@ -191,12 +191,12 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
     }
 
 
-def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> QuerySpec:
+def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> list[int]:
     _require(isinstance(raw, list) and len(raw) == dim,
              f"stage {stage_no} query_diagonal must list {dim} entries")
     var_map = []
     for pos, entry in enumerate(raw):
-        if isinstance(entry, dict) and entry == {"fixed": True}:
+        if isinstance(entry, dict) and set(entry) == {"fixed"} and entry["fixed"] is True:
             var_map.append(0)
         elif isinstance(entry, dict) and set(entry) == {"var"} and _is_int(entry["var"]):
             _require(1 <= entry["var"] <= n_vars,
@@ -206,7 +206,7 @@ def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> QuerySpec:
             raise ValueError(
                 f'invalid document: stage {stage_no} slot {pos} must be '
                 f'{{"fixed": true}} or {{"var": k}}, got {entry!r}')
-    return QuerySpec(var_map)
+    return var_map
 
 
 def document_to_algorithm(doc: dict) -> QueryAlgorithm:

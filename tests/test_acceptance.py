@@ -81,7 +81,7 @@ def test_criterion_02_six_bit_fixture_match(alg6):
                      refdata.SIX_BIT_Q3_VARS)
     for stage, unit, vars_ in zip(alg6.stages, expected_units, expected_vars):
         assert np.abs(stage.unitary - unit).max() <= 1e-12
-        assert stage.query.var_map.tolist() == vars_
+        assert stage.query.tolist() == vars_
     h = hadamard_power(1)
     tensor_final = tensor(tensor(h, h), h)
     assert np.abs(alg6.final_unitary - tensor_final).max() <= 1e-12

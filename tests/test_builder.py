@@ -58,15 +58,15 @@ class TestStageMatrices:
         assert np.abs(build_stage_unitary(3, 8) - refdata.SIX_BIT_U3).max() <= 1e-12
 
     def test_six_bit_stage_queries(self):
-        assert build_stage_query(1, 8).var_map.tolist() == refdata.SIX_BIT_Q1_VARS
-        assert build_stage_query(2, 8).var_map.tolist() == refdata.SIX_BIT_Q2_VARS
-        assert build_stage_query(3, 8).var_map.tolist() == refdata.SIX_BIT_Q3_VARS
+        assert build_stage_query(1, 8).tolist() == refdata.SIX_BIT_Q1_VARS
+        assert build_stage_query(2, 8).tolist() == refdata.SIX_BIT_Q2_VARS
+        assert build_stage_query(3, 8).tolist() == refdata.SIX_BIT_Q3_VARS
 
     def test_four_bit_stage_matrices(self):
         assert np.abs(build_stage_unitary(1, 4) - refdata.FOUR_BIT_U1).max() <= 1e-12
         assert np.abs(build_stage_unitary(2, 4) - refdata.FOUR_BIT_U2).max() <= 1e-12
-        assert build_stage_query(1, 4).var_map.tolist() == refdata.FOUR_BIT_Q1_VARS
-        assert build_stage_query(2, 4).var_map.tolist() == refdata.FOUR_BIT_Q2_VARS
+        assert build_stage_query(1, 4).tolist() == refdata.FOUR_BIT_Q1_VARS
+        assert build_stage_query(2, 4).tolist() == refdata.FOUR_BIT_Q2_VARS
 
     def test_single_pair_stage_is_hadamard(self):
         assert np.abs(build_stage_unitary(1, 2) - hadamard_power(1)).max() <= 1e-12
@@ -107,7 +107,7 @@ class TestBuildAlgorithm:
                          refdata.SIX_BIT_Q3_VARS)
         for stage, exp_u, exp_v in zip(alg6.stages, expected, expected_vars):
             assert np.abs(stage.unitary - exp_u).max() <= 1e-12
-            assert stage.query.var_map.tolist() == exp_v
+            assert stage.query.tolist() == exp_v
 
     def test_final_unitary_is_tensor_power(self, alg6):
         h = hadamard_power(1)

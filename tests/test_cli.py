@@ -40,6 +40,10 @@ BAD_INPUTS = [
     ("algorithm", ["n_vars"], True),
     ("algorithm", ["dim"], True),
     ("algorithm", ["stages", 0, "query_diagonal", 0, "var"], True),
+    # 1 and 1.0 compare equal to true; slot 1 of the n = 4 document's first
+    # stage is fixed.
+    ("algorithm", ["stages", 0, "query_diagonal", 1, "fixed"], 1),
+    ("algorithm", ["stages", 0, "query_diagonal", 1, "fixed"], 1.0),
     ("function", ["arity"], True),
     ("function", ["table", 0], -1),
     # numpy reads true and 1.0 among integer bits as 1.
@@ -356,6 +360,20 @@ class TestCheck:
             "assert main(['classical', '--n', '4', '--input', '1111']) == 0\n"
             "assert 'qverify.classical' in sys.modules\n"
             "assert 'numpy' not in sys.modules\n")
+
+    def test_numeric_commands_do_not_import_dataclasses(self, tmp_path):
+        # Every model record is a NamedTuple, so the numpy commands load
+        # dataclasses no more than classical and sensitivity do.
+        alg_path = tmp_path / "alg.json"
+        assert main(["build", "--n", "4", "--out", str(alg_path)]) == 0
+        _run_python(
+            "import sys\n"
+            "from qverify.cli import main\n"
+            "assert main(['verify', '--n', '4', '--json']) == 0\n"
+            f"assert main(['check', '--algorithm', {str(alg_path)!r}]) == 0\n"
+            "assert main(['run', '--n', '4', '--input', '1100', '--trace', '--json']) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'dataclasses' not in sys.modules\n")
 
     def test_classical_and_package_names_do_not_import_numpy(self):
         script = (

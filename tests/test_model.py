@@ -12,7 +12,6 @@ from qverify import (
     Kron,
     Nonzeros,
     QueryAlgorithm,
-    QuerySpec,
     build_algorithm,
     check_exact,
     compute,
@@ -29,42 +28,74 @@ from qverify.serialize import load_algorithm, save_algorithm
 import refdata
 
 
-class TestQuerySpec:
-    def test_rejects_negative_indices(self):
-        with pytest.raises(ValueError):
-            QuerySpec([1, -1])
+class TestVarMap:
+    """A query is its var_map: one check serves QueryAlgorithm and
+    realize_query, and the stored form is a read-only int64 array."""
 
-    def test_max_var(self):
-        assert QuerySpec([0, 0, 7, 2]).max_var == 7
+    @staticmethod
+    def _both(var_map):
+        """Pass var_map to realize_query and to QueryAlgorithm; yield each
+        call, so that every case runs through both."""
+        yield lambda: realize_query(var_map, "11")
+        yield lambda: QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), var_map)], np.eye(2), [1, 0])
+
+    def test_rejects_negative_indices(self):
+        for call in self._both([1, -1]):
+            with pytest.raises(ValueError, match=r"^variable indices must be >= 1 \(0 marks"):
+                call()
+
+    @pytest.mark.parametrize("var_map", [[1.9, 0.2], [1.0, 0.0], np.array([1.0, 0.0]),
+                                         [True, False], np.array([True, False]), [1, True],
+                                         [2**64, 0], ["1", "0"]])
+    def test_rejects_entries_that_are_not_integers(self, var_map):
+        for call in self._both(var_map):
+            with pytest.raises(ValueError, match="^variable indices must be integers"):
+                call()
+
+    @pytest.mark.parametrize("var_map", [[], [[1, 0]], 3])
+    def test_rejects_empty_or_not_one_dimensional(self, var_map):
+        for call in self._both(var_map):
+            with pytest.raises(ValueError, match="^query diagonal must be a non-empty 1-D"):
+                call()
+
+    def test_stored_read_only_int64(self, alg4):
+        given = [np.array([2, 0], dtype=dtype) for dtype in (np.int8, np.uint16, np.int64)]
+        algs = [QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), vm)], np.eye(2), [1, 0]) for vm in given]
+        for query in [alg.stages[0].query for alg in algs] + [st.query for st in alg4.stages]:
+            assert query.dtype == np.int64 and not query.flags.writeable
+        assert [alg.stages[0].query.tolist() for alg in algs] == [[2, 0]] * 3
+        # The stored array is a copy: changing the given one changes nothing.
+        given[2][0] = 1
+        assert algs[2].stages[0].query.tolist() == [2, 0]
 
 
 class TestRealizeQuery:
     def test_stage_one_of_four_bit_instance(self):
-        spec = QuerySpec([1, 0, 2, 0])
-        assert np.array_equal(realize_query(spec, "1100"),
+        var_map = [1, 0, 2, 0]
+        assert np.array_equal(realize_query(var_map, "1100"),
                               np.diag([-1.0, 1.0, -1.0, 1.0]))
 
     def test_all_fixed_is_identity(self):
-        spec = QuerySpec([0, 0, 0, 0])
-        assert np.array_equal(realize_query(spec, "1011"), np.eye(4))
+        var_map = [0, 0, 0, 0]
+        assert np.array_equal(realize_query(var_map, "1011"), np.eye(4))
 
     def test_six_bit_stage_three_on_zero_word(self):
-        spec = QuerySpec(refdata.SIX_BIT_Q3_VARS)
-        assert np.array_equal(realize_query(spec, "000000"), np.eye(8))
+        var_map = refdata.SIX_BIT_Q3_VARS
+        assert np.array_equal(realize_query(var_map, "000000"), np.eye(8))
 
     def test_word_may_exceed_queried_variables(self):
-        spec = QuerySpec([1, 0])
-        assert np.array_equal(realize_query(spec, "100"), np.diag([-1.0, 1.0]))
+        var_map = [1, 0]
+        assert np.array_equal(realize_query(var_map, "100"), np.diag([-1.0, 1.0]))
 
     def test_var_index_out_of_range(self):
         with pytest.raises(ValueError):
-            realize_query(QuerySpec([5, 0]), "1100")
+            realize_query([5, 0], "1100")
 
     def test_always_unitary(self, rng):
-        spec = QuerySpec(rng.integers(0, 7, size=8))
+        var_map = rng.integers(0, 7, size=8)
         for _ in range(10):
             word = "".join(str(b) for b in rng.integers(0, 2, size=6))
-            q = realize_query(spec, word)
+            q = realize_query(var_map, word)
             assert np.array_equal(q @ q.T, np.eye(8))
 
 
@@ -142,7 +173,7 @@ class TestRun:
         # Query signs come from the word's bits, never from an integer of
         # it, so x70 is read like any other variable: the output is x70.
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        alg = QueryAlgorithm(70, [1.0, 0.0], [(h, QuerySpec([70, 0]))], h, [0, 1])
+        alg = QueryAlgorithm(70, [1.0, 0.0], [(h, [70, 0])], h, [0, 1])
         for last in (0, 1):
             word = "1" * 69 + str(last)
             sign = 1.0 - 2.0 * last
@@ -203,8 +234,8 @@ class TestCompute:
 
     def test_ambiguous_measurement_is_reported_not_raised(self):
         # Identity pipeline keeps the start state, which straddles the labels.
-        spec = QuerySpec([0, 0])
-        alg = QueryAlgorithm(2, [refdata.R, refdata.R], [(np.eye(2), spec)],
+        var_map = [0, 0]
+        alg = QueryAlgorithm(2, [refdata.R, refdata.R], [(np.eye(2), var_map)],
                              np.eye(2), [1, 0])
         result = compute(alg, "00")
         assert not result.exact
@@ -235,8 +266,8 @@ class TestCheckExact:
             check_exact(alg4, BooleanFunction.verify(6))
 
     def test_sweep_cap(self):
-        spec = QuerySpec([1, 0])
-        alg = QueryAlgorithm(26, [1.0, 0.0], [(np.eye(2), spec)], np.eye(2), [1, 0])
+        var_map = [1, 0]
+        alg = QueryAlgorithm(26, [1.0, 0.0], [(np.eye(2), var_map)], np.eye(2), [1, 0])
         with pytest.raises(ValueError):
             check_exact(alg, BooleanFunction.verify(26))
 
@@ -279,7 +310,7 @@ def _variables_permuted(n, seed):
     verifier function renamed the same way, which it computes."""
     alg = build_algorithm(n)
     perm = np.concatenate(([0], np.random.default_rng(seed).permutation(n) + 1))
-    stages = [(st.unitary, QuerySpec(perm[st.query.var_map])) for st in alg.stages]
+    stages = [(st.unitary, perm[st.query]) for st in alg.stages]
     renamed = QueryAlgorithm(n, alg.start, stages, alg.final_unitary, alg.labels)
     words = np.arange(1 << n)
     bits = (words[:, None] >> (n - np.arange(1, n + 1))) & 1
@@ -303,7 +334,7 @@ def _labels_complemented(n):
 def _last_stage_requeried(n, var_map):
     """Builder output whose last stage queries by `var_map` instead."""
     alg = build_algorithm(n)
-    stages = list(alg.stages[:-1]) + [(alg.stages[-1].unitary, QuerySpec(var_map))]
+    stages = list(alg.stages[:-1]) + [(alg.stages[-1].unitary, var_map)]
     return QueryAlgorithm(n, alg.start, stages, alg.final_unitary, alg.labels)
 
 
@@ -359,7 +390,7 @@ def _random_algorithm(seed, perturbed=()):
     start /= np.linalg.norm(start)
     queried = np.array([0, 1, 2, 3, 5, 6])
     stages = [(matrix("stages" in perturbed or ("early-stages" in perturbed and i < 2)),
-               QuerySpec(rng.choice(queried, size=dim))) for i in range(3)]
+               rng.choice(queried, size=dim)) for i in range(3)]
     labels = np.zeros(dim, dtype=np.uint8)
     labels[rng.permutation(dim)[:3]] = 1
     alg = QueryAlgorithm(n, start, stages, matrix("final" in perturbed), labels)
@@ -741,25 +772,25 @@ class TestBlockWalk:
 class TestQueryAlgorithmValidation:
     def test_rejects_unnormalized_start(self):
         with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 1.0], [(np.eye(2), QuerySpec([1, 2]))],
+            QueryAlgorithm(2, [1.0, 1.0], [(np.eye(2), [1, 2])],
                            np.eye(2), [1, 0])
 
     def test_rejects_var_beyond_n_vars(self):
         with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([3, 0]))],
+            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [3, 0])],
                            np.eye(2), [1, 0])
 
     def test_rejects_query_length_mismatch(self):
         with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([1, 2, 0, 0]))],
+            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [1, 2, 0, 0])],
                            np.eye(2), [1, 0])
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([1, 2]))],
+            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [1, 2])],
                            np.eye(2), [1, 2])
         with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([1, 2]))],
+            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [1, 2])],
                            np.eye(2), [1, -1])
 
     @pytest.mark.parametrize("where", ["start", "stage", "final"])
@@ -768,7 +799,7 @@ class TestQueryAlgorithmValidation:
         start, unitary, final = np.array([1.0, 0.0]), np.eye(2), np.eye(2)
         {"start": start, "stage": unitary[1], "final": final[1]}[where][1] = value
         with pytest.raises(ValueError):
-            QueryAlgorithm(2, start, [(unitary, QuerySpec([1, 2]))], final, [1, 0])
+            QueryAlgorithm(2, start, [(unitary, [1, 2])], final, [1, 0])
 
     def test_rejects_empty_stage_list(self):
         with pytest.raises(ValueError):
@@ -776,7 +807,7 @@ class TestQueryAlgorithmValidation:
 
     def test_rejects_mismatched_matrix_dimension(self):
         with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(4), QuerySpec([1, 2]))],
+            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(4), [1, 2])],
                            np.eye(2), [1, 0])
 
     @pytest.mark.parametrize("rows,cols", [([0, 2], [0, 1]), ([1, 0], [0, 1]), ([0, 0], [1, 1]),
@@ -784,7 +815,7 @@ class TestQueryAlgorithmValidation:
     def test_rejects_nonzeros_outside_or_out_of_order(self, rows, cols):
         final = Nonzeros(np.array(rows), np.array(cols), np.ones(len(rows)))
         with pytest.raises(ValueError, match="distinct entries below 2 in row-major order"):
-            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), QuerySpec([1, 2]))], final, [1, 0])
+            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [1, 2])], final, [1, 0])
 
     def test_accepts_nonzeros_and_stages(self, alg4):
         final = Nonzeros(*alg4.final.factors[0])
@@ -800,7 +831,7 @@ class TestQueryAlgorithmValidation:
             alg4.stages[0].unitary[0, 0] = 2.0
         with pytest.raises(ValueError):
             alg4.final_unitary[0, 0] = 2.0
-        for array in (*alg4.stages[0].nonzeros, *alg4.final.factors[0]):
+        for array in (*alg4.stages[0].nonzeros, alg4.stages[0].query, *alg4.final.factors[0]):
             with pytest.raises(ValueError):
                 array[0] = 2
 
@@ -808,12 +839,12 @@ class TestQueryAlgorithmValidation:
     def test_rejects_kron_sides_that_do_not_multiply_to_dim(self, dims):
         h = Nonzeros.of(np.eye(2))
         with pytest.raises(ValueError, match="sides whose product is 4"):
-            QueryAlgorithm(2, [1.0, 0.0, 0.0, 0.0], [(np.eye(4), QuerySpec([1, 2, 0, 0]))],
+            QueryAlgorithm(2, [1.0, 0.0, 0.0, 0.0], [(np.eye(4), [1, 2, 0, 0])],
                            Kron((h,) * len(dims), dims), [1, 0, 0, 0])
 
     def test_unitary_within(self, alg4):
         assert alg4.unitary_within(1e-12)
         damaged = QueryAlgorithm(4, alg4.start,
-                                 [(np.eye(4), QuerySpec([1, 0, 2, 0]))],
+                                 [(np.eye(4), [1, 0, 2, 0])],
                                  np.full((4, 4), 0.5), alg4.labels)
         assert not damaged.unitary_within(1e-12)

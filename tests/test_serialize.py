@@ -34,7 +34,7 @@ def assert_same_algorithm(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     for s, t in zip(a.stages, b.stages):
         assert s.unitary.tobytes() == t.unitary.tobytes()
-        assert s.query == t.query
+        assert s.query.dtype == t.query.dtype and s.query.tobytes() == t.query.tobytes()
 
 
 class TestAlgorithmDocuments:
@@ -64,7 +64,7 @@ class TestAlgorithmDocuments:
         assert np.array_equal(loaded.labels, alg6.labels)
         for a, b in zip(loaded.stages, alg6.stages):
             assert np.array_equal(a.unitary, b.unitary)
-            assert a.query == b.query
+            assert np.array_equal(a.query, b.query)
 
     def test_round_trip_traces_are_identical(self, alg6, tmp_path):
         path = tmp_path / "alg6.json"
@@ -265,12 +265,15 @@ class TestDocumentValidation:
         with pytest.raises(ValueError, match="stages"):
             document_to_algorithm(doc)
 
+    # 1 == True in Python, so {"fixed": 1} and {"fixed": 1.0} compare equal
+    # to {"fixed": True}; a fixed slot must still say true.
     @pytest.mark.parametrize("entry", [{"fixed": False}, {"var": 0}, {"var": "1"},
-                                       {"var": 1, "fixed": True}, "fixed", 3])
+                                       {"var": 1, "fixed": True}, "fixed", 3,
+                                       {"fixed": 1}, {"fixed": 1.0}])
     def test_rejects_malformed_diagonal_entries(self, alg4, entry):
         doc = self._doc(alg4)
         doc["stages"][0]["query_diagonal"][1] = entry
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^invalid document: stage 1 slot 1"):
             document_to_algorithm(doc)
 
     def test_rejects_wrong_diagonal_length(self, alg4):
