@@ -109,13 +109,17 @@ class Stage(NamedTuple):
 
 def _var_map(var_map) -> np.ndarray:
     """A query's var_map as a new read-only int64 array. Its entries must
-    be integers >= 0: bools, floats and objects are refused, never cast."""
+    be integers in [0, 2**63): bools, floats, objects and larger unsigned
+    entries are refused, never cast."""
     vm = np.asarray(var_map)
     if vm.ndim != 1 or vm.size == 0:
         raise ValueError("query diagonal must be a non-empty 1-D sequence")
     if vm.dtype.kind not in "iu" or not isinstance(var_map, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in var_map):
         raise ValueError("variable indices must be integers, not bools, floats or other values")
+    if vm.dtype.kind == "u" and (top := int(vm.max())) > np.iinfo(np.int64).max:
+        # The cast below would wrap it negative.
+        raise ValueError(f"variable index {top} is too large: indices must fit in int64")
     vm = vm.astype(np.int64)
     if vm.min() < 0:
         raise ValueError("variable indices must be >= 1 (0 marks a fixed slot)")

@@ -41,7 +41,9 @@ final matrix as a model.Kron. Truth-table documents stay at version 1.
 Variable indices in documents are 1-based; basis states are positional
 (row/column order), indexed from 0. Reals are written in shortest
 round-trip form, so dump -> load -> dump is byte-stable and loaded
-algorithms run bitwise identically to the originals.
+algorithms run bitwise identically to the originals. The writer's text is
+json.dumps(document, indent=2) byte for byte, but made by json's C
+encoder (see _dumps), which indent would otherwise turn off.
 
 Loading validates structure, dimensions and finite entries but
 deliberately not matrix unitarity, so a damaged document loads instead of
@@ -191,7 +193,7 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
     }
 
 
-def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> list[int]:
+def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> np.ndarray:
     _require(isinstance(raw, list) and len(raw) == dim,
              f"stage {stage_no} query_diagonal must list {dim} entries")
     var_map = []
@@ -206,7 +208,7 @@ def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> list[int]:
             raise ValueError(
                 f'invalid document: stage {stage_no} slot {pos} must be '
                 f'{{"fixed": true}} or {{"var": k}}, got {entry!r}')
-    return var_map
+    return np.array(var_map, dtype=np.int64)
 
 
 def document_to_algorithm(doc: dict) -> QueryAlgorithm:
@@ -239,8 +241,49 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
     )
 
 
+# A list of these holds no strings, so json's C encoder writes it whole.
+_NUMBERS = {int, float, bool}
+# Equal values of one of these types print alike. _dumps keys a flat dict
+# by its items and their types, since 1, 1.0 and True hash equal, and
+# stores no floats, since 0.0 == -0.0.
+_PLAIN = {int, bool}
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) of a JSON document (dicts with string
+    keys, lists and scalars) nested at pad, byte for byte, with the work
+    done by json's C encoder, which indent would turn off: a flat list of
+    numbers is encoded in one call and its ", " split into lines, and a
+    list renders each distinct dict of ints and bools, such as a query
+    slot, once."""
+    if not (isinstance(value, (dict, list)) and value):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if set(map(type, value)) <= _NUMBERS:
+        # No strings inside, so every ", " separates two numbers.
+        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + pad + "]"
+    memo, items = {}, []
+    for item in value:
+        # A dict's key is its items and their types; only dicts of _PLAIN
+        # values, such as query slots, are stored, so any other item misses.
+        key = (*item.items(), *map(type, item.values())) if type(item) is dict else ()
+        try:
+            text = memo.get(key)
+        except TypeError:  # a list or dict among the values
+            text = None
+        if text is None:
+            text = _dumps(item, inner)
+            if key and set(key[len(item):]) <= _PLAIN:
+                memo[key] = text
+        items.append(text)
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def dumps_algorithm(alg: QueryAlgorithm) -> str:
-    return json.dumps(algorithm_to_document(alg), indent=2)
+    return _dumps(algorithm_to_document(alg))
 
 
 def save_algorithm(alg: QueryAlgorithm, path) -> None:
@@ -284,7 +327,7 @@ def document_to_function(doc: dict) -> BooleanFunction:
     _require(isinstance(table, list) and len(table).bit_length() == arity + 1
              and len(table) == 1 << arity, f"table must list 2**{arity} bits")
     _require(_bits(table), "table must be a list of the integers 0 and 1")
-    return BooleanFunction.from_table(table)
+    return BooleanFunction.from_table(np.frombuffer(bytes(table), np.uint8))
 
 
 def load_function(path) -> BooleanFunction:

@@ -14,7 +14,8 @@ every word through `run`, on two generated families of algorithms.
   query-free Q, Q^T stage pair inserted. Checked against the renamed
   verifier with one word flipped, that word is the counterexample.
 
-Each report must also survive a document round trip unchanged.
+Each report must also survive a document round trip unchanged, and the
+document writer must give the bytes of json.dumps(doc, indent=2).
 """
 
 import json
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from qverify import (BooleanFunction, Kron, Nonzeros, QueryAlgorithm, build_algorithm,
                      check_exact, compute)
-from qverify.serialize import algorithm_to_document, document_to_algorithm
+from qverify.serialize import algorithm_to_document, document_to_algorithm, dumps_algorithm
 
 import refdata
 
@@ -61,6 +62,7 @@ def _assert_agrees(alg: QueryAlgorithm, f: BooleanFunction):
     assert report.inputs_checked == 1 << alg.n_vars
     doc = json.loads(json.dumps(algorithm_to_document(alg)))
     assert check_exact(document_to_algorithm(doc), f) == report
+    assert dumps_algorithm(alg) == json.dumps(doc, indent=2)
     return report
 
 

@@ -52,6 +52,20 @@ class TestVarMap:
             with pytest.raises(ValueError, match="^variable indices must be integers"):
                 call()
 
+    @pytest.mark.parametrize("top", [2**63, 2**64 - 1])
+    def test_rejects_uint64_entries_past_int64_as_too_large(self, top):
+        # Cast to int64 they would wrap negative and be refused as below 1.
+        for call in self._both(np.array([top, 0], dtype=np.uint64)):
+            with pytest.raises(ValueError, match=f"^variable index {top} is too large"):
+                call()
+
+    def test_uint64_entries_in_range_keep_their_messages(self):
+        for call in self._both(np.array([3, 0], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="variable 3 but"):
+                call()
+        assert realize_query(np.array([2, 1], dtype=np.uint64), "10").tolist() == [
+            [1.0, 0.0], [0.0, -1.0]]
+
     @pytest.mark.parametrize("var_map", [[], [[1, 0]], 3])
     def test_rejects_empty_or_not_one_dimensional(self, var_map):
         for call in self._both(var_map):

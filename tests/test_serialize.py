@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from qverify import (
     save_algorithm,
 )
 from qverify.limits import MAX_DOC_DIM
-from qverify.serialize import document_to_function, function_to_document
+from qverify.serialize import _dumps, document_to_function, function_to_document
 
 import refdata
 
@@ -207,6 +208,65 @@ class TestAlgorithmDocuments:
         report = check_exact(loaded, BooleanFunction.verify(4))
         assert not report.exact
         assert report.counterexample is not None
+
+
+def _negative_zeros():
+    doc = algorithm_to_document(build_algorithm(8))
+    doc["stages"][0]["unitary"]["values"][1] = -0.0
+    doc["final_unitary"]["kron"][0][3][1] = -0.0
+    return document_to_algorithm(doc)
+
+
+def _empty_nonzeros():
+    alg = build_algorithm(4)
+    stages = [(np.zeros((alg.dim, alg.dim)), alg.stages[0].query), *alg.stages[1:]]
+    return QueryAlgorithm(4, alg.start, stages, alg.final, alg.labels)
+
+
+def _one_entry_lists():
+    # At dim 2 one nonzero lists fewer numbers than the 4 dense entries.
+    return QueryAlgorithm(1, [1.0, 0.0], [(np.diag([1.0, 0.0]), [1, 0])], np.eye(2), [1, 0])
+
+
+# id: a function that makes the algorithm to write
+WRITER_CASES = {
+    **{f"builder-n{n}": (lambda n=n: build_algorithm(n)) for n in range(2, 17, 2)},
+    "fixture-v1": lambda: load_algorithm(V1_FIXTURE),
+    "fixture-v2": lambda: load_algorithm(V2_FIXTURE),
+    "empty-nonzeros": _empty_nonzeros,
+    "negative-zeros": _negative_zeros,
+    "one-entry-lists": _one_entry_lists,
+}
+
+
+class TestWriter:
+    """The writer gives json.dumps(doc, indent=2)'s bytes through json's
+    C encoder."""
+
+    @pytest.mark.parametrize("make", WRITER_CASES.values(), ids=WRITER_CASES)
+    def test_writer_matches_json_dumps_with_indent(self, make):
+        alg = make()
+        doc = algorithm_to_document(alg)
+        assert dumps_algorithm(alg) == json.dumps(doc, indent=2)
+
+    def test_written_forms_are_the_named_ones(self):
+        assert algorithm_to_document(_empty_nonzeros())["stages"][0]["unitary"] == {
+            "rows": [], "cols": [], "values": []}
+        assert algorithm_to_document(_one_entry_lists())["stages"][0]["unitary"] == {
+            "rows": [0], "cols": [0], "values": [1.0]}
+        doc = algorithm_to_document(_negative_zeros())
+        assert math.copysign(1.0, doc["stages"][0]["unitary"]["values"][1]) == -1.0
+        assert math.copysign(1.0, doc["final_unitary"]["kron"][0][3][1]) == -1.0
+
+    def test_any_json_value_renders_like_json_dumps(self):
+        # Values that hash equal (1, 1.0, True; 0.0, -0.0) print apart.
+        doc = {"empty": [[], {}, [[]], [{}]], "reals": [-0.0, 5e-324, 1e16, 0.0, 1, 1.0, True],
+               "slots": [{"x": 1}, {"x": True}, {"x": 1.0}, {"x": -0.0}, {"x": 0.0}, {"x": 1},
+                         {"x": None}, {"x": "a, b"}, {"x": [1]}, {"y": 1, "x": 1}, {}],
+               "mixed": [1, "a, b", None, [2.5], {"k": {"l": []}}], "one": [7], "s": "é\n",
+               "nested": {"a": {"b": [[1.5, -2], [3]]}}, "null": None}
+        for value in (doc, *doc.values(), 1, "s", [], {}):
+            assert _dumps(value) == json.dumps(value, indent=2)
 
 
 class TestDocumentValidation:
