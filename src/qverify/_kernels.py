@@ -353,7 +353,9 @@ def sweep_range(start, stages, final_t, row_labels, rest, n_vars, lo, hi, expect
 # (_pair_states), and the final transformation is the Hadamard power, one
 # _wht and one scale. Nothing in the package runs on them; pair_run and
 # pair_sweep_range are independent references that tests and the benchmark
-# compare model.run and the general sweep against.
+# compare model.run and the general sweep against. The same stage rule, and
+# pair_sweep_range's read of row 0, also run in plain Python on one word in
+# strings._run_verifier, so that `equal` needs no numpy.
 # ---------------------------------------------------------------------------
 
 

@@ -10,10 +10,10 @@ decimals; --json emits one machine-readable line at full precision.
 Every command handler computes its result and returns (exit code, JSON
 payload, text lines); `main` alone writes it to stdout, the payload as one
 JSON line under --json and the lines otherwise, and an error as one line
-on stderr. Each handler imports the modules it runs, so that `classical`
-and `sensitivity` start without numpy, and `main` runs numpy's BLAS on one
-thread unless the environment sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-or MKL_NUM_THREADS.
+on stderr. Each handler imports the modules it runs, so that `classical`,
+`sensitivity` and `equal` start without numpy, and `main` runs numpy's
+BLAS on one thread unless the environment sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS.
 """
 
 from __future__ import annotations

@@ -80,10 +80,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _bits(value) -> bool:
-    """Whether value is a list of the integers 0 and 1: numpy would read
-    true and 1.0 among them as 1."""
-    return isinstance(value, list) and set(map(type, value)) <= {int} and set(value) <= {0, 1}
+def _bits(value) -> bytes | None:
+    """value as bytes if it is a list of the integers 0 and 1, else None:
+    numpy would read true and 1.0 among them as 1."""
+    if not (isinstance(value, list) and set(map(type, value)) <= {int}):
+        return None
+    try:
+        data = bytes(value)
+    except ValueError:  # an integer outside range(256)
+        return None
+    return None if data.translate(None, b"\0\1") else data
 
 
 def _reals(value, what: str) -> np.ndarray:
@@ -231,7 +237,7 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
                  f"stage {stage_no} must carry 'unitary' and 'query_diagonal'")
         stages.append((_matrix(raw["unitary"], dim, f"stage {stage_no} unitary"),
                        _parse_diagonal(raw["query_diagonal"], dim, doc["n_vars"], stage_no)))
-    _require(_bits(doc["labels"]), "labels must be a list of the integers 0 and 1")
+    _require(_bits(doc["labels"]) is not None, "labels must be a list of the integers 0 and 1")
     return QueryAlgorithm(
         n_vars=doc["n_vars"],
         start=_reals(doc["start"], "start"),
@@ -326,8 +332,9 @@ def document_to_function(doc: dict) -> BooleanFunction:
     # Bit lengths first, so that 1 << arity is never built for a huge arity.
     _require(isinstance(table, list) and len(table).bit_length() == arity + 1
              and len(table) == 1 << arity, f"table must list 2**{arity} bits")
-    _require(_bits(table), "table must be a list of the integers 0 and 1")
-    return BooleanFunction.from_table(np.frombuffer(bytes(table), np.uint8))
+    bits = _bits(table)
+    _require(bits is not None, "table must be a list of the integers 0 and 1")
+    return BooleanFunction.from_table(np.frombuffer(bits, np.uint8))
 
 
 def load_function(path) -> BooleanFunction:

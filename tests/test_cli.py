@@ -200,6 +200,17 @@ class TestEqual:
     def test_length_mismatch_is_usage_error(self):
         assert main(["equal", "--y", "10", "--z", "100"]) == 2
 
+    def test_does_not_import_numpy(self):
+        # strings_equal runs the built verifier's stages in plain Python.
+        _run_python(
+            "import sys\n"
+            "from qverify.cli import main\n"
+            "assert main(['equal', '--y', '1', '--z', '1']) == 0\n"
+            "assert main(['equal', '--y', '101100111010', '--z', '101100111011', '--json']) == 1\n"
+            "for name in ('numpy', 'dataclasses', 'qverify.model', 'qverify.builder',\n"
+            "             'qverify._kernels'):\n"
+            "    assert name not in sys.modules, name\n")
+
 
 class TestClassical:
     def test_worst_case_word(self):
@@ -392,6 +403,19 @@ class TestCheck:
             "exec('from qverify import *', names)\n"
             "assert set(qverify.__all__) <= set(names)\n")
         _run_python(script)
+
+    @pytest.mark.parametrize("value", [True, 1.0, 2, -1, 2**70, "1", None, [1]])
+    def test_bad_table_entry_is_one_line_usage_error(self, tmp_path, capsys, value):
+        table = [0] * 16
+        table[5] = value
+        fn_path, alg_path = tmp_path / "f.json", tmp_path / "alg.json"
+        fn_path.write_text(json.dumps({"schema_version": 1, "arity": 4, "table": table}),
+                           encoding="utf-8")
+        assert main(["build", "--n", "4", "--out", str(alg_path)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--algorithm", str(alg_path), "--function", str(fn_path)]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: invalid document: table must be a list of the integers 0 and 1\n")
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--algorithm", "/nonexistent.json"]) == 2

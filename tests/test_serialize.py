@@ -294,7 +294,7 @@ class TestDocumentValidation:
         with pytest.raises(ValueError, match="only numbers"):
             document_to_algorithm(doc)
 
-    @pytest.mark.parametrize("label", [True, 1.0, "1"])
+    @pytest.mark.parametrize("label", [True, 1.0, "1", 2, -1, 2**70, None, [1]])
     def test_rejects_labels_other_than_integers(self, alg4, label):
         doc = self._doc(alg4)
         doc["labels"][0] = label
@@ -499,6 +499,15 @@ class TestFunctionDocuments:
         path.write_text(json.dumps({"schema_version": 1, "arity": 2,
                                     "table": [1, 0, 0, 1]}), encoding="utf-8")
         assert load_function(path).evaluate("11") == 1
+
+    @pytest.mark.parametrize("value", [True, 1.0, 2, -1, 2**70, "1", None, [1]])
+    def test_rejects_entries_other_than_the_integers_0_and_1(self, value):
+        for bits in ([value, 0], [1, value]):
+            doc = {"schema_version": 1, "arity": 1, "table": bits}
+            with pytest.raises(ValueError) as excinfo:
+                document_to_function(doc)
+            assert str(excinfo.value) == \
+                "invalid document: table must be a list of the integers 0 and 1"
 
     def test_rejects_short_table(self, tmp_path):
         path = tmp_path / "f.json"

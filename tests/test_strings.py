@@ -1,8 +1,14 @@
+import copy
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qverify import BooleanFunction, StringPair, deinterleave, interleave, strings_equal
+from qverify import (BooleanFunction, StringPair, build_algorithm, compute, deinterleave,
+                     interleave, strings_equal)
+from qverify import strings
 
 binary = st.integers(1, 8).flatmap(
     lambda k: st.tuples(st.integers(0, 2 ** k - 1).map(lambda v: format(v, f"0{k}b")),
@@ -37,6 +43,72 @@ class TestInterleave:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             StringPair("10", "1x")
+
+
+class TestStringPair:
+    def test_keyword_construction(self):
+        p = StringPair(y="10", z="11")
+        assert (p.y, p.z, p.length) == ("10", "11", 2)
+        assert p == StringPair("10", "11")
+
+    def test_equality_and_hash(self):
+        p, q = StringPair("101", "001"), StringPair(y="101", z="001")
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+        assert p != StringPair("101", "101")
+        assert p != ("101", "001")
+
+    def test_repr(self):
+        assert repr(StringPair(y="10", z="11")) == "StringPair(y='10', z='11')"
+
+    @pytest.mark.parametrize("field", ["y", "z", "other"])
+    def test_fields_are_read_only(self, field):
+        p = StringPair("10", "11")
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(p, field, "00")
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(p, field)
+        assert p == StringPair("10", "11")
+
+    def test_copies_and_pickles_keep_the_pair(self):
+        p = StringPair("0110", "0111")
+        assert copy.copy(p) == p and copy.deepcopy(p) == p
+        assert pickle.loads(pickle.dumps(p)) == p
+
+
+def _words(k, seed):
+    """Every 2k-bit word for k <= 4; otherwise 50 seeded codewords (y
+    interleaved with itself) and 50 seeded interleaved pairs."""
+    if k <= 4:
+        return [format(w, f"0{2 * k}b") for w in range(1 << (2 * k))]
+    rng = random.Random(seed + k)
+    words = []
+    for _ in range(50):
+        y, z = (format(rng.getrandbits(k), f"0{k}b") for _ in range(2))
+        words += [interleave(StringPair(y, y)), interleave(StringPair(y, z))]
+    return words
+
+
+class TestRunMatchesModel:
+    """strings._run_verifier is the built verifier's stage rule run in plain
+    Python; model.compute on the built algorithm is the one executor."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_agrees_with_compute(self, k):
+        alg = build_algorithm(2 * k)
+        words = _words(k, seed=1729)
+        if k > 4:
+            assert len(words) == 100 and sum(w[0::2] == w[1::2] for w in words) >= 50
+        for word in words:
+            output, exact, p0, p1 = strings._run_verifier(word)
+            want = compute(alg, word)
+            assert (output, exact) == (want.output, want.exact), word
+            assert abs(p0 - want.p0) <= 1e-15 and abs(p1 - want.p1) <= 1e-15, (word, p0, p1, want)
+
+    def test_non_exact_run_raises(self, monkeypatch):
+        monkeypatch.setattr(strings, "_run_verifier", lambda word: (1, False, 0.4, 0.6))
+        with pytest.raises(RuntimeError, match=r"not exact on '1100' \(p=0\.6\)"):
+            strings_equal(StringPair("10", "10"))
 
 
 class TestStringsEqual:
