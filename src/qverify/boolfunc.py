@@ -19,25 +19,24 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .limits import MAX_SWEEP_VARS
-from .words import check_word, index_to_word
+from .words import ReadOnly, check_length, check_word, index_to_word
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-class BooleanFunction:
+class BooleanFunction(ReadOnly):
     """An N-variable Boolean function: the built-in verifier or a table.
 
     `table` is None for the built-in pair-equality verifier and otherwise
     holds all 2**N output bits indexed by input word value, read-only.
-    Instances are immutable and compare by identity.
+    Instances are read-only (ReadOnly) and compare by identity.
     """
 
     __slots__ = ("arity", "table")
 
     def __init__(self, arity: int, table: np.ndarray | None = None) -> None:
-        if arity < 1:
-            raise ValueError(f"arity must be positive, got {arity}")
+        arity = check_length(arity, "arity")
         if table is None:
             if arity % 2 != 0:
                 raise ValueError(f"the pair verifier needs an even arity, got {arity}")
@@ -52,18 +51,7 @@ class BooleanFunction:
                 raise ValueError("truth table entries must be 0 or 1")
             table = np.ascontiguousarray(table, dtype=np.uint8)
             table.setflags(write=False)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # Copies and pickles go through the constructor: slots are read-only.
-        return type(self), (self.arity, self.table)
+        super().__init__(arity, table)
 
     @classmethod
     def verify(cls, n: int) -> "BooleanFunction":
@@ -72,11 +60,7 @@ class BooleanFunction:
 
     @classmethod
     def from_table(cls, bits) -> "BooleanFunction":
-        import numpy as np
-
-        table = np.asarray(bits)
-        n = int(table.shape[0]).bit_length() - 1
-        return cls(arity=n, table=table)
+        return cls(arity=len(bits).bit_length() - 1, table=bits)
 
     def evaluate(self, word: str) -> int:
         """Function value on one word; raises ValueError on a length mismatch."""

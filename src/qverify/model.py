@@ -20,8 +20,9 @@ each factor dense on every call (all K x K entries for a final unitary
 given whole); `run_batch` is `run` on each word, stacked.
 
 All objects are immutable after construction and safe to share across
-threads; `run` is a pure function, so identical inputs give bitwise
-identical traces.
+threads: records are NamedTuples of read-only arrays, and QueryAlgorithm's
+shared base, words.ReadOnly, makes copies and pickles re-run the constructor.
+`run` is a pure function, so identical inputs give bitwise identical traces.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import _kernels
 from .boolfunc import BooleanFunction
 from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
 from .linalg import as_matrix, as_state
-from .words import index_to_word, parse_word
+from .words import ReadOnly, check_length, index_to_word, parse_word
 
 
 class Nonzeros(NamedTuple):
@@ -170,7 +171,7 @@ def _kron(m, dim: int, what: str) -> Kron:
                       for i, (f, d) in enumerate(zip(m.factors, dims), start=1)), dims)
 
 
-class QueryAlgorithm:
+class QueryAlgorithm(ReadOnly):
     """A complete query algorithm over n_vars Boolean variables.
 
     Every stage unitary is held as its Nonzeros only, O(K) numbers for
@@ -194,8 +195,7 @@ class QueryAlgorithm:
     __slots__ = ("n_vars", "start", "stages", "final", "labels")
 
     def __init__(self, n_vars: int, start, stages, final_unitary, labels) -> None:
-        if n_vars < 1:
-            raise ValueError(f"n_vars must be positive, got {n_vars}")
+        n_vars = check_length(n_vars, "n_vars")
         start_arr = _locked(np.array(as_state(start), dtype=np.float64), "start state")
         dim = start_arr.shape[0]
 
@@ -218,11 +218,8 @@ class QueryAlgorithm:
         labels_arr = labels_arr.astype(np.uint8)
         labels_arr.setflags(write=False)
 
-        self.n_vars = int(n_vars)
-        self.start = start_arr
-        self.stages = tuple(built)
-        self.final = _kron(final_unitary, dim, "final unitary")
-        self.labels = labels_arr
+        super().__init__(n_vars, start_arr, tuple(built),
+                         _kron(final_unitary, dim, "final unitary"), labels_arr)
 
     @property
     def dim(self) -> int:

@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 
 from .limits import EXACT_TOL, MAX_STRING_LEN
-from .words import check_word
+from .words import ReadOnly, check_word
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-class StringPair:
-    """Two equal-length binary strings to compare (immutable)."""
+class StringPair(ReadOnly):
+    """Two equal-length binary strings to compare (read-only)."""
 
     __slots__ = ("y", "z")
     __match_args__ = ("y", "z")
@@ -32,18 +32,7 @@ class StringPair:
         check_word(z)
         if len(y) != len(z):
             raise ValueError(f"strings must have equal length, got {len(y)} and {len(z)}")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # Copies and pickles go through the constructor: slots are read-only.
-        return type(self), (self.y, self.z)
+        super().__init__(y, z)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -4,11 +4,43 @@ A word is a plain Python string of '0'/'1' characters whose leftmost
 character is variable x1. Lexicographic order over words of one length is
 therefore the numeric order of their integer values.
 
-This module imports numpy only inside `parse_word`, so that `check_word`
-serves callers that never load it.
+Only `parse_word` imports numpy, so `check_word` and `ReadOnly`, the one
+read-only base of the value classes, serve callers that never load it.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
+
+
+class ReadOnly:
+    """Base of the validated value classes: __init__ sets the slots once,
+    assignment and deletion raise AttributeError, and copies and pickles
+    re-run the subclass constructor on the slots' values, in slot order."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(type(self).__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
+
+def check_length(value, what: str) -> int:
+    """`value` as an int if it is a Python or numpy integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return int(value)
 
 
 def check_word(word: str, length: int | None = None) -> str:

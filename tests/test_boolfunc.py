@@ -6,7 +6,9 @@ import pytest
 from qverify import (
     BooleanFunction,
     ClassicalRunReport,
+    QueryAlgorithm,
     bit_oracle,
+    build_algorithm,
     classical_query_counts,
     classical_verify,
     classical_worst_case,
@@ -43,25 +45,41 @@ class TestEvaluate:
             BooleanFunction.verify(4).evaluate("011")
 
     def test_rejects_odd_arity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the pair verifier needs an even arity, got 5$"):
             BooleanFunction.verify(5)
+        # So is an arity that is not an integer >= 1; below 1 keeps its message.
+        for arity, message in [(2.0, "an integer, got 2.0"), (True, "an integer, got True"),
+                               (np.float64(4), "an integer, got "), (np.bool_(True), "an integer"),
+                               (0, "positive, got 0"), (np.int64(-2), "positive, got -2")]:
+            with pytest.raises(ValueError, match=f"^arity must be {message}"):
+                BooleanFunction(arity)
+        with pytest.raises(ValueError, match="^arity must be an integer, got True$"):
+            BooleanFunction(True, table=[0, 1])
+        f = BooleanFunction(np.int64(4))
+        assert type(f.arity) is int and f.arity == 4
 
     def test_immutable_and_compared_by_identity(self):
         f = BooleanFunction.from_table([0, 1, 1, 0])
-        for name in ("arity", "table", "other"):
-            with pytest.raises(AttributeError):
-                setattr(f, name, None)
-        for name in ("arity", "table"):
-            with pytest.raises(AttributeError):
-                delattr(f, name)
+        alg = build_algorithm(6)
+        fields = [getattr(alg, name) for name in QueryAlgorithm.__slots__]
+        for obj in (f, alg):
+            for name in (*type(obj).__slots__, "other"):
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(obj, name, None)
+                with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                    delattr(obj, name)
         with pytest.raises(ValueError):
             f.table[0] = 1
         assert (f.arity, f.table.tolist()) == (2, [0, 1, 1, 0])
+        assert all(getattr(alg, name) is v for name, v in zip(QueryAlgorithm.__slots__, fields))
         assert f == f and f != BooleanFunction.from_table([0, 1, 1, 0])
+        assert alg == alg and alg != build_algorithm(6)
         # A copy is rebuilt through the constructor: equal content, new identity.
         g = pickle.loads(pickle.dumps(f))
         assert (g.arity, g.table.tolist(), g.table.flags.writeable) == (2, [0, 1, 1, 0], False)
         assert g != f and pickle.loads(pickle.dumps(BooleanFunction.verify(4))).table is None
+        c = pickle.loads(pickle.dumps(alg))
+        assert c != alg and (c.n_vars, c.labels.tolist()) == (6, alg.labels.tolist())
 
     def test_truth_table_lookup(self):
         f = BooleanFunction.from_table([0, 1, 1, 0])

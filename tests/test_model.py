@@ -1,3 +1,4 @@
+import copy
 import itertools
 import sys
 import threading
@@ -793,6 +794,14 @@ class TestQueryAlgorithmValidation:
         with pytest.raises(ValueError):
             QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [3, 0])],
                            np.eye(2), [1, 0])
+        # n_vars itself must be an integer >= 1: 2.7 was once stored as 2.
+        for n_vars, message in [(2.7, "an integer, got 2.7"), (2.0, "an integer, got 2.0"),
+                                (True, "an integer, got True"), (np.float64(2), "an integer"),
+                                (0, "positive, got 0"), (np.int64(-1), "positive, got -1")]:
+            with pytest.raises(ValueError, match=f"^n_vars must be {message}"):
+                QueryAlgorithm(n_vars, [1.0, 0.0], [(np.eye(2), [1, 0])], np.eye(2), [1, 0])
+        alg = QueryAlgorithm(np.int64(2), [1.0, 0.0], [(np.eye(2), [1, 2])], np.eye(2), [1, 0])
+        assert type(alg.n_vars) is int and alg.n_vars == 2
 
     def test_rejects_query_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -848,6 +857,14 @@ class TestQueryAlgorithmValidation:
         for array in (*alg4.stages[0].nonzeros, alg4.stages[0].query, *alg4.final.factors[0]):
             with pytest.raises(ValueError):
                 array[0] = 2
+        # A deep copy re-runs the constructor, so its var maps and labels are
+        # read-only too: no write reaches check_exact.
+        c = copy.deepcopy(alg4)
+        for array in (c.stages[0].query, c.labels, c.start):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 1
+        f = BooleanFunction.verify(4)
+        assert check_exact(c, f) == check_exact(alg4, f)
 
     @pytest.mark.parametrize("dims", [(), (2, 2, 2), (4, 1)])
     def test_rejects_kron_sides_that_do_not_multiply_to_dim(self, dims):

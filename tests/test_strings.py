@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qverify import (BooleanFunction, StringPair, build_algorithm, compute, deinterleave,
-                     interleave, strings_equal)
+from qverify import (BooleanFunction, QueryAlgorithm, StringPair, build_algorithm, check_exact,
+                     compute, deinterleave, interleave, load_algorithm, save_algorithm,
+                     strings_equal)
 from qverify import strings
 
 binary = st.integers(1, 8).flatmap(
@@ -61,19 +62,36 @@ class TestStringPair:
     def test_repr(self):
         assert repr(StringPair(y="10", z="11")) == "StringPair(y='10', z='11')"
 
-    @pytest.mark.parametrize("field", ["y", "z", "other"])
+    @pytest.mark.parametrize("field", ["y", "z", "other", *QueryAlgorithm.__slots__])
     def test_fields_are_read_only(self, field):
-        p = StringPair("10", "11")
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
-            setattr(p, field, "00")
-        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
-            delattr(p, field)
+        # A QueryAlgorithm shares the pair's read-only base and its messages.
+        p, alg = StringPair("10", "11"), build_algorithm(6)
+        fields = [getattr(alg, name) for name in QueryAlgorithm.__slots__]
+        for obj in (p, alg):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(obj, field, "00")
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(obj, field)
         assert p == StringPair("10", "11")
+        assert all(getattr(alg, name) is v for name, v in zip(QueryAlgorithm.__slots__, fields))
 
-    def test_copies_and_pickles_keep_the_pair(self):
+    def test_copies_and_pickles_keep_the_pair(self, tmp_path):
         p = StringPair("0110", "0111")
         assert copy.copy(p) == p and copy.deepcopy(p) == p
         assert pickle.loads(pickle.dumps(p)) == p
+        # An algorithm's copies re-run its constructor too: read-only arrays,
+        # and the same report to the bit, for a built and a loaded algorithm.
+        save_algorithm(build_algorithm(8), tmp_path / "alg8.json")
+        loaded = load_algorithm(tmp_path / "alg8.json")
+        assert loaded.final.dims == (4, 4)
+        for alg in (build_algorithm(6), loaded):
+            f = BooleanFunction.verify(alg.n_vars)
+            report = repr(check_exact(alg, f))
+            for c in (pickle.loads(pickle.dumps(alg)), copy.copy(alg), copy.deepcopy(alg)):
+                arrays = [c.start, c.labels, *(a for factor in c.final.factors for a in factor),
+                          *(a for st in c.stages for a in (*st.nonzeros, st.query))]
+                assert not any(a.flags.writeable for a in arrays)
+                assert repr(check_exact(c, f)) == report
 
 
 def _words(k, seed):
