@@ -47,7 +47,7 @@ class BooleanFunction(ReadOnly):
             if table.ndim != 1 or table.shape[0] != (1 << arity):
                 raise ValueError(
                     f"truth table must have 2**{arity} entries, got shape {table.shape}")
-            if not np.isin(table, (0, 1)).all():
+            if not np.all((table == 0) | (table == 1)):
                 raise ValueError("truth table entries must be 0 or 1")
             table = np.ascontiguousarray(table, dtype=np.uint8)
             table.setflags(write=False)

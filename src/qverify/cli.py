@@ -11,14 +11,21 @@ Every command handler computes its result and returns (exit code, JSON
 payload, text lines); `main` alone writes it to stdout, the payload as one
 JSON line under --json and the lines otherwise, and an error as one line
 on stderr. Each handler imports the modules it runs, so that `classical`,
-`sensitivity` and `equal` start without numpy, and `main` runs numpy's
-BLAS on one thread unless the environment sets OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS.
+`sensitivity` and `equal` start without numpy.
+
+Most of a command's time is process start. So `main` runs numpy's BLAS on
+one thread (a second one spins while numpy loads) unless numpy is loaded or
+the environment sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS.
+Run on the process's own command line (no argv), as by `python -m qverify.cli`
+and the `qverify` script, it turns the cyclic garbage collector off, whose
+passes over numpy's and a document's objects free nothing; on the way out it
+freezes the heap, for the shutdown collections to skip, and turns it back on.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -247,23 +254,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # One BLAS thread, which numpy reads as it loads: a second one spins
-    # while numpy starts and slows the small Gram products. A user's
-    # setting of any of the three wins, and a caller that has loaded numpy
-    # already keeps its environment.
     if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_ENV):
         os.environ.update(dict.fromkeys(_THREAD_ENV, "1"))
-    args = build_parser().parse_args(argv)
+    if own := argv is None:
+        gc.disable()
     try:
-        code, payload, lines = args.func(args)
-        if getattr(args, "json", False):
-            lines = [json.dumps(payload, default=list)]
-        for line in lines:
-            print(line)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return code
+        args = build_parser().parse_args(argv)
+        try:
+            code, payload, lines = args.func(args)
+            if getattr(args, "json", False):
+                lines = [json.dumps(payload, default=list)]
+            for line in lines:
+                print(line)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        return code
+    finally:
+        if own:
+            gc.freeze()
+            gc.enable()
 
 
 if __name__ == "__main__":

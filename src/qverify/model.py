@@ -213,7 +213,7 @@ class QueryAlgorithm(ReadOnly):
         labels_arr = np.asarray(labels)
         if labels_arr.shape != (dim,):
             raise ValueError(f"labels must have shape ({dim},), got {labels_arr.shape}")
-        if not np.isin(labels_arr, (0, 1)).all():
+        if not np.all((labels_arr == 0) | (labels_arr == 1)):
             raise ValueError("labels must be 0 or 1")
         labels_arr = labels_arr.astype(np.uint8)
         labels_arr.setflags(write=False)

@@ -90,8 +90,17 @@ class TestEvaluate:
             BooleanFunction(arity=2, table=np.array([0, 1, 1]))
 
     def test_table_entries_must_be_bits(self):
-        with pytest.raises(ValueError):
-            BooleanFunction.from_table([0, 1, 2, 0])
+        for table in ([0, 1, 2, 0], [0, 1, -1, 0], [0.0, 1.0, 0.5, 0.0], [0.0, 1.0, np.nan, 0.0],
+                      np.array(["0", "1", "1", "0"]), np.array([0, 1, None, 0], dtype=object)):
+            with pytest.raises(ValueError, match="^truth table entries must be 0 or 1$"):
+                BooleanFunction.from_table(table)
+
+    @pytest.mark.parametrize("table", [[0.0, 1.0, 1.0, -0.0], [False, True, True, False],
+                                       np.array([0, 1, 1, 0], dtype=np.uint64),
+                                       np.array([0, 1, 1.0, False], dtype=object)])
+    def test_table_of_any_dtype_holding_bits_is_accepted(self, table):
+        f = BooleanFunction.from_table(table)
+        assert (f.table.dtype, f.table.tolist()) == (np.uint8, [0, 1, 1, 0])
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_values_match_per_word_evaluation(self, n):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -94,15 +95,20 @@ def cli(argv):
     return code, out.getvalue()
 
 
-def _run_python(script: str, **env_vars) -> None:
-    """Run script in a fresh interpreter on this checkout's sources, with
-    env_vars set in its environment, or removed where they are None."""
+def _fresh_env(**env_vars) -> dict:
+    """The environment for a fresh interpreter on this checkout's sources,
+    with env_vars set, or removed where they are None."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, **env_vars}
-    env = {name: value for name, value in env.items() if value is not None}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True)
+    return {name: value for name, value in env.items() if value is not None}
+
+
+def _run_python(script: str, **env_vars) -> None:
+    """Run script in a fresh interpreter on this checkout's sources, with
+    env_vars set in its environment, or removed where they are None."""
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(**env_vars),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -568,6 +574,80 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# Run `main()` on the process's own command line, as the `qverify` console
+# script does, then record the collector's state and how many collections
+# started while main ran.
+_FRESH_MAIN = """\
+import gc, json, sys
+from qverify.cli import main
+state, sys.argv = sys.argv[1], ["qverify", *sys.argv[2:]]
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info))
+try:
+    code = main()
+finally:
+    with open(state, "w", encoding="utf-8") as fh:
+        json.dump([gc.isenabled(), gc.get_freeze_count(), len(collections)], fh)
+sys.exit(code)
+"""
+
+# (argv, exit code, stdout or its golden file, stderr lines, start of the last one)
+COLLECTOR_CASES = [
+    (["verify", "--n", "4", "--json"], 0, "verify_n4.json", 0, ""),
+    (["equal", "--y", "10", "--z", "01", "--json"], 1, "equal_10_01.json", 0, ""),
+    (["check", "--algorithm", "not-utf8.json"], 2, "", 1, "error: invalid document:"),
+    (["verify", "--n"], 2, "", 2, "qverify verify: error: argument --n: expected one argument"),
+]
+
+
+def _assert_outputs(stdout, stderr, out, err_lines, err):
+    if out.endswith(".json"):
+        out = (GOLDEN_DIR / out).read_text(encoding="utf-8")
+    assert stdout == out
+    lines = stderr.splitlines()
+    assert len(lines) == err_lines, stderr
+    assert not lines or lines[-1].startswith(err), stderr
+
+
+class TestCollector:
+    """Only `main` on the process's own command line turns the collector off."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv,code,out,err_lines,err", COLLECTOR_CASES,
+                             ids=[" ".join(c[0]) for c in COLLECTOR_CASES])
+    def test_main_with_argv_leaves_the_collector_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                          argv, code, out, err_lines, err,
+                                                          enabled):
+        (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
+        monkeypatch.chdir(tmp_path)
+        frozen = gc.get_freeze_count()
+        if not enabled:
+            gc.disable()
+        try:
+            try:
+                got = main(argv)
+            except SystemExit as exc:
+                got = exc.code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            gc.enable()
+        assert got == code
+        _assert_outputs(*capsys.readouterr(), out, err_lines, err)
+
+    @pytest.mark.parametrize("argv,code,out,err_lines,err", COLLECTOR_CASES,
+                             ids=[" ".join(c[0]) for c in COLLECTOR_CASES])
+    def test_own_command_line_runs_uncollected_and_exits_frozen(self, tmp_path, argv, code,
+                                                               out, err_lines, err):
+        (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
+        proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, "state.json", *argv],
+                              cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        _assert_outputs(proc.stdout, proc.stderr, out, err_lines, err)
+        enabled, frozen, collections = json.loads((tmp_path / "state.json").read_text())
+        assert (enabled, collections) == (True, 0)
+        assert frozen > 0
 
 
 def regenerate_golden_files() -> None:

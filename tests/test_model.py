@@ -809,12 +809,12 @@ class TestQueryAlgorithmValidation:
                            np.eye(2), [1, 0])
 
     def test_rejects_non_binary_labels(self):
-        with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [1, 2])],
-                           np.eye(2), [1, 2])
-        with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [1, 2])],
-                           np.eye(2), [1, -1])
+        for labels in ([1, 2], [1, -1], [1.0, 0.5], [1.0, np.nan], np.array(["1", "0"])):
+            with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+                QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [1, 2])], np.eye(2), labels)
+        for labels in ([1.0, 0.0], [True, False], np.array([1, 0], dtype=np.int8)):
+            alg = QueryAlgorithm(2, [1.0, 0.0], [(np.eye(2), [1, 2])], np.eye(2), labels)
+            assert (alg.labels.dtype, alg.labels.tolist()) == (np.uint8, [1, 0])
 
     @pytest.mark.parametrize("where", ["start", "stage", "final"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
