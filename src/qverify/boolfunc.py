@@ -6,7 +6,8 @@ The built-in verifier function accepts an even-length word exactly when
 every consecutive bit pair (x1,x2), (x3,x4), ... is equal, i.e. when the
 word is a valid duplicate-each-bit codeword. Arbitrary functions are
 supported through explicit truth tables so loaded algorithms can be
-checked against anything.
+checked against anything. `bit_vector` is the one rule for a Boolean
+vector: a truth table, and in `model` an algorithm's labels, pass it.
 
 The verifier's truth table is built once, as one Python int
 (`verify_bits`); its sensitivity reads the int and its arrays are unpacked
@@ -29,7 +30,7 @@ class BooleanFunction(ReadOnly):
     """An N-variable Boolean function: the built-in verifier or a table.
 
     `table` is None for the built-in pair-equality verifier and otherwise
-    holds all 2**N output bits indexed by input word value, read-only.
+    holds all 2**N output bits indexed by input word value, a read-only copy.
     Instances are read-only (ReadOnly) and compare by identity.
     """
 
@@ -47,10 +48,7 @@ class BooleanFunction(ReadOnly):
             if table.ndim != 1 or table.shape[0] != (1 << arity):
                 raise ValueError(
                     f"truth table must have 2**{arity} entries, got shape {table.shape}")
-            if not np.all((table == 0) | (table == 1)):
-                raise ValueError("truth table entries must be 0 or 1")
-            table = np.ascontiguousarray(table, dtype=np.uint8)
-            table.setflags(write=False)
+            table = bit_vector(table, "truth table entries must be 0 or 1")
         super().__init__(arity, table)
 
     @classmethod
@@ -69,17 +67,24 @@ class BooleanFunction(ReadOnly):
             return int(_pair_diffs(w, self.arity) == 0)
         return int(self.table[w])
 
-    __call__ = evaluate
-
-    def values_range(self, lo: int, hi: int) -> np.ndarray:
-        """Output bits for every input integer in [lo, hi)."""
-        if self.table is not None:
-            return self.table[lo:hi]
-        return verify_values_range(self.arity, lo, hi)
-
     def values(self) -> np.ndarray:
         """The full truth table as a uint8 array."""
-        return self.values_range(0, 1 << self.arity)
+        if self.table is not None:
+            return self.table
+        return verify_values_range(self.arity, 0, 1 << self.arity)
+
+
+def bit_vector(values, message: str) -> np.ndarray:
+    """The one Boolean-vector rule: `values` as a new read-only uint8 array
+    when every entry is == 0 or == 1, else ValueError(message)."""
+    import numpy as np
+
+    a = np.asarray(values)
+    if not np.all((a == 0) | (a == 1)):
+        raise ValueError(message)
+    a = a.astype(np.uint8)
+    a.setflags(write=False)
+    return a
 
 
 def sensitivity(f: BooleanFunction) -> tuple[int, str]:
@@ -178,6 +183,7 @@ def classical_query_counts(n: int) -> np.ndarray:
     if n > MAX_SWEEP_VARS:
         raise ValueError(
             f"exhaustive classical sweep capped at {MAX_SWEEP_VARS} variables, got {n}")
+    n = check_length(n, "verifier arity")
     import numpy as np
 
     diffs = _pair_diffs(np.arange(1 << n, dtype=np.int64), n)

@@ -26,6 +26,7 @@ import numpy as np
 from .limits import MAX_BUILD_VARS
 from .linalg import hadamard_power, is_power_of_two
 from .model import Kron, Nonzeros, QueryAlgorithm
+from .words import check_length
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -36,7 +37,7 @@ def index_set(i: int, k: int) -> np.ndarray:
         raise ValueError(f"dimension must be a power of two, got {k}")
     if i < 1:
         raise ValueError(f"stage number must be >= 1, got {i}")
-    if (1 << i) > k:
+    if (1 << check_length(i, "stage number")) > k:
         raise ValueError(f"stage {i} needs spacing k/2**i >= 1, but k = {k}")
     spacing = k >> i
     return np.arange(1 << i, dtype=np.int64) * spacing
@@ -85,7 +86,7 @@ def build_algorithm(n: int) -> QueryAlgorithm:
     """The complete n-variable verifier algorithm (n even, 2 <= n <= 24)."""
     if n % 2 != 0 or n < 2 or n > MAX_BUILD_VARS:
         raise ValueError(f"n must be even and within [2, {MAX_BUILD_VARS}], got {n}")
-    t = n // 2
+    t = check_length(n, "n") // 2
     k = 1 << t
     start = np.zeros(k, dtype=np.float64)
     start[0] = 1.0

@@ -9,9 +9,9 @@ decimals; --json emits one machine-readable line at full precision.
 
 Every command handler computes its result and returns (exit code, JSON
 payload, text lines); `main` alone writes it to stdout, the payload as one
-JSON line under --json and the lines otherwise, and an error as one line
-on stderr. Each handler imports the modules it runs, so that `classical`,
-`sensitivity` and `equal` start without numpy.
+strict JSON line under --json and the lines otherwise, and an error as one
+line on stderr. Each handler imports the modules it runs, so that
+`classical`, `sensitivity` and `equal` start without numpy.
 
 Most of a command's time is process start. So `main` runs numpy's BLAS on
 one thread (a second one spins while numpy loads) unless numpy is loaded or
@@ -91,11 +91,7 @@ def _cmd_run(args):
         "command": "run",
         "n_vars": alg.n_vars,
         "input": args.input,
-        "output": result.output,
-        "probability": result.probability,
-        "exact": result.exact,
-        "p0": result.p0,
-        "p1": result.p1,
+        **result._asdict(),
         "final_state": trace.final.tolist(),
     }
     names = _step_names(alg.t_queries)
@@ -263,7 +259,7 @@ def main(argv=None) -> int:
         try:
             code, payload, lines = args.func(args)
             if getattr(args, "json", False):
-                lines = [json.dumps(payload, default=list)]
+                lines = [json.dumps(payload, default=list, allow_nan=False)]
             for line in lines:
                 print(line)
         except (ValueError, OSError) as exc:

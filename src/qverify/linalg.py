@@ -18,6 +18,7 @@ import numpy as np
 
 from ._kernels import _wht, gram_residual
 from .limits import MATRIX_TOL, MAX_DIM, NORM_TOL
+from .words import check_length
 
 
 def is_power_of_two(n: int) -> bool:
@@ -61,7 +62,7 @@ def hadamard_power(t: int) -> np.ndarray:
     """
     if t < 1:
         raise ValueError(f"hadamard_power requires t >= 1, got {t}")
-    k = 1 << t
+    k = 1 << check_length(t, "t")
     if k > MAX_DIM:
         raise ValueError(f"dimension 2**{t} exceeds the supported maximum {MAX_DIM}")
     # Row i of the power is the transform of the unit row e_i, scaled; 512

@@ -9,7 +9,8 @@ per basis state. Running on a word applies
 
 where query Q_i is its var_map: slot j's amplitude is kept when entry j is
 0, and multiplied by (-1)**x_k when it is k >= 1. Measuring sums squared
-amplitudes per label; an algorithm computes a function exactly when the
+amplitudes per label, labels that pass boolfunc.bit_vector, the one
+Boolean-vector rule; an algorithm computes a function exactly when the
 correct output has probability 1 (within EXACT_TOL) on every word.
 
 Matrices take one of two forms in memory: a stage unitary is its Nonzeros,
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .boolfunc import BooleanFunction
+from .boolfunc import BooleanFunction, bit_vector
 from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
 from .linalg import as_matrix, as_state
 from .words import ReadOnly, check_length, index_to_word, parse_word
@@ -210,13 +211,9 @@ class QueryAlgorithm(ReadOnly):
         if not built:
             raise ValueError("an algorithm needs at least one stage")
 
-        labels_arr = np.asarray(labels)
+        labels_arr = bit_vector(labels, "labels must be 0 or 1")
         if labels_arr.shape != (dim,):
             raise ValueError(f"labels must have shape ({dim},), got {labels_arr.shape}")
-        if not np.all((labels_arr == 0) | (labels_arr == 1)):
-            raise ValueError("labels must be 0 or 1")
-        labels_arr = labels_arr.astype(np.uint8)
-        labels_arr.setflags(write=False)
 
         super().__init__(n_vars, start_arr, tuple(built),
                          _kron(final_unitary, dim, "final unitary"), labels_arr)
@@ -330,11 +327,9 @@ def measure(final: np.ndarray, labels) -> tuple[float, float]:
     result only depends on |amplitude|, never on its sign.
     """
     v = np.asarray(final, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.uint8)
+    lab = bit_vector(labels, "labels must be 0 or 1")
     if v.shape != lab.shape:
         raise ValueError(f"state shape {v.shape} does not match labels shape {lab.shape}")
-    if lab.max(initial=0) > 1:
-        raise ValueError("labels must be 0 or 1")
     p = v * v
     p1 = float(p[lab == 1].sum())
     p0 = float(p[lab == 0].sum())

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qverify import algorithm_to_document, build_algorithm, load_algorithm
+from qverify import cli as cli_module
 from qverify.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -562,6 +563,20 @@ class TestOutputs:
         if "--out" in argv:
             assert (tmp_path / "built.json").read_text(encoding="utf-8") == \
                 (GOLDEN_DIR / "build_n2.json").read_text(encoding="utf-8")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_payload_is_one_usage_error(self, monkeypatch, capsys, value):
+        # main dumps with allow_nan=False: never NaN or Infinity on stdout.
+        monkeypatch.setattr(cli_module, "_cmd_sensitivity", lambda args: (
+            0, {"command": "sensitivity", "sensitivity": value}, ["sensitivity: inf"]))
+        assert main(["sensitivity", "--n", "4", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert main(["sensitivity", "--n", "4"]) == 0
+        assert capsys.readouterr() == ("sensitivity: inf\n", "")
 
 
 class TestUsage:

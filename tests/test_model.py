@@ -214,8 +214,11 @@ class TestMeasure:
             measure(np.zeros(4), [1, 0])
 
     def test_rejects_non_binary_labels(self):
-        with pytest.raises(ValueError):
-            measure(np.zeros(2), [2, 0])
+        # Casting to uint8 once read 0.5 and 1.7 as 0 and 1, and raised
+        # OverflowError or TypeError on -1, 256 and None.
+        for label in (2, 0.5, 1.7, -1, 256, None, "1"):
+            with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+                measure(np.array([0.6, 0.8]), [1, label])
 
     @given(st.lists(st.floats(-1, 1), min_size=4, max_size=4),
            st.lists(st.integers(0, 1), min_size=4, max_size=4))
@@ -736,7 +739,7 @@ class TestBlockWalk:
         arrays = _sweep_arrays(alg)
         chunks = model._chunk_grid(alg.n_vars, alg.dim)
         assert len(chunks) == (1 if words is None else (1 << alg.n_vars) // words)
-        results = [sweep_range(*arrays, alg.n_vars, lo, hi, f.values_range(lo, hi), EXACT_TOL)
+        results = [sweep_range(*arrays, alg.n_vars, lo, hi, f.values()[lo:hi], EXACT_TOL)
                    for lo, hi in chunks]
         fails = [first for first, _ in results if first >= 0]
         report = check_exact(alg, f)

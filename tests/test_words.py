@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from qverify import bit_oracle, build_algorithm, classical_query_counts, classical_verify
+from qverify.builder import index_set
+from qverify.linalg import hadamard_power
 from qverify.words import check_word, parse_word
 
 NOT_BINARY = "word must contain only '0' and '1': "
@@ -31,3 +34,21 @@ def test_valid_words(word):
     bits = parse_word(word, len(word))
     assert bits.dtype == np.uint8
     assert bits.tolist() == [int(c) for c in word]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: build_algorithm(4.0), "n must be an integer, got 4.0"),
+    (lambda: build_algorithm(5), "n must be even and within [2, 24], got 5"),
+    (lambda: classical_query_counts(4.0), "verifier arity must be an integer, got 4.0"),
+    (lambda: classical_verify(bit_oracle("1111"), 4.0),
+     "verifier arity must be an integer, got 4.0"),
+    (lambda: hadamard_power(2.0), "t must be an integer, got 2.0"),
+    (lambda: index_set(1.0, 8), "stage number must be an integer, got 1.0"),
+], ids=["build_algorithm", "build_algorithm-odd", "classical_query_counts",
+        "classical_verify", "hadamard_power", "index_set"])
+def test_sizes_go_through_check_length(call, message):
+    # A float size passes the range checks, whose messages integers keep,
+    # and then words.check_length refuses it.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
