@@ -50,13 +50,14 @@ from .limits import MATRIX_TOL, SWEEP_BUDGET
 #     cut to the kept rows, is one more step that queries nothing. It is
 #     given as Kronecker factors, and each kept row is cut from the factors'
 #     rows (_kron_rows) in O(K), never from the whole matrix;
-#   * labelled rows: when every stage and the final matrix keep norms on the
-#     reachable columns (gram_residual on them, and kron_bound of the final
-#     matrix's factors), only the output rows of the smaller label set are
-#     kept, and the other probability is |start|^2 minus theirs;
+#   * kept rows: when every stage and the final matrix keep norms on the
+#     reachable columns (gram_residual, and kron_bound of the final matrix's
+#     factors), only the smaller label set's output rows are kept, and the
+#     other probability is |start|^2 minus theirs; else all, label 0's first;
 #   * evaluation: _blocks walks [lo, hi) in aligned power-of-two blocks,
 #     each propagated on its own; its monomials of the low bits are
-#     scattered into one amplitude row per kept output row and transformed.
+#     scattered into one amplitude row per kept output row, transformed,
+#     squared and judged by _judge, the one judging step.
 #
 # A propagation holds at most SWEEP_BUDGET floats, _TERM_FLOATS a term. Past
 # that, a block is halved until it fits. Builder output up to n = 21 is one
@@ -201,9 +202,9 @@ class SweepArrays(NamedTuple):
     (ptr, rows, values, bits) on the columns reached before it, column c's
     at [ptr[c], ptr[c + 1]), with the word bit each row queries (0: none);
     final_t, the same for the final matrix on the kept output rows, which
-    row_labels labels; and rest = (label, |start|^2) when only the other
-    label's rows are kept. Each block of words propagates its own polynomial
-    from them (_blocks)."""
+    row_labels labels, label 0's first; and rest = (label, |start|^2) when
+    only the other label's rows are kept. Each block of words propagates
+    its own polynomial from them (_blocks)."""
 
     start: np.ndarray
     stages: tuple
@@ -224,15 +225,14 @@ def sweep_arrays(n_vars, start, unitaries, var_maps, final, labels) -> SweepArra
         r, c, v = _reached(on, *entries)
         stages.append((np.searchsorted(c, np.arange(dim + 1)), r, v, bit_of[var_map[r]]))
         on = np.bincount(r, minlength=dim) > 0
-    rows, row_labels, rest = np.arange(dim), labels, None
+    rows, rest = np.argsort(labels, kind="stable"), None
     if norms and kron_bound(final, on) <= MATRIX_TOL:
         # Keep the smaller label set, label 1 on a tie.
         label = int(2 * np.count_nonzero(labels) <= labels.size)
-        rows = np.flatnonzero(labels == label)
-        row_labels, rest = labels[rows], (1 - label, float(start @ start))
+        rows, rest = np.flatnonzero(labels == label), (1 - label, float(start @ start))
     i, c, v = _reached(on, *_kron_rows(*final, rows))
     final_t = (np.searchsorted(c, np.arange(dim + 1)), i, v, np.zeros_like(i))
-    return SweepArrays(start, tuple(stages), final_t, row_labels, rest)
+    return SweepArrays(start, tuple(stages), final_t, labels[rows], rest)
 
 
 def _propagate(arrays: SweepArrays, base: int, size: int):
@@ -311,12 +311,30 @@ def _wht(a: np.ndarray) -> None:
         step *= width
 
 
+def _judge(probs, zeros, rest, want, tol):
+    """(offset of the first word not computed exactly as want, or -1; the
+    least probability of the wanted label) from the kept rows' squared
+    amplitudes, a column a word, label 0's `zeros` rows first. With rest =
+    (label, norm2), label's mass is norm2 minus the kept rows', at least 0."""
+    p0, p1 = probs[:zeros].sum(axis=0), probs[zeros:].sum(axis=0)
+    if rest is not None:  # written into the empty slice's sum
+        other, kept = (p0, p1) if rest[0] == 0 else (p1, p0)
+        np.maximum(np.subtract(rest[1], kept, out=other), 0.0, out=other)
+    top = np.maximum(p0, p1)
+    if not math.isfinite(top.max(initial=0.0)):  # max keeps a nan
+        raise ValueError("swept output probabilities overflow: matrix entries too large")
+    ok = ((p1 > p0) == (want == 1)) & (top >= 1.0 - tol)
+    first = -1 if ok.all() else int(np.argmin(ok))
+    return first, float(np.where(want == 1, p1, p0).min(initial=math.inf))
+
+
 def sweep_range(start, stages, final_t, row_labels, rest, n_vars, lo, hi, expected, tol):
     """(first input w in [lo, hi) not computed exactly as expected[w - lo],
     or -1; the least correct-output probability) for the fields of
-    sweep_arrays. Words are walked in _blocks, one block live at a time."""
+    sweep_arrays. Words are walked in _blocks, one block live at a time, each
+    judged once by _judge; n_vars is unused, kept for perfbench's replays."""
     arrays = SweepArrays(start, stages, final_t, row_labels, rest)
-    first, p_min = -1, math.inf
+    zeros, first, p_min = row_labels.size - int(np.count_nonzero(row_labels)), -1, math.inf
     # One amplitude buffer for all blocks, since a new one is paged in again
     # inside _wht; _propagate merged equal (mask, row) terms, so no two add.
     buf = np.empty(row_labels.size * _block_words(row_labels.size))
@@ -325,23 +343,10 @@ def sweep_range(start, stages, final_t, row_labels, rest, n_vars, lo, hi, expect
         amps.fill(0.0)
         amps[rows, masks] = coeffs
         _wht(amps)
-        if rest is None:
-            probs = amps * amps
-            p0, p1 = (probs[row_labels == b].sum(axis=0) for b in (0, 1))
-        else:
-            # Every kept row carries the label that rest does not.
-            label, norm2 = rest
-            kept = np.square(amps, out=amps).sum(axis=0)
-            other = np.maximum(norm2 - kept, 0.0)
-            p0, p1 = (kept, other) if label else (other, kept)
-        top = np.maximum(p0, p1)
-        if not math.isfinite(top.max()):  # max keeps a nan
-            raise ValueError("swept output probabilities overflow: matrix entries too large")
-        want = expected[base - lo:base - lo + width]
-        ok = ((p1 > p0) == (want == 1)) & (top >= 1.0 - tol)
-        p_min = min(p_min, float(np.where(want == 1, p1, p0).min()))
-        if first < 0 and not ok.all():
-            first = base + int(np.argmin(ok))
+        at, least = _judge(np.square(amps, amps), zeros, rest, expected[base - lo:][:width], tol)
+        p_min = min(p_min, least)
+        if first < 0 <= at:
+            first = base + at
     return first, p_min
 
 
@@ -393,12 +398,9 @@ def pair_sweep_range(n_vars: int, lo: int, hi: int, expected, tol) -> tuple[int,
 
     Only valid for builder output (paired-rotation stages, labels picking
     out basis state 0): the final transformation's first row is uniform, so
-    p1 collapses to (sum(state) * 2**(-T/2))**2 and p0 to |state|^2 - p1.
+    p1 collapses to (sum(state) * 2**(-T/2))**2, and _judge takes p0 as |state|^2 - p1.
     """
     states = _pair_states(n_vars, np.arange(lo, hi, dtype=np.int64))
-    amp0 = states.sum(axis=1) * 2.0 ** (-(n_vars // 2) / 2.0)
-    p1 = amp0 * amp0
-    p0 = np.maximum((states * states).sum(axis=1) - p1, 0.0)
-    ok = ((p1 > p0) == (expected == 1)) & (np.maximum(p0, p1) >= 1.0 - tol)
-    first = -1 if bool(ok.all()) else lo + int(np.argmin(ok))
-    return first, float(np.where(expected == 1, p1, p0).min(initial=math.inf))
+    p1 = np.square(states.sum(axis=1) * 2.0 ** (-(n_vars // 2) / 2.0))
+    first, least = _judge(p1[None], 0, (0, np.square(states).sum(axis=1)), expected, tol)
+    return first if first < 0 else lo + first, least

@@ -33,7 +33,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def index_set(i: int, k: int) -> np.ndarray:
     """The 2**i evenly spaced stage-i indices for dimension k (0-based)."""
-    if not is_power_of_two(k):
+    if not is_power_of_two(check_length(k, "dimension")):
         raise ValueError(f"dimension must be a power of two, got {k}")
     if i < 1:
         raise ValueError(f"stage number must be >= 1, got {i}")

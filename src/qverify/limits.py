@@ -1,8 +1,8 @@
 """Size caps and numeric tolerances, gathered in one place.
 
 Every cap is enforced with a loud ValueError at the call that would exceed
-it, never by silent truncation. The modules that use a cap or a tolerance
-re-export it under its old name (`builder.MAX_BUILD_VARS`,
+it, never by silent truncation. Each module that uses a cap or a tolerance
+imports it under the same name (`builder.MAX_BUILD_VARS`,
 `model.MAX_SWEEP_VARS`, `boolfunc.MAX_SWEEP_VARS`, `linalg.MAX_DIM`,
 `strings.MAX_STRING_LEN`, `linalg.MATRIX_TOL`, `linalg.NORM_TOL`,
 `model.EXACT_TOL`).

@@ -182,6 +182,8 @@ class QueryAlgorithm(ReadOnly):
     the builder's. `stage.unitary` and `final_unitary` build a read-only
     dense copy on each access. The constructor takes dense matrices,
     Nonzeros and Stage objects alike, and a Kron for the final unitary.
+    Nonzeros arrays passed in, int64 indices and float64 values with no
+    zero entry, are shared, not copied, and set read-only in place.
 
     Construction validates structure: a unit-norm power-of-two start state,
     finite entries and matching dimensions everywhere, variable indices

@@ -182,6 +182,69 @@ class TestPairSweep:
         assert _kernels.pair_sweep_range(n, 5, 5, expected, EXACT_TOL) == (-1, np.inf)
 
 
+class TestJudge:
+    """The one judging step of both sweeps, on hand-made squared amplitudes:
+    a row per kept output row, label 0's first, and a column per word."""
+
+    # Three rows, four words; the columns sum to 1 exactly.
+    PROBS = np.array([[1.0, 0.0, 0.25, 0.5], [0.0, 0.0, 0.25, 0.25], [0.0, 1.0, 0.5, 0.25]])
+
+    @staticmethod
+    def judge(probs, zeros, want, tol=EXACT_TOL, rest=None):
+        return _kernels._judge(np.asarray(probs, dtype=float), zeros, rest,
+                               np.array(want, dtype=np.uint8), tol)
+
+    @pytest.mark.parametrize("tol,exact", [(0.5, True), (0.4, False)])
+    def test_a_tie_is_label_0(self, tol, exact):
+        # p0 == p1 == 0.5: label 0 is computed, exactly when 0.5 >= 1 - tol.
+        assert self.judge([[0.5], [0.5]], 1, [0], tol) == (-1 if exact else 0, 0.5)
+        # Label 1 never wins a tie, whatever the tolerance.
+        assert self.judge([[0.5], [0.5]], 1, [1], 1.0) == (0, 0.5)
+
+    @pytest.mark.parametrize("zeros,want,tol,expected", [
+        # Every row labelled 1: p0 is 0 and p1 the column sums, all 1.
+        (0, [1, 1, 1, 1], EXACT_TOL, (-1, 1.0)),
+        (0, [1, 1, 0, 1], EXACT_TOL, (2, 0.0)),
+        # Every row labelled 0.
+        (3, [0, 0, 0, 0], EXACT_TOL, (-1, 1.0)),
+        (3, [0, 1, 0, 0], EXACT_TOL, (1, 0.0)),
+        # One row labelled 0: p0 = [1, 0, 0.25, 0.5], p1 = [0, 1, 0.75, 0.5];
+        # word 3 ties at 0.5, below 1 - tol.
+        (1, [0, 1, 1, 0], 0.25, (3, 0.5)),
+        # Two: p0 = [1, 0, 0.5, 0.75], p1 = [0, 1, 0.5, 0.25].
+        (2, [0, 1, 0, 0], 0.5, (-1, 0.5)),
+        (2, [0, 1, 1, 0], 0.5, (2, 0.5)),
+    ], ids=["none-exact", "none-wrong", "all-exact", "all-wrong", "one", "two-exact", "two-tie"])
+    def test_labels_are_two_slices(self, zeros, want, tol, expected):
+        probs = self.PROBS.copy()
+        assert self.judge(probs, zeros, want, tol) == expected
+        assert np.array_equal(probs, self.PROBS)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_rest_mass_is_clamped_at_0(self, label):
+        # The kept rows, all of the other label, hold 1.3 > norm2 = 1: the
+        # rest label's mass is 0, not -0.3.
+        kept = [[0.7, 0.5], [0.6, 0.5]]
+        zeros = 0 if label == 0 else 2
+        other = 1 - label
+        assert self.judge(kept, zeros, [other, other], rest=(label, 1.0)) == (-1, 1.0)
+        assert self.judge(kept, zeros, [label, other], rest=(label, 1.0)) == (0, 0.0)
+        # Within norm2, the rest mass is norm2 minus theirs, word by word.
+        first, least = self.judge([[0.25, 0.375]], 1 - other, [label, label],
+                                  rest=(label, np.array([1.0, 1.0])), tol=0.5)
+        assert (first, least) == (-1, 0.625)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("rest", [None, (0, 1.0)])
+    def test_non_finite_mass_overflows(self, bad, rest):
+        with pytest.raises(ValueError, match="overflow"):
+            self.judge([[0.5, bad]], 0, [1, 1], rest=rest)
+
+    @pytest.mark.parametrize("rows,zeros,rest", [(3, 1, None), (1, 0, (0, 1.0)), (0, 0, (1, 1.0))])
+    def test_empty_block(self, rows, zeros, rest):
+        assert self.judge(np.zeros((rows, 0)), zeros, [], rest=rest) == (-1, np.inf)
+
+
 class TestVerifyValuesOracle:
     def test_against_python_pair_scan(self):
         n = 8

@@ -44,11 +44,13 @@ def test_valid_words(word):
      "verifier arity must be an integer, got 4.0"),
     (lambda: hadamard_power(2.0), "t must be an integer, got 2.0"),
     (lambda: index_set(1.0, 8), "stage number must be an integer, got 1.0"),
+    (lambda: index_set(1, 8.0), "dimension must be an integer, got 8.0"),
 ], ids=["build_algorithm", "build_algorithm-odd", "classical_query_counts",
-        "classical_verify", "hadamard_power", "index_set"])
+        "classical_verify", "hadamard_power", "index_set", "index_set-dimension"])
 def test_sizes_go_through_check_length(call, message):
-    # A float size passes the range checks, whose messages integers keep,
-    # and then words.check_length refuses it.
+    # words.check_length refuses a float size: after the range checks, whose
+    # messages integers keep, or, for index_set's dimension, before the
+    # power-of-two test, which a float cannot take.
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
