@@ -22,12 +22,12 @@ HAVE_NUMBA = False
 _EXPORTS = {
     "boolfunc": ("BooleanFunction", "classical_query_counts", "classical_worst_case",
                  "sensitivity"),
-    "builder": ("build_algorithm", "build_stage_query", "build_stage_unitary", "index_set"),
+    "builder": ("build_algorithm", "build_stage_query", "build_stage_unitary", "hadamard_power",
+                "index_set"),
     "classical": ("ClassicalRunReport", "bit_oracle", "classical_verify"),
-    "linalg": ("hadamard_power", "is_unitary", "tensor"),
     "model": ("ComputeResult", "ExactnessReport", "Kron", "Nonzeros", "QueryAlgorithm",
-              "RunTrace", "Stage", "check_exact", "compute", "measure", "realize_query", "run",
-              "run_batch"),
+              "RunTrace", "Stage", "check_exact", "compute", "is_unitary", "measure",
+              "realize_query", "run", "run_batch"),
     "serialize": ("algorithm_to_document", "document_to_algorithm", "dumps_algorithm",
                   "load_algorithm", "load_function", "save_algorithm"),
     "strings": ("StringPair", "deinterleave", "interleave", "strings_equal"),

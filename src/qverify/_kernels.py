@@ -2,9 +2,9 @@
 
 Every kernel has one numpy implementation, and shared steps are written
 once: _wht is the one Walsh-Hadamard transform (for the sweep, pair_run and
-linalg.hadamard_power), _pair_states the one paired-stage loop,
+builder.hadamard_power), _pair_states the one paired-stage loop,
 gram_residual the one Gram residual (the sweep's norm tests,
-model.unitary_within and linalg.is_unitary), taken one connected column
+model.unitary_within and model.is_unitary), taken one connected column
 block at a time with blocks of one shape stacked, kron_bound the one bound
 of a Kronecker product's residual by its factors', _propagate the one
 substitution of a block's top variables by their signs, and _fan_out the

@@ -23,12 +23,34 @@ import math
 
 import numpy as np
 
-from .limits import MAX_BUILD_VARS
-from .linalg import hadamard_power, is_power_of_two
-from .model import Kron, Nonzeros, QueryAlgorithm
+from ._kernels import _wht
+from .limits import MAX_BUILD_VARS, MAX_DOC_DIM
+from .model import Kron, Nonzeros, QueryAlgorithm, is_power_of_two
 from .words import check_length
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def hadamard_power(t: int) -> np.ndarray:
+    """The t-fold tensor power of the 2x2 Hadamard matrix, t <= 12.
+
+    Entry (i, j) equals 2**(-t/2) * (-1)**popcount(i & j), exactly: it is
+    the fast Walsh-Hadamard transform of the scaled identity. t = 0 is
+    rejected rather than defined as the 1x1 identity so that construction
+    bugs surface early.
+    """
+    if t < 1:
+        raise ValueError(f"hadamard_power requires t >= 1, got {t}")
+    k = 1 << check_length(t, "t")
+    if k > MAX_DOC_DIM:
+        raise ValueError(f"dimension 2**{t} exceeds the supported maximum {MAX_DOC_DIM}")
+    # Row i of the power is the transform of the unit row e_i, scaled; 512
+    # rows at a time bound the transform's temporaries.
+    out = np.zeros((k, k), dtype=np.float64)
+    np.fill_diagonal(out, 2.0 ** (-t / 2.0))
+    for lo in range(0, k, 512):
+        _wht(out[lo:lo + 512])
+    return out
 
 
 def index_set(i: int, k: int) -> np.ndarray:

@@ -3,9 +3,9 @@
 Every cap is enforced with a loud ValueError at the call that would exceed
 it, never by silent truncation. Each module that uses a cap or a tolerance
 imports it under the same name (`builder.MAX_BUILD_VARS`,
-`model.MAX_SWEEP_VARS`, `boolfunc.MAX_SWEEP_VARS`, `linalg.MAX_DIM`,
-`strings.MAX_STRING_LEN`, `linalg.MATRIX_TOL`, `linalg.NORM_TOL`,
-`model.EXACT_TOL`).
+`model.MAX_SWEEP_VARS`, `boolfunc.MAX_SWEEP_VARS`, `builder.MAX_DOC_DIM`,
+`serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`, `model.MATRIX_TOL`,
+`model.NORM_TOL`, `model.EXACT_TOL`).
 """
 
 # Exhaustive verification of larger instances stops being a desk job, so
@@ -20,19 +20,16 @@ MAX_BUILD_VARS = 24
 # checked before any table int is built.
 MAX_SWEEP_VARS = 24
 
-# Largest matrix dimension hadamard_power builds; a dense float64 matrix of
-# this dimension already takes 32 GiB.
-MAX_DIM = 1 << 16
-
-# Largest dimension an algorithm document may declare, whatever form its
-# matrices take: that of the builder's n = 24 algorithm. The loader keeps
-# the nonzeros and kron forms without scattering them, but a small
-# document could otherwise declare any size. The one Gram residual
-# (_kernels.gram_residual) scatters each connected column block of a stage
-# or final factor and takes its Gram product: a builder stage is 1 x 1 and
-# 2 x 2 blocks, but a dense stage is one block of up to dim**2 floats,
-# 128 MiB at this cap, so the cap stays. The builder's own final factors
-# are 4 x 4.
+# The one cap on a matrix built or read whole: the largest dimension
+# hadamard_power builds (t <= 12, 128 MiB dense), and the largest an
+# algorithm document may declare, whatever form its matrices take: that of
+# the builder's n = 24 algorithm. The loader keeps the nonzeros and kron
+# forms without scattering them, but a small document could otherwise
+# declare any size. The one Gram residual (_kernels.gram_residual) scatters
+# each connected column block of a stage or final factor and takes its
+# Gram product: a builder stage is 1 x 1 and 2 x 2 blocks, but a dense
+# stage is one block of up to dim**2 floats, 128 MiB at this cap, so the
+# cap stays. The builder's own final factors are 4 x 4.
 MAX_DOC_DIM = 1 << 12
 
 # Keeps the 2**k amplitude vector of string equality small; longer strings

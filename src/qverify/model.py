@@ -1,5 +1,6 @@
-"""Quantum query algorithm model: queries, the pipeline executor,
-measurement, and exhaustive exactness checking.
+"""Quantum query algorithm model: the input rules and unitarity tests of
+its matrices and states, queries, the pipeline executor, measurement, and
+exhaustive exactness checking.
 
 An algorithm is a start state, T stages of (input-independent unitary,
 input-dependent diagonal query), a final unitary, and a 0/1 output label
@@ -36,8 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .boolfunc import BooleanFunction, bit_vector
-from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS
-from .linalg import as_matrix, as_state
+from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS, NORM_TOL
 from .words import ReadOnly, check_length, index_to_word, parse_word
 
 
@@ -107,6 +107,33 @@ class Stage(NamedTuple):
     def unitary(self) -> np.ndarray:
         """The dense unitary, built on each access."""
         return self.nonzeros.dense(len(self.query))
+
+
+def is_power_of_two(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
+def as_matrix(m: np.ndarray) -> np.ndarray:
+    """Coerce to a square float64 matrix, raising ValueError otherwise."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def as_state(v: np.ndarray) -> np.ndarray:
+    """Coerce to a float64 vector of power-of-two length whose squared norm
+    is 1 within NORM_TOL."""
+    a = np.asarray(v, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {a.shape}")
+    if not is_power_of_two(a.shape[0]):
+        raise ValueError(f"state length {a.shape[0]} is not a power of two")
+    with np.errstate(over="ignore"):
+        norm_sq = float(a @ a)
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: |v|^2 = {norm_sq!r}")
+    return a
 
 
 def _var_map(var_map) -> np.ndarray:
@@ -234,16 +261,27 @@ class QueryAlgorithm(ReadOnly):
         each access."""
         return self.final.dense()
 
-    def unitary_within(self, tol: float = MATRIX_TOL) -> bool:
+    def unitary_within(self) -> bool:
         """True iff every stage's _kernels.gram_residual, taken from its
-        stored entries on all columns, is at most tol, and so is the final
-        unitary's _kernels.kron_bound from its factors'. That bound is
+        stored entries on all columns, is at most MATRIX_TOL, and so is the
+        final unitary's _kernels.kron_bound from its factors'. That bound is
         sufficient, not necessary: 2H (x) H/2 is the unitary H (x) H, yet
         its factors are far from unitary. The sweep takes the same residual
         on the columns the start state reaches."""
         every = np.ones(self.dim, dtype=bool)
-        return all(_kernels.gram_residual(st.nonzeros, every) <= tol for st in self.stages) \
-            and _kernels.kron_bound(self.final, every) <= tol
+        return all(_kernels.gram_residual(st.nonzeros, every) <= MATRIX_TOL
+                   for st in self.stages) \
+            and _kernels.kron_bound(self.final, every) <= MATRIX_TOL
+
+
+def is_unitary(matrix: np.ndarray, tol: float = MATRIX_TOL) -> bool:
+    """True iff M's rows are orthonormal within tol: the largest row sum of
+    |M @ M.T - I|, gram_residual on the columns of M.T, is at most tol."""
+    m = as_matrix(matrix)
+    at = np.arange(m.shape[0])
+    # Every entry of M.T as views, zeros too: row i, column j, value m[j, i].
+    rows, cols = np.broadcast_arrays(at[:, None], at)
+    return _kernels.gram_residual((rows, cols, m.T), np.ones(at.size, dtype=bool)) <= tol
 
 
 class RunTrace(NamedTuple):

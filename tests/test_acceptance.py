@@ -40,7 +40,6 @@ from qverify import (
     save_algorithm,
     sensitivity,
     strings_equal,
-    tensor,
 )
 from qverify.cli import main as cli_main
 
@@ -83,7 +82,7 @@ def test_criterion_02_six_bit_fixture_match(alg6):
         assert np.abs(stage.unitary - unit).max() <= 1e-12
         assert stage.query.tolist() == vars_
     h = hadamard_power(1)
-    tensor_final = tensor(tensor(h, h), h)
+    tensor_final = np.kron(np.kron(h, h), h)
     assert np.abs(alg6.final_unitary - tensor_final).max() <= 1e-12
     assert np.abs(alg6.final_unitary[0] - refdata.E).max() <= 1e-12
     _report(2, True, "six-bit stage matrices, query layouts, and final transform match")

@@ -1,3 +1,4 @@
+import inspect
 import pickle
 
 import numpy as np
@@ -262,13 +263,16 @@ class TestClassicalVerify:
 
 
 def test_size_caps_live_in_one_module():
-    from qverify import _kernels, boolfunc, builder, limits, linalg, model, strings
-    # Sensitivity sweeps all 2**N words, under the one sweep cap.
+    from qverify import _kernels, boolfunc, builder, limits, model, serialize, strings
+    # Sensitivity sweeps all 2**N words, under the one sweep cap; a matrix
+    # built or read whole, under the one dimension cap.
     assert (builder.MAX_BUILD_VARS, model.MAX_SWEEP_VARS, boolfunc.MAX_SWEEP_VARS,
-            linalg.MAX_DIM, strings.MAX_STRING_LEN) == \
+            builder.MAX_DOC_DIM, serialize.MAX_DOC_DIM, strings.MAX_STRING_LEN) == \
         (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_SWEEP_VARS,
-         limits.MAX_DIM, limits.MAX_STRING_LEN) == (24, 24, 24, 1 << 16, 12)
+         limits.MAX_DOC_DIM, limits.MAX_DOC_DIM, limits.MAX_STRING_LEN) == \
+        (24, 24, 24, 1 << 12, 1 << 12, 12)
     assert not hasattr(limits, "MAX_SENSITIVITY_VARS")
+    assert not hasattr(limits, "MAX_DIM")
     # One sweep budget sizes sweep_range's blocks and bounds a propagation's
     # terms. model._chunk_grid is built on the same block size.
     assert limits.SWEEP_BUDGET == 1 << 21
@@ -282,10 +286,14 @@ def test_size_caps_live_in_one_module():
 
 
 def test_tolerances_live_in_one_module():
-    from qverify import limits, linalg, model
+    from qverify import limits, model
     assert (limits.MATRIX_TOL, limits.NORM_TOL, limits.EXACT_TOL) == (1e-12, 1e-9, 1e-9)
     # The same float objects: re-exported, not defined again with equal values.
-    assert linalg.MATRIX_TOL is limits.MATRIX_TOL
-    assert linalg.NORM_TOL is limits.NORM_TOL
+    assert model.MATRIX_TOL is limits.MATRIX_TOL
+    assert model.NORM_TOL is limits.NORM_TOL
     assert model.EXACT_TOL is limits.EXACT_TOL
-    assert model.QueryAlgorithm.unitary_within.__defaults__ == (limits.MATRIX_TOL,)
+    # Only is_unitary takes a tolerance; the algorithm's unitarity and a
+    # start state's norm are read against the limits values.
+    assert list(inspect.signature(model.QueryAlgorithm.unitary_within).parameters) == ["self"]
+    assert list(inspect.signature(model.as_state).parameters) == ["v"]
+    assert model.is_unitary.__defaults__ == (limits.MATRIX_TOL,)

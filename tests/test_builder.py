@@ -1,6 +1,9 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
+import qverify
 from qverify import (
     BooleanFunction,
     build_algorithm,
@@ -12,10 +15,9 @@ from qverify import (
     index_set,
     is_unitary,
     run,
-    tensor,
 )
 
-from qverify import builder
+from qverify import builder, model
 from qverify.builder import final_factors
 
 import refdata
@@ -111,13 +113,22 @@ class TestBuildAlgorithm:
 
     def test_final_unitary_is_tensor_power(self, alg6):
         h = hadamard_power(1)
-        assert np.abs(alg6.final_unitary - tensor(tensor(h, h), h)).max() <= 1e-12
+        assert np.abs(alg6.final_unitary - np.kron(np.kron(h, h), h)).max() <= 1e-12
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_final_factors_are_bitwise_the_hadamard_power(self, t):
         final = final_factors(t)
         assert final.dims == (4,) * (t // 2) + (2,) * (t % 2)
         assert final.dense().tobytes() == hadamard_power(t).tobytes()
+
+    @pytest.mark.parametrize("t", [13, 16, 64])
+    def test_hadamard_power_is_capped_by_the_document_cap(self, t, monkeypatch):
+        # Refused before any array is built: 2**13 would be 512 MiB dense,
+        # 2**16 32 GiB.
+        monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("built an array"))
+        with pytest.raises(ValueError, match=rf"^dimension 2\*\*{t} exceeds the supported "
+                                             r"maximum 4096$"):
+            hadamard_power(t)
 
     def test_n24_final_is_six_shared_factors(self, monkeypatch):
         # The 4096 x 4096 power is never built: six references to one
@@ -169,10 +180,18 @@ class TestBuildAlgorithm:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_built_matrices_are_unitary(self, n):
         alg = build_algorithm(n)
-        assert alg.unitary_within(1e-12)
+        assert alg.unitary_within()
 
     @pytest.mark.parametrize("n", [2, 6, 10, 12])
     def test_exact_on_every_word(self, n):
         report = check_exact(build_algorithm(n), BooleanFunction.verify(n))
         assert report.exact
         assert report.min_probability >= 1 - 1e-9
+
+
+def test_matrix_rules_live_in_model_and_builder():
+    assert qverify.hadamard_power is builder.hadamard_power
+    assert qverify.is_unitary is model.is_unitary
+    assert builder.is_power_of_two is model.is_power_of_two
+    assert "tensor" not in qverify.__all__ and not hasattr(qverify, "tensor")
+    assert importlib.util.find_spec("qverify.linalg") is None

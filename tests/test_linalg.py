@@ -1,50 +1,15 @@
+# The matrix rules, named after the linear algebra they test: the builder's
+# Hadamard power, and the model's unitarity test and start-state rule.
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qverify import hadamard_power, is_unitary, tensor
-from qverify.linalg import as_state
+from qverify import hadamard_power, is_unitary
+from qverify.model import as_state
 
 import refdata
 
 
 H2 = np.array([[refdata.R, refdata.R], [refdata.R, -refdata.R]])
-
-# Expanding the tensor product of two Hadamards by hand gives a matrix of
-# quarter entries with this sign pattern.
-H2X2 = 0.5 * np.array([
-    [1, 1, 1, 1],
-    [1, -1, 1, -1],
-    [1, 1, -1, -1],
-    [1, -1, -1, 1],
-])
-
-
-class TestTensor:
-    def test_identity_tensor_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_hadamard_tensor_hadamard(self):
-        assert np.allclose(tensor(H2, H2), H2X2, atol=1e-12)
-        assert np.allclose(tensor(H2, H2)[0], 0.5, atol=1e-12)
-
-    def test_triple_hadamard_first_row(self):
-        hhh = tensor(tensor(H2, H2), H2)
-        assert np.allclose(hhh[0], refdata.E, atol=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            tensor(np.zeros((2, 3)), np.eye(2))
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_associative(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (rng.uniform(-1, 1, (d, d)) for d in (2, 3, 2))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.abs(left - right).max() <= 1e-12
 
 
 class TestHadamardPower:
@@ -86,7 +51,7 @@ class TestHadamardPower:
     def test_matches_repeated_tensor(self, t):
         expected = H2
         for _ in range(t - 1):
-            expected = tensor(expected, H2)
+            expected = np.kron(expected, H2)
         assert np.abs(hadamard_power(t) - expected).max() <= 1e-12
 
 

@@ -877,8 +877,8 @@ class TestQueryAlgorithmValidation:
                            Kron((h,) * len(dims), dims), [1, 0, 0, 0])
 
     def test_unitary_within(self, alg4):
-        assert alg4.unitary_within(1e-12)
+        assert alg4.unitary_within()
         damaged = QueryAlgorithm(4, alg4.start,
                                  [(np.eye(4), [1, 0, 2, 0])],
                                  np.full((4, 4), 0.5), alg4.labels)
-        assert not damaged.unitary_within(1e-12)
+        assert not damaged.unitary_within()

@@ -204,7 +204,7 @@ class TestAlgorithmDocuments:
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         loaded = load_algorithm(path)
-        assert not loaded.unitary_within(1e-12)
+        assert not loaded.unitary_within()
         report = check_exact(loaded, BooleanFunction.verify(4))
         assert not report.exact
         assert report.counterexample is not None

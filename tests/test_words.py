@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qverify import bit_oracle, build_algorithm, classical_query_counts, classical_verify
-from qverify.builder import index_set
-from qverify.linalg import hadamard_power
+from qverify.builder import hadamard_power, index_set
 from qverify.words import check_word, parse_word
 
 NOT_BINARY = "word must contain only '0' and '1': "
