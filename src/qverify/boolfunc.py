@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .limits import MAX_SWEEP_VARS
-from .words import ReadOnly, check_length, check_word, index_to_word
+from .words import ReadOnly, check_even, check_length, check_sweep, check_word, index_to_word
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,15 +36,14 @@ class BooleanFunction(ReadOnly):
     __slots__ = ("arity", "table")
 
     def __init__(self, arity: int, table: np.ndarray | None = None) -> None:
-        arity = check_length(arity, "arity")
         if table is None:
-            if arity % 2 != 0:
-                raise ValueError(f"the pair verifier needs an even arity, got {arity}")
+            arity = check_even(arity, "arity")
         else:
             import numpy as np
 
-            table = np.asarray(table)
-            if table.ndim != 1 or table.shape[0] != (1 << arity):
+            arity, table = check_length(arity, "arity"), np.asarray(table)
+            # Bit lengths first, so that 1 << arity is never built for a huge arity.
+            if table.ndim != 1 or len(table).bit_length() != arity + 1 or len(table) != 1 << arity:
                 raise ValueError(
                     f"truth table must have 2**{arity} entries, got shape {table.shape}")
             table = bit_vector(table, "truth table entries must be 0 or 1")
@@ -68,9 +66,10 @@ class BooleanFunction(ReadOnly):
         return int(self.table[w])
 
     def values(self) -> np.ndarray:
-        """The full truth table as a uint8 array."""
+        """The full truth table as a uint8 array, the verifier's under the sweep cap."""
         if self.table is not None:
             return self.table
+        check_sweep(self.arity, "verifier truth table")
         return verify_values_range(self.arity, 0, 1 << self.arity)
 
 
@@ -95,9 +94,7 @@ def sensitivity(f: BooleanFunction) -> tuple[int, str]:
     built-in verifier's table is built as an int (verify_bits), an explicit
     one is packed into one (table_sensitivity).
     """
-    if f.arity > MAX_SWEEP_VARS:
-        raise ValueError(
-            f"sensitivity sweep capped at {MAX_SWEEP_VARS} variables, got {f.arity}")
+    check_sweep(f.arity, "sensitivity sweep")
     if f.table is None:
         value, witness = bit_sensitivity(verify_bits(f.arity), f.arity)
     else:
@@ -178,12 +175,7 @@ def classical_query_counts(n: int) -> np.ndarray:
     """Queries used by classical_verify on every n-bit word, by word value:
     2j + 2 = n - p when pair j, bit p of _pair_diffs, is the first that
     differs, else n."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"verifier arity must be even and >= 2, got {n}")
-    if n > MAX_SWEEP_VARS:
-        raise ValueError(
-            f"exhaustive classical sweep capped at {MAX_SWEEP_VARS} variables, got {n}")
-    n = check_length(n, "verifier arity")
+    n = check_sweep(check_even(n, "verifier arity"), "exhaustive classical sweep")
     import numpy as np
 
     diffs = _pair_diffs(np.arange(1 << n, dtype=np.int64), n)

@@ -26,7 +26,7 @@ import numpy as np
 from ._kernels import _wht
 from .limits import MAX_BUILD_VARS, MAX_DOC_DIM
 from .model import Kron, Nonzeros, QueryAlgorithm, is_power_of_two
-from .words import check_length
+from .words import check_even, check_length
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -39,11 +39,9 @@ def hadamard_power(t: int) -> np.ndarray:
     rejected rather than defined as the 1x1 identity so that construction
     bugs surface early.
     """
-    if t < 1:
-        raise ValueError(f"hadamard_power requires t >= 1, got {t}")
-    k = 1 << check_length(t, "t")
-    if k > MAX_DOC_DIM:
+    if (t := check_length(t, "t")) >= MAX_DOC_DIM.bit_length():  # 1 << t > MAX_DOC_DIM
         raise ValueError(f"dimension 2**{t} exceeds the supported maximum {MAX_DOC_DIM}")
+    k = 1 << t
     # Row i of the power is the transform of the unit row e_i, scaled; 512
     # rows at a time bound the transform's temporaries.
     out = np.zeros((k, k), dtype=np.float64)
@@ -55,11 +53,9 @@ def hadamard_power(t: int) -> np.ndarray:
 
 def index_set(i: int, k: int) -> np.ndarray:
     """The 2**i evenly spaced stage-i indices for dimension k (0-based)."""
-    if not is_power_of_two(check_length(k, "dimension")):
+    if not is_power_of_two(k := check_length(k, "dimension")):
         raise ValueError(f"dimension must be a power of two, got {k}")
-    if i < 1:
-        raise ValueError(f"stage number must be >= 1, got {i}")
-    if (1 << check_length(i, "stage number")) > k:
+    if check_length(i, "stage number") >= k.bit_length():  # 1 << i > k
         raise ValueError(f"stage {i} needs spacing k/2**i >= 1, but k = {k}")
     spacing = k >> i
     return np.arange(1 << i, dtype=np.int64) * spacing
@@ -100,15 +96,16 @@ def build_stage_query(i: int, k: int) -> np.ndarray:
 def final_factors(t: int) -> Kron:
     """The T-fold Hadamard power as Kronecker factors: one stored 4 x 4
     power, shared T // 2 times, then the 2 x 2 Hadamard when T is odd."""
+    t = check_length(t, "t")
     h2, h1 = Nonzeros.of(hadamard_power(2)), Nonzeros.of(hadamard_power(1))
     return Kron((h2,) * (t // 2) + (h1,) * (t % 2), (4,) * (t // 2) + (2,) * (t % 2))
 
 
 def build_algorithm(n: int) -> QueryAlgorithm:
     """The complete n-variable verifier algorithm (n even, 2 <= n <= 24)."""
-    if n % 2 != 0 or n < 2 or n > MAX_BUILD_VARS:
-        raise ValueError(f"n must be even and within [2, {MAX_BUILD_VARS}], got {n}")
-    t = check_length(n, "n") // 2
+    if (n := check_even(n, "n")) > MAX_BUILD_VARS:
+        raise ValueError(f"n must be at most {MAX_BUILD_VARS}, got {n}")
+    t = n // 2
     k = 1 << t
     start = np.zeros(k, dtype=np.float64)
     start[0] = 1.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .words import check_length, check_word
+from .words import check_even, check_word
 
 
 class ClassicalRunReport(NamedTuple):
@@ -45,9 +45,7 @@ def classical_verify(oracle: Callable[[int], int], n: int) -> ClassicalRunReport
     answers 0 as soon as a pair differs. Accepting words always cost all n
     queries; no deterministic strategy does better in the worst case.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"verifier arity must be even and >= 2, got {n}")
-    n = check_length(n, "verifier arity")
+    n = check_even(n, "verifier arity")
     asked: list[int] = []
 
     def ask(k: int) -> int:

@@ -1,23 +1,22 @@
 """Size caps and numeric tolerances, gathered in one place.
 
 Every cap is enforced with a loud ValueError at the call that would exceed
-it, never by silent truncation. Each module that uses a cap or a tolerance
-imports it under the same name (`builder.MAX_BUILD_VARS`,
-`model.MAX_SWEEP_VARS`, `boolfunc.MAX_SWEEP_VARS`, `builder.MAX_DOC_DIM`,
-`serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`, `model.MATRIX_TOL`,
-`model.NORM_TOL`, `model.EXACT_TOL`).
+it, never by silent truncation. The sweep cap is read by its one rule,
+`words.check_sweep`; every other cap and tolerance by the module that
+checks it, under the same name (`builder.MAX_BUILD_VARS`,
+`builder.MAX_DOC_DIM`, `serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`,
+`model.MATRIX_TOL`, `model.NORM_TOL`, `model.EXACT_TOL`).
 """
 
 # Exhaustive verification of larger instances stops being a desk job, so
 # the builder refuses them outright.
 MAX_BUILD_VARS = 24
 
-# 2**24 words is the loud upper limit for exhaustive sweeps: quantum
-# (check_exact), classical (classical_query_counts) and sensitivity alike.
-# Sensitivity takes a few bit operations per variable on the truth table
-# held as one 2**N-bit int (boolfunc.bit_sensitivity): at 24 variables the
-# verifier's takes about 0.2 s and 35 MB peak RSS on a 2-vCPU guest. It is
-# checked before any table int is built.
+# 2**24 words is the upper limit of every exhaustive sweep, checked by
+# words.check_sweep before any table is built: check_exact, sensitivity,
+# classical_query_counts and the verifier's truth table. Sensitivity on the
+# verifier's table, one 2**N-bit int, takes about 0.2 s and 35 MB peak RSS
+# at 24 variables on a 2-vCPU guest.
 MAX_SWEEP_VARS = 24
 
 # The one cap on a matrix built or read whole: the largest dimension

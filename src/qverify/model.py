@@ -37,8 +37,8 @@ import numpy as np
 
 from . import _kernels
 from .boolfunc import BooleanFunction, bit_vector
-from .limits import EXACT_TOL, MATRIX_TOL, MAX_SWEEP_VARS, NORM_TOL
-from .words import ReadOnly, check_length, index_to_word, parse_word
+from .limits import EXACT_TOL, MATRIX_TOL, NORM_TOL
+from .words import ReadOnly, check_length, check_sweep, index_to_word, parse_word
 
 
 class Nonzeros(NamedTuple):
@@ -434,9 +434,7 @@ def check_exact(alg: QueryAlgorithm, f: BooleanFunction, *,
     """
     if alg.n_vars != f.arity:
         raise ValueError(f"algorithm has {alg.n_vars} variables, function has {f.arity}")
-    if f.arity > MAX_SWEEP_VARS:
-        raise ValueError(
-            f"exhaustive check capped at {MAX_SWEEP_VARS} variables, got {f.arity}")
+    check_sweep(f.arity, "exhaustive check")
 
     with np.errstate(over="ignore", invalid="ignore"):
         first, min_prob = _kernels.sweep_range(*_sweep_arrays(alg), alg.n_vars, 0,

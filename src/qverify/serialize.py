@@ -80,6 +80,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _header(doc, last: int) -> None:
+    """Every document is an object whose schema_version is in [1, last]."""
+    _require(isinstance(doc, dict), "top level must be an object")
+    version = doc.get("schema_version")
+    _require(_is_int(version) and 1 <= version <= last, f"unsupported schema_version {version!r}")
+
+
 def _bits(value) -> bytes | None:
     """value as bytes if it is a list of the integers 0 and 1, else None:
     numpy would read true and 1.0 among them as 1."""
@@ -218,10 +225,7 @@ def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> np.ndarray:
 
 
 def document_to_algorithm(doc: dict) -> QueryAlgorithm:
-    _require(isinstance(doc, dict), "top level must be an object")
-    version = doc.get("schema_version")
-    _require(_is_int(version) and 1 <= version <= ALGORITHM_SCHEMA_VERSION,
-             f"unsupported schema_version {version!r}")
+    _header(doc, ALGORITHM_SCHEMA_VERSION)
     for key in ("n_vars", "t_queries", "dim", "start", "stages", "final_unitary", "labels"):
         _require(key in doc, f"missing key {key!r}")
     for key in ("n_vars", "t_queries", "dim"):
@@ -229,6 +233,8 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
     _require(doc["n_vars"] <= np.iinfo(np.int64).max, "n_vars must fit in int64")
     dim = doc["dim"]
     _require(2 <= dim <= MAX_DOC_DIM, f"dim must be in [2, {MAX_DOC_DIM}]")
+    start = _reals(doc["start"], "start")
+    _require(start.ndim != 1 or start.size == dim, f"start must list {dim} entries")
     _require(isinstance(doc["stages"], list) and len(doc["stages"]) == doc["t_queries"],
              "t_queries must match the number of stages")
     stages = []
@@ -240,7 +246,7 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
     _require(_bits(doc["labels"]) is not None, "labels must be a list of the integers 0 and 1")
     return QueryAlgorithm(
         n_vars=doc["n_vars"],
-        start=_reals(doc["start"], "start"),
+        start=start,
         stages=stages,
         final_unitary=_final(doc["final_unitary"], dim),
         labels=doc["labels"],
@@ -323,10 +329,7 @@ def function_to_document(f: BooleanFunction) -> dict:
 
 
 def document_to_function(doc: dict) -> BooleanFunction:
-    _require(isinstance(doc, dict), "top level must be an object")
-    version = doc.get("schema_version")
-    _require(_is_int(version) and version == FUNCTION_SCHEMA_VERSION,
-             f"unsupported schema_version {version!r}")
+    _header(doc, FUNCTION_SCHEMA_VERSION)
     arity, table = doc.get("arity"), doc.get("table")
     _require(_is_int(arity) and arity >= 1, "arity must be a positive integer")
     # Bit lengths first, so that 1 << arity is never built for a huge arity.

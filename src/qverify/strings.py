@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .limits import EXACT_TOL, MAX_STRING_LEN
-from .words import ReadOnly, check_word
+from .words import ReadOnly, check_even, check_word
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -57,9 +57,7 @@ def interleave(pair: StringPair) -> str:
 
 def deinterleave(word: str) -> StringPair:
     """Inverse of interleave; requires an even-length word."""
-    check_word(word)
-    if len(word) % 2 != 0:
-        raise ValueError(f"cannot split an odd-length word of {len(word)} bits")
+    check_even(len(check_word(word)), "word length")
     return StringPair(y=word[0::2], z=word[1::2])
 
 

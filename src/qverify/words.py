@@ -1,8 +1,13 @@
-"""Bitstring ("word") parsing and formatting helpers.
+"""Bitstring ("word") parsing and formatting helpers, and the size rules.
 
 A word is a plain Python string of '0'/'1' characters whose leftmost
 character is variable x1. Lexicographic order over words of one length is
 therefore the numeric order of their integer values.
+
+Every size passes `check_length` before any arithmetic on it. `check_even`,
+the one even-size rule, serves builder, boolfunc, classical and strings;
+`check_sweep`, the one cap on an exhaustive sweep (limits.MAX_SWEEP_VARS),
+serves model.check_exact and boolfunc's sensitivity, query counts and table.
 
 Only `parse_word` imports numpy, so `check_word` and `ReadOnly`, the one
 read-only base of the value classes, serve callers that never load it.
@@ -11,6 +16,8 @@ read-only base of the value classes, serve callers that never load it.
 from __future__ import annotations
 
 from numbers import Integral
+
+from .limits import MAX_SWEEP_VARS
 
 
 class ReadOnly:
@@ -41,6 +48,21 @@ def check_length(value, what: str) -> int:
     if value < 1:
         raise ValueError(f"{what} must be positive, got {value}")
     return int(value)
+
+
+def check_even(value, what: str) -> int:
+    """`value` as an int if `check_length` takes it and it is even."""
+    if (n := check_length(value, what)) % 2 != 0:
+        raise ValueError(f"{what} must be even, got {n}")
+    return n
+
+
+def check_sweep(n: int, sweep: str) -> int:
+    """`n` if a sweep over its 2**n words is within MAX_SWEEP_VARS, else
+    ValueError naming the sweep: compared before any table is built."""
+    if n > MAX_SWEEP_VARS:
+        raise ValueError(f"{sweep} capped at {MAX_SWEEP_VARS} variables, got {n}")
+    return n
 
 
 def check_word(word: str, length: int | None = None) -> str:

@@ -46,7 +46,7 @@ class TestEvaluate:
             BooleanFunction.verify(4).evaluate("011")
 
     def test_rejects_odd_arity(self):
-        with pytest.raises(ValueError, match="^the pair verifier needs an even arity, got 5$"):
+        with pytest.raises(ValueError, match="^arity must be even, got 5$"):
             BooleanFunction.verify(5)
         # So is an arity that is not an integer >= 1; below 1 keeps its message.
         for arity, message in [(2.0, "an integer, got 2.0"), (True, "an integer, got True"),
@@ -122,6 +122,12 @@ class TestEvaluate:
     def test_accepting_count(self, n):
         # Each pair is independently 00 or 11.
         assert int(BooleanFunction.verify(n).values().sum()) == 1 << (n // 2)
+
+    def test_verifier_table_cap(self):
+        # The same cap as every sweep, checked before the 2**26-bit table int.
+        with pytest.raises(ValueError, match="^verifier truth table capped at 24 "
+                                             "variables, got 26$"):
+            BooleanFunction.verify(26).values()
 
 
 class TestSensitivity:
@@ -263,14 +269,15 @@ class TestClassicalVerify:
 
 
 def test_size_caps_live_in_one_module():
-    from qverify import _kernels, boolfunc, builder, limits, model, serialize, strings
-    # Sensitivity sweeps all 2**N words, under the one sweep cap; a matrix
-    # built or read whole, under the one dimension cap.
-    assert (builder.MAX_BUILD_VARS, model.MAX_SWEEP_VARS, boolfunc.MAX_SWEEP_VARS,
+    from qverify import _kernels, boolfunc, builder, limits, model, serialize, strings, words
+    # Every exhaustive sweep goes through words.check_sweep, under the one
+    # sweep cap; a matrix built or read whole, under the one dimension cap.
+    assert (builder.MAX_BUILD_VARS, words.MAX_SWEEP_VARS,
             builder.MAX_DOC_DIM, serialize.MAX_DOC_DIM, strings.MAX_STRING_LEN) == \
-        (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_SWEEP_VARS,
+        (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS,
          limits.MAX_DOC_DIM, limits.MAX_DOC_DIM, limits.MAX_STRING_LEN) == \
-        (24, 24, 24, 1 << 12, 1 << 12, 12)
+        (24, 24, 1 << 12, 1 << 12, 12)
+    assert not any(hasattr(m, "MAX_SWEEP_VARS") for m in (boolfunc, model))
     assert not hasattr(limits, "MAX_SENSITIVITY_VARS")
     assert not hasattr(limits, "MAX_DIM")
     # One sweep budget sizes sweep_range's blocks and bounds a propagation's

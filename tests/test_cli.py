@@ -86,6 +86,13 @@ BAD_INPUTS = [
     ("algorithm", ["stages", 0, "unitary", 0, 0], 1e300),
     # A start state whose norm overflows float64.
     ("algorithm", ["start", 0], 1e308),
+    # Arrays of the wrong shape: the model refuses these, except a short
+    # start, which the loader checks against dim.
+    ("algorithm", ["start"], [[1.0, 0.0], [0.0, 0.0]]),
+    ("algorithm", ["stages", 0, "unitary"], [1.0, 0.0, 0.0, 0.0]),
+    ("algorithm", ["stages", 0, "unitary"], [[[1.0]]]),
+    ("algorithm", ["labels"], [1, 0]),
+    ("algorithm", ["start"], [1.0, 0.0]),
 ]
 
 
@@ -542,7 +549,7 @@ OUTPUTS = [
      _CHECK_JSON % '"zeros.json"'
      + '"exact": false, "counterexample": "000000", "min_probability": 4.440892098500626e-16}\n',
      ""),
-    (["verify", "--n", "5", "--json"], 2, "", "error: n must be even and within [2, 24], got 5\n"),
+    (["verify", "--n", "5", "--json"], 2, "", "error: n must be even, got 5\n"),
     (["run", "--n", "4", "--input", "11x0"], 2, "",
      "error: word must contain only '0' and '1': '11x0'\n"),
 ]

@@ -1,5 +1,7 @@
 """Tests of the numpy kernels against dense execution and plain Python."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ import refdata
 from qverify import BooleanFunction, build_algorithm, run
 from qverify import _kernels, boolfunc
 from qverify.boolfunc import verify_values_range
-from qverify.model import EXACT_TOL, _sweep_arrays
+from qverify.model import EXACT_TOL, _sweep_arrays, decide
 
 
 class TestBackendSelection:
@@ -219,6 +221,25 @@ class TestJudge:
         probs = self.PROBS.copy()
         assert self.judge(probs, zeros, want, tol) == expected
         assert np.array_equal(probs, self.PROBS)
+
+    def test_agrees_with_model_decide(self):
+        # The final state [a0, a1], labelled [0, 1], against its squared
+        # amplitudes as two kept rows: a tie, the least amplitude whose square
+        # reaches 1 - EXACT_TOL and the float just below it, and a mass above 1.
+        at = math.sqrt(1.0 - EXACT_TOL)
+        while at * at < 1.0 - EXACT_TOL:
+            at = math.nextafter(at, 2.0)
+        while math.nextafter(at, 0.0) ** 2 >= 1.0 - EXACT_TOL:
+            at = math.nextafter(at, 0.0)
+        below = math.nextafter(at, 0.0)
+        assert decide(np.array([at, 0.0]), [0, 1]).exact
+        assert not decide(np.array([below, 0.0]), [0, 1]).exact
+        grid = [0.0, math.sqrt(0.5), below, at, 1.1]
+        for a0, a1, want in itertools.product(grid, grid, [0, 1]):
+            result = decide(np.array([a0, a1]), [0, 1])
+            first, least = self.judge([[a0 * a0], [a1 * a1]], 1, [want])
+            assert (first == -1) == (result.output == want and result.exact), (a0, a1, want)
+            assert least == (result.p1 if want else result.p0)
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_rest_mass_is_clamped_at_0(self, label):

@@ -313,6 +313,14 @@ class TestDocumentValidation:
         with pytest.raises(ValueError, match="dim must be in"):
             document_to_algorithm(doc)
 
+    def test_rejects_start_of_another_length(self, alg4):
+        # Checked against dim before the stages, whose slots it would
+        # otherwise be blamed on.
+        doc = self._doc(alg4)
+        doc["start"] = [1.0, 0.0]
+        with pytest.raises(ValueError, match=r"^invalid document: start must list 4 entries$"):
+            document_to_algorithm(doc)
+
     def test_rejects_missing_key(self, alg4):
         doc = self._doc(alg4)
         del doc["start"]

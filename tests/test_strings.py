@@ -34,7 +34,7 @@ class TestInterleave:
         assert deinterleave(interleave(p)) == p
 
     def test_deinterleave_rejects_odd_words(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^word length must be even, got 3$"):
             deinterleave("101")
 
     def test_rejects_length_mismatch(self):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qverify import bit_oracle, build_algorithm, classical_query_counts, classical_verify
-from qverify.builder import hadamard_power, index_set
+from qverify.builder import final_factors, hadamard_power, index_set
 from qverify.words import check_word, parse_word
 
 NOT_BINARY = "word must contain only '0' and '1': "
@@ -35,21 +40,60 @@ def test_valid_words(word):
     assert bits.tolist() == [int(c) for c in word]
 
 
-@pytest.mark.parametrize("call,message", [
-    (lambda: build_algorithm(4.0), "n must be an integer, got 4.0"),
-    (lambda: build_algorithm(5), "n must be even and within [2, 24], got 5"),
-    (lambda: classical_query_counts(4.0), "verifier arity must be an integer, got 4.0"),
-    (lambda: classical_verify(bit_oracle("1111"), 4.0),
-     "verifier arity must be an integer, got 4.0"),
-    (lambda: hadamard_power(2.0), "t must be an integer, got 2.0"),
-    (lambda: index_set(1.0, 8), "stage number must be an integer, got 1.0"),
-    (lambda: index_set(1, 8.0), "dimension must be an integer, got 8.0"),
+# A float, a str and None: arithmetic before check_length would raise
+# TypeError on the last two.
+NOT_SIZES = (4.0, "4", None)
+
+
+@pytest.mark.parametrize("call,sizes,message", [
+    (build_algorithm, NOT_SIZES, "n must be an integer, got {!r}"),
+    (build_algorithm, [5], "n must be even, got {}"),
+    (classical_query_counts, NOT_SIZES, "verifier arity must be an integer, got {!r}"),
+    (classical_query_counts, [3], "verifier arity must be even, got {}"),
+    (lambda n: classical_verify(bit_oracle("1111"), n), NOT_SIZES,
+     "verifier arity must be an integer, got {!r}"),
+    (hadamard_power, NOT_SIZES, "t must be an integer, got {!r}"),
+    (final_factors, NOT_SIZES, "t must be an integer, got {!r}"),
+    (lambda i: index_set(i, 8), NOT_SIZES, "stage number must be an integer, got {!r}"),
+    (lambda k: index_set(1, k), NOT_SIZES, "dimension must be an integer, got {!r}"),
 ], ids=["build_algorithm", "build_algorithm-odd", "classical_query_counts",
-        "classical_verify", "hadamard_power", "index_set", "index_set-dimension"])
-def test_sizes_go_through_check_length(call, message):
-    # words.check_length refuses a float size: after the range checks, whose
-    # messages integers keep, or, for index_set's dimension, before the
-    # power-of-two test, which a float cannot take.
-    with pytest.raises(ValueError) as exc:
+        "classical_query_counts-odd", "classical_verify", "hadamard_power", "final_factors",
+        "index_set", "index_set-dimension"])
+def test_sizes_go_through_check_length(call, sizes, message):
+    # words.check_length refuses a size that is not an integer before any
+    # arithmetic on it, and words.check_even an odd one after it.
+    for size in sizes:
+        with pytest.raises(ValueError) as exc:
+            call(size)
+        assert str(exc.value) == message.format(size)
+
+
+def test_huge_sizes_are_compared_before_any_shift():
+    # 1 << 2**34 is a 2 GiB int. Under an address-space limit of 256 MiB past
+    # what the interpreter holds, building it would raise MemoryError, so
+    # each refusal must compare the size first.
+    script = """
+import resource
+import numpy as np
+from qverify import BooleanFunction, hadamard_power, index_set
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * resource.getpagesize() + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+huge = 1 << 34
+for call, message in [
+        (lambda: hadamard_power(huge), f"dimension 2**{huge} exceeds the supported maximum 4096"),
+        (lambda: index_set(huge, 8), f"stage {huge} needs spacing k/2**i >= 1, but k = 8"),
+        (lambda: BooleanFunction(huge, np.zeros(4, np.uint8)),
+         f"truth table must have 2**{huge} entries, got shape (4,)")]:
+    try:
         call()
-    assert str(exc.value) == message
+    except ValueError as exc:
+        assert str(exc) == message, exc
+    else:
+        raise AssertionError(message)
+"""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
