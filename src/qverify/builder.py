@@ -96,7 +96,8 @@ def build_stage_query(i: int, k: int) -> np.ndarray:
 def final_factors(t: int) -> Kron:
     """The T-fold Hadamard power as Kronecker factors: one stored 4 x 4
     power, shared T // 2 times, then the 2 x 2 Hadamard when T is odd."""
-    t = check_length(t, "t")
+    if (t := check_length(t, "t")) > MAX_BUILD_VARS // 2:
+        raise ValueError(f"t must be at most {MAX_BUILD_VARS // 2}, got {t}")
     h2, h1 = Nonzeros.of(hadamard_power(2)), Nonzeros.of(hadamard_power(1))
     return Kron((h2,) * (t // 2) + (h1,) * (t % 2), (4,) * (t // 2) + (2,) * (t % 2))
 

@@ -113,36 +113,36 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def as_matrix(m: np.ndarray) -> np.ndarray:
-    """Coerce to a square float64 matrix, raising ValueError otherwise."""
+def as_matrix(m: np.ndarray, what: str) -> np.ndarray:
+    """Coerce `what` to a square float64 matrix, raising ValueError otherwise."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
     return a
 
 
 def as_state(v: np.ndarray) -> np.ndarray:
-    """Coerce to a float64 vector of power-of-two length whose squared norm
-    is 1 within NORM_TOL."""
+    """Coerce a start state to a float64 vector of power-of-two length
+    whose squared norm is 1 within NORM_TOL."""
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {a.shape}")
+        raise ValueError(f"start state must be a vector, got shape {a.shape}")
     if not is_power_of_two(a.shape[0]):
-        raise ValueError(f"state length {a.shape[0]} is not a power of two")
+        raise ValueError(f"start state length {a.shape[0]} is not a power of two")
     with np.errstate(over="ignore"):
         norm_sq = float(a @ a)
     if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(f"state is not normalized: |v|^2 = {norm_sq!r}")
+        raise ValueError(f"start state is not normalized: |v|^2 = {norm_sq!r}")
     return a
 
 
-def _var_map(var_map) -> np.ndarray:
-    """A query's var_map as a new read-only int64 array. Its entries must
-    be integers in [0, 2**63): bools, floats, objects and larger unsigned
-    entries are refused, never cast."""
+def _var_map(var_map, what: str) -> np.ndarray:
+    """A query's var_map, named `what`, as a new read-only int64 array. Its
+    entries must be integers in [0, 2**63): bools, floats, objects and
+    larger unsigned entries are refused, never cast."""
     vm = np.asarray(var_map)
     if vm.ndim != 1 or vm.size == 0:
-        raise ValueError("query diagonal must be a non-empty 1-D sequence")
+        raise ValueError(f"{what} must be a non-empty 1-D sequence")
     if vm.dtype.kind not in "iu" or not isinstance(var_map, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in var_map):
         raise ValueError("variable indices must be integers, not bools, floats or other values")
@@ -176,7 +176,7 @@ def _stored(m, dim: int, what: str) -> Nonzeros:
         if not (keep := Nonzeros.stored(m.values)).all():
             m = Nonzeros(*(a[keep] for a in m))
     else:
-        a = as_matrix(m)
+        a = as_matrix(m, what)
         if a.shape[0] != dim:
             raise ValueError(f"{what} has dimension {a.shape[0]}, expected {dim}")
         m = Nonzeros.of(a)
@@ -193,8 +193,8 @@ def _kron(m, dim: int, what: str) -> Kron:
         return Kron((_stored(m, dim, what),), (dim,))
     dims = tuple(int(d) for d in m.dims)
     if not (len(m.factors) == len(dims) >= 1 and min(dims) >= 2 and math.prod(dims) == dim):
-        raise ValueError(f"{what} needs one or more factors of side at least 2, "
-                         f"with sides whose product is {dim}")
+        raise ValueError(f"{what} needs factors of side at least 2 whose product is {dim}, "
+                         f"got {len(m.factors)} factors of sides {dims}")
     return Kron(tuple(_stored(f, d, f"{what} factor {i}")
                       for i, (f, d) in enumerate(zip(m.factors, dims), start=1)), dims)
 
@@ -231,14 +231,14 @@ class QueryAlgorithm(ReadOnly):
 
         built: list[Stage] = []
         for idx, (unitary, query) in enumerate(stages, start=1):
-            query = _var_map(query)
+            query = _var_map(query, what := f"stage {idx} query diagonal")
             if query.size != dim:
-                raise ValueError(f"stage {idx} query has {query.size} slots, expected {dim}")
+                raise ValueError(f"{what} has {query.size} slots, expected {dim}")
             if (top := int(query.max())) > n_vars:
                 raise ValueError(f"stage {idx} queries variable {top} but n_vars = {n_vars}")
             built.append(Stage(_stored(unitary, dim, f"stage {idx} unitary"), query))
         if not built:
-            raise ValueError("an algorithm needs at least one stage")
+            raise ValueError("stages must hold at least one stage")
 
         labels_arr = bit_vector(labels, "labels must be 0 or 1")
         if labels_arr.shape != (dim,):
@@ -277,7 +277,7 @@ class QueryAlgorithm(ReadOnly):
 def is_unitary(matrix: np.ndarray, tol: float = MATRIX_TOL) -> bool:
     """True iff M's rows are orthonormal within tol: the largest row sum of
     |M @ M.T - I|, gram_residual on the columns of M.T, is at most tol."""
-    m = as_matrix(matrix)
+    m = as_matrix(matrix, "the matrix")
     at = np.arange(m.shape[0])
     # Every entry of M.T as views, zeros too: row i, column j, value m[j, i].
     rows, cols = np.broadcast_arrays(at[:, None], at)
@@ -336,7 +336,7 @@ def realize_query(var_map, word: str) -> np.ndarray:
     The word only needs to cover the variables the var_map mentions, so a
     query can be realized standalone without a full algorithm around it.
     """
-    var_map = _var_map(var_map)
+    var_map = _var_map(var_map, "query diagonal")
     bits = parse_word(word)
     if (top := int(var_map.max())) > bits.shape[0]:
         raise ValueError(f"query references variable {top} but the word has {bits.shape[0]} bits")

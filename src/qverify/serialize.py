@@ -45,18 +45,21 @@ algorithms run bitwise identically to the originals. The writer's text is
 json.dumps(document, indent=2) byte for byte, but made by json's C
 encoder (see _dumps), which indent would otherwise turn off.
 
-Loading validates structure, dimensions and finite entries but
-deliberately not matrix unitarity, so a damaged document loads instead of
-being rejected up front. Damage that changes some run then loses in
-`check_exact` with a concrete counterexample; damage confined to columns
-the start state never reaches changes no run and shows only in
-`"unitary"`, the unitarity report of the `check` CLI command.
+Loading parses, and the constructors judge: the loader checks what JSON
+can get wrong (value types, matrix forms and keys, the fields only a
+document has, the bounds of its int64 conversions), every structural rule
+is QueryAlgorithm's or BooleanFunction's, and both loaders raise any error
+as ValueError("invalid document: ..."). Unitarity is not checked, so a
+damaged document loads instead of being rejected up front. Damage that
+changes some run then loses in `check_exact` with a counterexample; damage
+confined to columns the start state never reaches changes no run and
+shows only in `"unitary"`, the unitarity report of the `check` command.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +75,16 @@ FUNCTION_SCHEMA_VERSION = 1
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ValueError(f"invalid document: {message}")
+        raise ValueError(message)
+
+
+@contextmanager
+def _document_errors():
+    """Each ValueError, the parser's or a constructor's, as "invalid document: ..."."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"invalid document: {exc}") from None
 
 
 def _is_int(value) -> bool:
@@ -87,16 +99,16 @@ def _header(doc, last: int) -> None:
     _require(_is_int(version) and 1 <= version <= last, f"unsupported schema_version {version!r}")
 
 
-def _bits(value) -> bytes | None:
-    """value as bytes if it is a list of the integers 0 and 1, else None:
-    numpy would read true and 1.0 among them as 1."""
-    if not (isinstance(value, list) and set(map(type, value)) <= {int}):
-        return None
+def _bits(value, what: str) -> np.ndarray:
+    """value as uint8 if it is a list of the integers 0 and 1: numpy would
+    read true and 1.0 among them as 1."""
     try:
-        data = bytes(value)
+        data = bytes(value) if isinstance(value, list) and set(map(type, value)) <= {int} else None
     except ValueError:  # an integer outside range(256)
-        return None
-    return None if data.translate(None, b"\0\1") else data
+        data = None
+    _require(data is not None and not data.translate(None, b"\0\1"),
+             f"{what} must be a list of the integers 0 and 1")
+    return np.frombuffer(data, np.uint8)
 
 
 def _reals(value, what: str) -> np.ndarray:
@@ -106,7 +118,7 @@ def _reals(value, what: str) -> np.ndarray:
     try:
         a = np.asarray(value)
     except ValueError:
-        raise ValueError(f"invalid document: {what} is ragged: lists differ in length") from None
+        raise ValueError(f"{what} is ragged: lists differ in length") from None
     rows = value if a.ndim == 2 else [value] if a.ndim == 1 else []
     _require(a.dtype.kind in "iuf" and not any(bool in set(map(type, row)) for row in rows),
              f"{what} must hold only numbers")
@@ -115,6 +127,7 @@ def _reals(value, what: str) -> np.ndarray:
 
 def _indices(value: list, dim: int, what: str) -> np.ndarray:
     _require(set(map(type, value)) <= {int}, f"{what} must be a flat list of integers")
+    # Keeps the int64 conversion below from raising OverflowError.
     _require(not value or (min(value) >= 0 and max(value) < dim),
              f"{what} must lie in [0, {dim})")
     return np.array(value, dtype=np.int64)
@@ -136,9 +149,7 @@ def _matrix(value, dim: int, what: str):
     r, c = _indices(rows, dim, f"{what} rows"), _indices(cols, dim, f"{what} cols")
     v = _reals(values, f"{what} values")
     _require(v.ndim == 1, f"{what} values must be a flat list")
-    keys = r * dim + c
-    order = np.argsort(keys, kind="stable")
-    _require(not (np.diff(keys[order]) == 0).any(), f"{what} lists an entry twice")
+    order = np.argsort(r * dim + c, kind="stable")
     return Nonzeros(r[order], c[order], v[order])
 
 
@@ -148,8 +159,7 @@ def _final(value, dim: int):
     if not (isinstance(value, dict) and "kron" in value):
         return _matrix(value, dim, "final_unitary")
     _require(set(value) == {"kron"}, "final_unitary must have only the key 'kron'")
-    _require(isinstance(value["kron"], list) and value["kron"],
-             "final_unitary kron must be a non-empty list of factors")
+    _require(isinstance(value["kron"], list), "final_unitary kron must be a list of factors")
     factors, dims = [], []
     for i, raw in enumerate(value["kron"], start=1):
         what = f"final_unitary factor {i}"
@@ -157,16 +167,14 @@ def _final(value, dim: int):
             _require(set(raw) == {"dim", "rows", "cols", "values"},
                      f"{what} must have exactly the keys 'dim', 'rows', 'cols' and 'values'")
             side = raw["dim"]
-            _require(_is_int(side) and 2 <= side <= dim, f"{what} dim must be in [2, {dim}]")
+            # Keeps _matrix's row-major keys, r * side + c, within int64.
+            _require(_is_int(side) and 0 <= side <= dim,
+                     f"{what} dim must be an integer in [0, {dim}]")
             factors.append(_matrix({k: raw[k] for k in ("rows", "cols", "values")}, side, what))
         else:
             factors.append(_reals(raw, what))
-            shape = factors[-1].shape
-            _require(len(shape) == 2 and shape[0] == shape[1] >= 2,
-                     f"{what} must be a square matrix of side at least 2")
-            side = shape[0]
+            side = factors[-1].shape[-1] if factors[-1].ndim else 0  # the model judges its shape
         dims.append(side)
-    _require(math.prod(dims) == dim, f"final_unitary factor sides must multiply to {dim}")
     return Kron(tuple(factors), tuple(dims))
 
 
@@ -206,51 +214,47 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
     }
 
 
-def _parse_diagonal(raw, dim: int, n_vars: int, stage_no: int) -> np.ndarray:
-    _require(isinstance(raw, list) and len(raw) == dim,
-             f"stage {stage_no} query_diagonal must list {dim} entries")
+def _stage(raw, dim: int, n_vars: int, stage_no: int) -> tuple:
+    """A stage as the constructor takes it: its matrix and its int64 var_map."""
+    _require(isinstance(raw, dict) and {"unitary", "query_diagonal"} <= set(raw),
+             f"stage {stage_no} must carry 'unitary' and 'query_diagonal'")
+    unitary = _matrix(raw["unitary"], dim, f"stage {stage_no} unitary")
+    _require(isinstance(raw["query_diagonal"], list),
+             f"stage {stage_no} query_diagonal must be a list")
     var_map = []
-    for pos, entry in enumerate(raw):
+    for pos, entry in enumerate(raw["query_diagonal"]):
         if isinstance(entry, dict) and set(entry) == {"fixed"} and entry["fixed"] is True:
             var_map.append(0)
         elif isinstance(entry, dict) and set(entry) == {"var"} and _is_int(entry["var"]):
+            # As n_vars fits int64, keeps np.array below from raising OverflowError.
             _require(1 <= entry["var"] <= n_vars,
                      f"stage {stage_no} slot {pos}: variable index must be in [1, n_vars]")
             var_map.append(entry["var"])
         else:
-            raise ValueError(
-                f'invalid document: stage {stage_no} slot {pos} must be '
-                f'{{"fixed": true}} or {{"var": k}}, got {entry!r}')
-    return np.array(var_map, dtype=np.int64)
+            raise ValueError(f'stage {stage_no} slot {pos} must be '
+                             f'{{"fixed": true}} or {{"var": k}}, got {entry!r}')
+    return unitary, np.array(var_map, dtype=np.int64)
 
 
 def document_to_algorithm(doc: dict) -> QueryAlgorithm:
-    _header(doc, ALGORITHM_SCHEMA_VERSION)
-    for key in ("n_vars", "t_queries", "dim", "start", "stages", "final_unitary", "labels"):
-        _require(key in doc, f"missing key {key!r}")
-    for key in ("n_vars", "t_queries", "dim"):
-        _require(_is_int(doc[key]), f"{key} must be an integer")
-    _require(doc["n_vars"] <= np.iinfo(np.int64).max, "n_vars must fit in int64")
-    dim = doc["dim"]
-    _require(2 <= dim <= MAX_DOC_DIM, f"dim must be in [2, {MAX_DOC_DIM}]")
-    start = _reals(doc["start"], "start")
-    _require(start.ndim != 1 or start.size == dim, f"start must list {dim} entries")
-    _require(isinstance(doc["stages"], list) and len(doc["stages"]) == doc["t_queries"],
-             "t_queries must match the number of stages")
-    stages = []
-    for stage_no, raw in enumerate(doc["stages"], start=1):
-        _require(isinstance(raw, dict) and {"unitary", "query_diagonal"} <= set(raw),
-                 f"stage {stage_no} must carry 'unitary' and 'query_diagonal'")
-        stages.append((_matrix(raw["unitary"], dim, f"stage {stage_no} unitary"),
-                       _parse_diagonal(raw["query_diagonal"], dim, doc["n_vars"], stage_no)))
-    _require(_bits(doc["labels"]) is not None, "labels must be a list of the integers 0 and 1")
-    return QueryAlgorithm(
-        n_vars=doc["n_vars"],
-        start=start,
-        stages=stages,
-        final_unitary=_final(doc["final_unitary"], dim),
-        labels=doc["labels"],
-    )
+    with _document_errors():
+        _header(doc, ALGORITHM_SCHEMA_VERSION)
+        for key in ("n_vars", "t_queries", "dim", "start", "stages", "final_unitary", "labels"):
+            _require(key in doc, f"missing key {key!r}")
+        for key in ("n_vars", "t_queries", "dim"):
+            _require(_is_int(doc[key]), f"{key} must be an integer")
+        n_vars, dim = doc["n_vars"], doc["dim"]
+        # With _stage's var <= n_vars, keeps every var_map within int64.
+        _require(n_vars <= np.iinfo(np.int64).max, "n_vars must fit in int64")
+        _require(2 <= dim <= MAX_DOC_DIM, f"dim must be in [2, {MAX_DOC_DIM}]")
+        start = _reals(doc["start"], "start")
+        _require(start.ndim != 1 or start.size == dim, f"start must list {dim} entries")
+        _require(isinstance(doc["stages"], list) and len(doc["stages"]) == doc["t_queries"],
+                 "t_queries must match the number of stages")
+        labels = _bits(doc["labels"], "labels")
+        # Parsed as the constructor takes them, after it has judged n_vars and start.
+        stages = (_stage(raw, dim, n_vars, no) for no, raw in enumerate(doc["stages"], start=1))
+        return QueryAlgorithm(n_vars, start, stages, _final(doc["final_unitary"], dim), labels)
 
 
 # A list of these holds no strings, so json's C encoder writes it whole.
@@ -329,15 +333,9 @@ def function_to_document(f: BooleanFunction) -> dict:
 
 
 def document_to_function(doc: dict) -> BooleanFunction:
-    _header(doc, FUNCTION_SCHEMA_VERSION)
-    arity, table = doc.get("arity"), doc.get("table")
-    _require(_is_int(arity) and arity >= 1, "arity must be a positive integer")
-    # Bit lengths first, so that 1 << arity is never built for a huge arity.
-    _require(isinstance(table, list) and len(table).bit_length() == arity + 1
-             and len(table) == 1 << arity, f"table must list 2**{arity} bits")
-    bits = _bits(table)
-    _require(bits is not None, "table must be a list of the integers 0 and 1")
-    return BooleanFunction.from_table(np.frombuffer(bits, np.uint8))
+    with _document_errors():
+        _header(doc, FUNCTION_SCHEMA_VERSION)
+        return BooleanFunction(doc.get("arity"), _bits(doc.get("table"), "table"))
 
 
 def load_function(path) -> BooleanFunction:

@@ -81,9 +81,6 @@ BAD_INPUTS = [
                                              "values": []}),
     ("sparse", ["stages", 0, "unitary"], {"kron": [[[1.0]]]}),
     ("sparse", ["final_unitary", "kron", 0, 0, 0], float("inf")),
-    # Finite entries whose swept probabilities overflow float64.
-    ("algorithm", ["final_unitary", 0, 0], 1e200),
-    ("algorithm", ["stages", 0, "unitary", 0, 0], 1e300),
     # A start state whose norm overflows float64.
     ("algorithm", ["start", 0], 1e308),
     # Arrays of the wrong shape: the model refuses these, except a short
@@ -93,6 +90,22 @@ BAD_INPUTS = [
     ("algorithm", ["stages", 0, "unitary"], [[[1.0]]]),
     ("algorithm", ["labels"], [1, 0]),
     ("algorithm", ["start"], [1.0, 0.0]),
+    # Faults the loader leaves to the constructors, which name the field: an
+    # empty path sets several top-level fields at once.
+    ("algorithm", ["n_vars"], 0),
+    ("algorithm", [], {"dim": 3, "start": [1.0, 0.0, 0.0]}),
+    ("algorithm", ["labels"], []),
+    ("algorithm", ["start"], 1.0),
+    ("algorithm", ["stages", 0, "unitary"], [[1.0]]),
+    ("algorithm", ["final_unitary"], []),
+    ("algorithm", [], {"stages": [], "t_queries": 0}),
+]
+
+# Finite entries whose swept probabilities overflow float64: the documents
+# load, and the sweep refuses them.
+SWEEP_OVERFLOWS = [
+    ("algorithm", ["final_unitary", 0, 0], 1e200),
+    ("algorithm", ["stages", 0, "unitary", 0, 0], 1e300),
 ]
 
 
@@ -465,8 +478,9 @@ class TestCheck:
     def test_document_not_utf8_is_usage_error(self, tmp_path, capsys, role):
         self._assert_invalid_document(tmp_path, capsys, role, b"\xff\xfe")
 
-    @pytest.mark.parametrize("document,keys,value", BAD_INPUTS,
-                             ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]}" for c in BAD_INPUTS])
+    @pytest.mark.parametrize("document,keys,value", BAD_INPUTS + SWEEP_OVERFLOWS,
+                             ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}-{c[2]}"
+                                  for c in BAD_INPUTS + SWEEP_OVERFLOWS])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, document, keys, value):
         docs = {"algorithm": algorithm_to_document(build_algorithm(4)),
                 "sparse": algorithm_to_document(build_algorithm(8)),
@@ -474,7 +488,10 @@ class TestCheck:
         target = docs[document]
         for key in keys[:-1]:
             target = target[key]
-        target[keys[-1]] = value
+        if keys:
+            target[keys[-1]] = value
+        else:
+            target.update(value)
         paths = {}
         for name, doc in docs.items():
             paths[name] = tmp_path / f"{name}.json"
@@ -488,7 +505,23 @@ class TestCheck:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        prefix = "error: invalid document: "
+        if (document, keys, value) in SWEEP_OVERFLOWS:
+            prefix = "error: swept output probabilities overflow"
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"n_vars": 0}, "n_vars must be positive, got 0"),
+        ({"dim": 3, "start": [1.0, 0.0, 0.0]}, "start state length 3 is not a power of two"),
+    ], ids=["n_vars-0", "dim-3"])
+    def test_load_error_blames_the_field_at_fault(self, tmp_path, capsys, fields, message):
+        # The constructor judges n_vars and start before any stage, so neither
+        # fault is blamed on a stage.
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({**algorithm_to_document(build_algorithm(4)), **fields}),
+                        encoding="utf-8")
+        assert main(["check", "--algorithm", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: invalid document: {message}\n")
 
 
 _RUN_4_1100 = "output: 1  probability: 1.000000  exact: yes\n"

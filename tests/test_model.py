@@ -70,7 +70,9 @@ class TestVarMap:
     @pytest.mark.parametrize("var_map", [[], [[1, 0]], 3])
     def test_rejects_empty_or_not_one_dimensional(self, var_map):
         for call in self._both(var_map):
-            with pytest.raises(ValueError, match="^query diagonal must be a non-empty 1-D"):
+            # The constructor names the stage.
+            with pytest.raises(ValueError,
+                               match="^(stage 1 )?query diagonal must be a non-empty 1-D"):
                 call()
 
     def test_stored_read_only_int64(self, alg4):
@@ -872,7 +874,8 @@ class TestQueryAlgorithmValidation:
     @pytest.mark.parametrize("dims", [(), (2, 2, 2), (4, 1)])
     def test_rejects_kron_sides_that_do_not_multiply_to_dim(self, dims):
         h = Nonzeros.of(np.eye(2))
-        with pytest.raises(ValueError, match="sides whose product is 4"):
+        message = r"side at least 2 whose product is 4, got \d factors of sides"
+        with pytest.raises(ValueError, match=message):
             QueryAlgorithm(2, [1.0, 0.0, 0.0, 0.0], [(np.eye(4), [1, 2, 0, 0])],
                            Kron((h,) * len(dims), dims), [1, 0, 0, 0])
 

@@ -395,7 +395,7 @@ SPARSE_DAMAGE = {
     "row-past-dim": (_set("rows", 16), r"rows must lie in \[0, 16\)"),
     "negative-col": (_set("cols", -1), r"cols must lie in \[0, 16\)"),
     "huge-col": (_set("cols", 10**30), r"cols must lie in \[0, 16\)"),
-    "repeated-entry": (_repeat_entry, "lists an entry twice"),
+    "repeated-entry": (_repeat_entry, "stage 1 unitary must list distinct entries below 16"),
     "string-value": (_set("values", "0.5"), "values must hold only numbers"),
     "object-value": (_set("values", {}), "values must hold only numbers"),
     "bool-value": (_set("values", True), "values must hold only numbers"),
@@ -409,7 +409,7 @@ class TestNonzerosFormValidation:
     def test_rejects_malformed_nonzeros(self, damage, message):
         doc = algorithm_to_document(build_algorithm(8))
         damage(doc["stages"][0]["unitary"])
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^invalid document: .*{message}"):
             document_to_algorithm(doc)
 
     def test_entries_load_in_row_major_order_without_zeros(self):
@@ -447,19 +447,29 @@ class TestNonzerosFormValidation:
 # id: (the kron form that replaces the n = 8 document's final matrix, message)
 H4 = [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5], [0.5, -0.5, -0.5, 0.5]]
 KRON_DAMAGE = {
-    "empty": ({"kron": []}, "non-empty list of factors"),
-    "not-a-list": ({"kron": H4[0][0]}, "non-empty list of factors"),
+    "empty": ({"kron": []}, r"final unitary needs factors .* product is 16, got 0 factors"),
+    "not-a-list": ({"kron": H4[0][0]}, "final_unitary kron must be a list of factors"),
     "extra-key": ({"kron": [H4, H4], "order": "big-endian"}, "only the key 'kron'"),
     "nested": ({"kron": [{"kron": [H4]}, H4]}, "factor 1 must have exactly the keys"),
-    "not-square": ({"kron": [H4[:2], H4]}, "factor 1 must be a square matrix"),
-    "one-by-one": ({"kron": [[[1.0]], H4, H4]}, "factor 1 must be a square matrix of side at least 2"),
-    "flat": ({"kron": [H4[0], H4]}, "factor 1 must be a square matrix"),
-    "sides-16-by-4": ({"kron": [H4, H4, H4]}, "factor sides must multiply to 16"),
-    "sides-4-by-2": ({"kron": [H4, [[1.0, 0.0], [0.0, 1.0]]]}, "factor sides must multiply to 16"),
+    "not-square": ({"kron": [H4[:2], H4]},
+                   r"final unitary factor 1 must be a square matrix, got shape \(2, 4\)"),
+    "one-by-one": ({"kron": [[[1.0]], H4, H4]},
+                   r"final unitary needs factors of side at least 2 .* sides \(1, 4, 4\)"),
+    "flat": ({"kron": [H4[0], H4]},
+             r"final unitary factor 1 must be a square matrix, got shape \(4,\)"),
+    "sides-16-by-4": ({"kron": [H4, H4, H4]},
+                      r"final unitary needs .* product is 16, got 3 factors of sides \(4, 4, 4\)"),
+    "sides-4-by-2": ({"kron": [H4, [[1.0, 0.0], [0.0, 1.0]]]},
+                     r"final unitary needs .* product is 16, got 2 factors of sides \(4, 2\)"),
     "sparse-no-dim": ({"kron": [{"rows": [], "cols": [], "values": []}, H4]},
                       "factor 1 must have exactly the keys 'dim'"),
     "sparse-huge-dim": ({"kron": [{"dim": 10**30, "rows": [], "cols": [], "values": []}, H4]},
-                        r"factor 1 dim must be in \[2, 16\]"),
+                        r"factor 1 dim must be an integer in \[0, 16\]"),
+    "sparse-huge-negative-dim": (
+        {"kron": [{"dim": -10**30, "rows": [], "cols": [], "values": []}, H4]},
+        r"factor 1 dim must be an integer in \[0, 16\]"),
+    "sparse-zero-dim": ({"kron": [{"dim": 0, "rows": [], "cols": [], "values": []}, H4]},
+                        r"final unitary needs factors of side at least 2 .* sides \(0, 4\)"),
     "sparse-row-past-dim": ({"kron": [{"dim": 4, "rows": [4], "cols": [0], "values": [1.0]}, H4]},
                             r"factor 1 rows must lie in \[0, 4\)"),
     "bool-entry": ({"kron": [[[True, 0.5], [0.5, 0.5]], H4, [[1.0, 0.0], [0.0, 1.0]]]},
@@ -473,7 +483,7 @@ class TestKronFormValidation:
     def test_rejects_malformed_kron_forms(self, form, message):
         doc = algorithm_to_document(build_algorithm(8))
         doc["final_unitary"] = form
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^invalid document: .*{message}"):
             document_to_algorithm(doc)
 
     def test_stages_do_not_take_the_kron_form(self):
@@ -516,6 +526,17 @@ class TestFunctionDocuments:
                 document_to_function(doc)
             assert str(excinfo.value) == \
                 "invalid document: table must be a list of the integers 0 and 1"
+
+    @pytest.mark.parametrize("arity,message", [
+        (0, "arity must be positive, got 0"),
+        (True, "arity must be an integer, got True"),
+        (10**30, f"truth table must have 2**{10**30} entries, got shape (2,)"),
+    ], ids=["zero", "true", "huge"])
+    def test_rejects_arity_through_the_constructor(self, arity, message):
+        # 1 << 10**30 raises OverflowError, so a ValueError shows it was never built.
+        with pytest.raises(ValueError) as excinfo:
+            document_to_function({"schema_version": 1, "arity": arity, "table": [0, 1]})
+        assert str(excinfo.value) == f"invalid document: {message}"
 
     def test_rejects_short_table(self, tmp_path):
         path = tmp_path / "f.json"

@@ -54,14 +54,16 @@ NOT_SIZES = (4.0, "4", None)
      "verifier arity must be an integer, got {!r}"),
     (hadamard_power, NOT_SIZES, "t must be an integer, got {!r}"),
     (final_factors, NOT_SIZES, "t must be an integer, got {!r}"),
+    (final_factors, [10**30], "t must be at most 12, got {}"),
     (lambda i: index_set(i, 8), NOT_SIZES, "stage number must be an integer, got {!r}"),
     (lambda k: index_set(1, k), NOT_SIZES, "dimension must be an integer, got {!r}"),
 ], ids=["build_algorithm", "build_algorithm-odd", "classical_query_counts",
         "classical_query_counts-odd", "classical_verify", "hadamard_power", "final_factors",
-        "index_set", "index_set-dimension"])
+        "final_factors-huge", "index_set", "index_set-dimension"])
 def test_sizes_go_through_check_length(call, sizes, message):
     # words.check_length refuses a size that is not an integer before any
-    # arithmetic on it, and words.check_even an odd one after it.
+    # arithmetic on it, and words.check_even an odd one after it; a cap
+    # refuses a huge one.
     for size in sizes:
         with pytest.raises(ValueError) as exc:
             call(size)
