@@ -45,15 +45,15 @@ algorithms run bitwise identically to the originals. The writer's text is
 json.dumps(document, indent=2) byte for byte, but made by json's C
 encoder (see _dumps), which indent would otherwise turn off.
 
-Loading parses, and the constructors judge: the loader checks what JSON
-can get wrong (value types, matrix forms and keys, the fields only a
-document has, the bounds of its int64 conversions), every structural rule
-is QueryAlgorithm's or BooleanFunction's, and both loaders raise any error
-as ValueError("invalid document: ..."). Unitarity is not checked, so a
-damaged document loads instead of being rejected up front. Damage that
-changes some run then loses in `check_exact` with a counterexample; damage
-confined to columns the start state never reaches changes no run and
-shows only in `"unitary"`, the unitarity report of the `check` command.
+Loading parses, and the constructors judge. The loader checks what JSON
+can get wrong: value types, matrix forms, keys (each object holds exactly
+its own), the fields only a document has and its int64 bounds. Every
+structural rule is QueryAlgorithm's or BooleanFunction's, and both
+loaders raise any error as ValueError("invalid document: ..."). Unitarity
+is not checked, so a damaged document loads; damage that changes some run
+loses in `check_exact` with a counterexample, and damage confined to
+columns the start state never reaches shows only in `"unitary"`, the
+unitarity report of the `check` command.
 """
 
 from __future__ import annotations
@@ -92,11 +92,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _header(doc, last: int) -> None:
-    """Every document is an object whose schema_version is in [1, last]."""
+def _header(doc, last: int, keys: tuple) -> list:
+    """The values of `keys` in a document holding exactly them and a schema_version in [1, last]."""
     _require(isinstance(doc, dict), "top level must be an object")
     version = doc.get("schema_version")
     _require(_is_int(version) and 1 <= version <= last, f"unsupported schema_version {version!r}")
+    return _fields(doc, ("schema_version", *keys), "top level")[1:]
+
+
+def _fields(value, keys: tuple, what: str) -> list:
+    """The values of `keys`, in order, of an object that holds exactly those keys."""
+    names = " and ".join(", ".join(map(repr, keys)).rsplit(", ", 1))
+    _require(isinstance(value, dict) and value.keys() == set(keys),
+             f"{what} must have exactly the key{'s' * (len(keys) > 1)} {names}")
+    return [value[key] for key in keys]
 
 
 def _bits(value, what: str) -> np.ndarray:
@@ -140,9 +149,10 @@ def _matrix(value, dim: int, what: str):
     if not isinstance(value, dict):
         return _reals(value, what)
     _require("kron" not in value, f"{what} cannot take the kron form")
-    _require(set(value) == {"rows", "cols", "values"},
-             f"{what} must have exactly the keys 'rows', 'cols' and 'values'")
-    rows, cols, values = value["rows"], value["cols"], value["values"]
+    return _nonzeros(*_fields(value, ("rows", "cols", "values"), what), dim, what)
+
+
+def _nonzeros(rows, cols, values, dim: int, what: str) -> Nonzeros:
     _require(all(isinstance(x, list) for x in (rows, cols, values))
              and len(rows) == len(cols) == len(values),
              f"{what} rows, cols and values must be lists of one length")
@@ -158,19 +168,17 @@ def _final(value, dim: int):
     form as a Kron of its factors."""
     if not (isinstance(value, dict) and "kron" in value):
         return _matrix(value, dim, "final_unitary")
-    _require(set(value) == {"kron"}, "final_unitary must have only the key 'kron'")
-    _require(isinstance(value["kron"], list), "final_unitary kron must be a list of factors")
+    (kron,) = _fields(value, ("kron",), "final_unitary")
+    _require(isinstance(kron, list), "final_unitary kron must be a list of factors")
     factors, dims = [], []
-    for i, raw in enumerate(value["kron"], start=1):
+    for i, raw in enumerate(kron, start=1):
         what = f"final_unitary factor {i}"
         if isinstance(raw, dict):
-            _require(set(raw) == {"dim", "rows", "cols", "values"},
-                     f"{what} must have exactly the keys 'dim', 'rows', 'cols' and 'values'")
-            side = raw["dim"]
-            # Keeps _matrix's row-major keys, r * side + c, within int64.
+            side, *entries = _fields(raw, ("dim", "rows", "cols", "values"), what)
+            # Keeps _nonzeros' row-major keys, r * side + c, within int64.
             _require(_is_int(side) and 0 <= side <= dim,
                      f"{what} dim must be an integer in [0, {dim}]")
-            factors.append(_matrix({k: raw[k] for k in ("rows", "cols", "values")}, side, what))
+            factors.append(_nonzeros(*entries, side, what))
         else:
             factors.append(_reals(raw, what))
             side = factors[-1].shape[-1] if factors[-1].ndim else 0  # the model judges its shape
@@ -216,13 +224,11 @@ def algorithm_to_document(alg: QueryAlgorithm) -> dict:
 
 def _stage(raw, dim: int, n_vars: int, stage_no: int) -> tuple:
     """A stage as the constructor takes it: its matrix and its int64 var_map."""
-    _require(isinstance(raw, dict) and {"unitary", "query_diagonal"} <= set(raw),
-             f"stage {stage_no} must carry 'unitary' and 'query_diagonal'")
-    unitary = _matrix(raw["unitary"], dim, f"stage {stage_no} unitary")
-    _require(isinstance(raw["query_diagonal"], list),
-             f"stage {stage_no} query_diagonal must be a list")
+    matrix, diagonal = _fields(raw, ("unitary", "query_diagonal"), f"stage {stage_no}")
+    unitary = _matrix(matrix, dim, f"stage {stage_no} unitary")
+    _require(isinstance(diagonal, list), f"stage {stage_no} query_diagonal must be a list")
     var_map = []
-    for pos, entry in enumerate(raw["query_diagonal"]):
+    for pos, entry in enumerate(diagonal):
         if isinstance(entry, dict) and set(entry) == {"fixed"} and entry["fixed"] is True:
             var_map.append(0)
         elif isinstance(entry, dict) and set(entry) == {"var"} and _is_int(entry["var"]):
@@ -238,23 +244,21 @@ def _stage(raw, dim: int, n_vars: int, stage_no: int) -> tuple:
 
 def document_to_algorithm(doc: dict) -> QueryAlgorithm:
     with _document_errors():
-        _header(doc, ALGORITHM_SCHEMA_VERSION)
-        for key in ("n_vars", "t_queries", "dim", "start", "stages", "final_unitary", "labels"):
-            _require(key in doc, f"missing key {key!r}")
-        for key in ("n_vars", "t_queries", "dim"):
-            _require(_is_int(doc[key]), f"{key} must be an integer")
-        n_vars, dim = doc["n_vars"], doc["dim"]
+        n_vars, t_queries, dim, start, stages, final, labels = _header(
+            doc, ALGORITHM_SCHEMA_VERSION,
+            ("n_vars", "t_queries", "dim", "start", "stages", "final_unitary", "labels"))
+        for key, value in (("n_vars", n_vars), ("t_queries", t_queries), ("dim", dim)):
+            _require(_is_int(value), f"{key} must be an integer")
         # With _stage's var <= n_vars, keeps every var_map within int64.
         _require(n_vars <= np.iinfo(np.int64).max, "n_vars must fit in int64")
         _require(2 <= dim <= MAX_DOC_DIM, f"dim must be in [2, {MAX_DOC_DIM}]")
-        start = _reals(doc["start"], "start")
+        start = _reals(start, "start")
         _require(start.ndim != 1 or start.size == dim, f"start must list {dim} entries")
-        _require(isinstance(doc["stages"], list) and len(doc["stages"]) == doc["t_queries"],
+        _require(isinstance(stages, list) and len(stages) == t_queries,
                  "t_queries must match the number of stages")
-        labels = _bits(doc["labels"], "labels")
         # Parsed as the constructor takes them, after it has judged n_vars and start.
-        stages = (_stage(raw, dim, n_vars, no) for no, raw in enumerate(doc["stages"], start=1))
-        return QueryAlgorithm(n_vars, start, stages, _final(doc["final_unitary"], dim), labels)
+        stages = (_stage(raw, dim, n_vars, no) for no, raw in enumerate(stages, start=1))
+        return QueryAlgorithm(n_vars, start, stages, _final(final, dim), _bits(labels, "labels"))
 
 
 # A list of these holds no strings, so json's C encoder writes it whole.
@@ -334,8 +338,8 @@ def function_to_document(f: BooleanFunction) -> dict:
 
 def document_to_function(doc: dict) -> BooleanFunction:
     with _document_errors():
-        _header(doc, FUNCTION_SCHEMA_VERSION)
-        return BooleanFunction(doc.get("arity"), _bits(doc.get("table"), "table"))
+        arity, table = _header(doc, FUNCTION_SCHEMA_VERSION, ("arity", "table"))
+        return BooleanFunction(arity, _bits(table, "table"))
 
 
 def load_function(path) -> BooleanFunction:

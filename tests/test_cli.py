@@ -99,6 +99,10 @@ BAD_INPUTS = [
     ("algorithm", ["stages", 0, "unitary"], [[1.0]]),
     ("algorithm", ["final_unitary"], []),
     ("algorithm", [], {"stages": [], "t_queries": 0}),
+    # Every object holds exactly its keys, so a misspelt extra key is an error.
+    ("algorithm", ["labels_"], [1, 0, 0, 0]),
+    ("sparse", ["stages", 0, "unitaryy"], []),
+    ("function", ["note"], "x"),
 ]
 
 # Finite entries whose swept probabilities overflow float64: the documents

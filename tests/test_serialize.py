@@ -269,6 +269,19 @@ class TestWriter:
             assert _dumps(value) == json.dumps(value, indent=2)
 
 
+TOP_KEYS = ("top level must have exactly the keys 'schema_version', 'n_vars', 't_queries', "
+            "'dim', 'start', 'stages', 'final_unitary' and 'labels'")
+STAGE_KEYS = "stage 1 must have exactly the keys 'unitary' and 'query_diagonal'"
+# id: (how the n = 4 document is damaged, the message after the prefix)
+KEY_DAMAGE = {
+    "top-extra-key": (lambda d: d.update(labels_=[1, 0, 0, 0]), TOP_KEYS),
+    "top-missing-key": (lambda d: d.pop("labels"), TOP_KEYS),
+    "stage-extra-key": (lambda d: d["stages"][0].update(unitaryy=[]), STAGE_KEYS),
+    "stage-missing-key": (lambda d: d["stages"][0].pop("query_diagonal"), STAGE_KEYS),
+    "stage-not-an-object": (lambda d: d["stages"].__setitem__(0, []), STAGE_KEYS),
+}
+
+
 class TestDocumentValidation:
     def _doc(self, alg4):
         return algorithm_to_document(alg4)
@@ -326,6 +339,15 @@ class TestDocumentValidation:
         del doc["start"]
         with pytest.raises(ValueError, match="start"):
             document_to_algorithm(doc)
+
+    @pytest.mark.parametrize("damage,message", KEY_DAMAGE.values(), ids=KEY_DAMAGE)
+    def test_rejects_other_keys_by_object(self, alg4, damage, message):
+        # A misspelt key next to the right ones is an error, not ignored.
+        doc = self._doc(alg4)
+        damage(doc)
+        with pytest.raises(ValueError) as excinfo:
+            document_to_algorithm(doc)
+        assert str(excinfo.value) == f"invalid document: {message}"
 
     def test_rejects_stage_count_mismatch(self, alg4):
         doc = self._doc(alg4)
@@ -449,7 +471,11 @@ H4 = [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5], [0.5
 KRON_DAMAGE = {
     "empty": ({"kron": []}, r"final unitary needs factors .* product is 16, got 0 factors"),
     "not-a-list": ({"kron": H4[0][0]}, "final_unitary kron must be a list of factors"),
-    "extra-key": ({"kron": [H4, H4], "order": "big-endian"}, "only the key 'kron'"),
+    "extra-key": ({"kron": [H4, H4], "order": "big-endian"},
+                  "final_unitary must have exactly the key 'kron'$"),
+    # Without its key a kron form is an object of other keys, read as nonzeros.
+    "missing-key": ({"krons": [H4, H4]},
+                    "final_unitary must have exactly the keys 'rows', 'cols' and 'values'$"),
     "nested": ({"kron": [{"kron": [H4]}, H4]}, "factor 1 must have exactly the keys"),
     "not-square": ({"kron": [H4[:2], H4]},
                    r"final unitary factor 1 must be a square matrix, got shape \(2, 4\)"),
@@ -463,6 +489,9 @@ KRON_DAMAGE = {
                      r"final unitary needs .* product is 16, got 2 factors of sides \(4, 2\)"),
     "sparse-no-dim": ({"kron": [{"rows": [], "cols": [], "values": []}, H4]},
                       "factor 1 must have exactly the keys 'dim'"),
+    "sparse-extra-key": ({"kron": [{"dim": 4, "rows": [], "cols": [], "values": [], "order": 1},
+                                   H4]},
+                         "factor 1 must have exactly the keys 'dim', 'rows', 'cols' and 'values'$"),
     "sparse-huge-dim": ({"kron": [{"dim": 10**30, "rows": [], "cols": [], "values": []}, H4]},
                         r"factor 1 dim must be an integer in \[0, 16\]"),
     "sparse-huge-negative-dim": (
@@ -537,6 +566,16 @@ class TestFunctionDocuments:
         with pytest.raises(ValueError) as excinfo:
             document_to_function({"schema_version": 1, "arity": arity, "table": [0, 1]})
         assert str(excinfo.value) == f"invalid document: {message}"
+
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": 1, "arity": 1, "table": [0, 1], "note": "x"},
+        {"schema_version": 1, "arity": 1},
+    ], ids=["extra-key", "missing-key"])
+    def test_rejects_other_keys(self, doc):
+        with pytest.raises(ValueError) as excinfo:
+            document_to_function(doc)
+        assert str(excinfo.value) == ("invalid document: top level must have exactly the keys "
+                                      "'schema_version', 'arity' and 'table'")
 
     def test_rejects_short_table(self, tmp_path):
         path = tmp_path / "f.json"
