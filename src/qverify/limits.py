@@ -2,10 +2,11 @@
 
 Every cap is enforced with a loud ValueError at the call that would exceed
 it, never by silent truncation. The sweep cap is read by its one rule,
-`words.check_sweep`; every other cap and tolerance by the module that
-checks it, under the same name (`builder.MAX_BUILD_VARS`,
+`words.check_sweep`; every other cap, tolerance and budget by the modules
+that use it, under the same name (`builder.MAX_BUILD_VARS`,
 `builder.MAX_DOC_DIM`, `serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`,
-`model.MATRIX_TOL`, `model.NORM_TOL`, `model.EXACT_TOL`).
+`model.MATRIX_TOL`, `_kernels.MATRIX_TOL`, `model.NORM_TOL`,
+`model.EXACT_TOL`, `strings.EXACT_TOL`, `_kernels.SWEEP_BUDGET`).
 """
 
 # Exhaustive verification of larger instances stops being a desk job, so

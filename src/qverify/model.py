@@ -394,10 +394,11 @@ def compute(alg: QueryAlgorithm, word: str) -> ComputeResult:
 def run_batch(alg: QueryAlgorithm, words) -> list[np.ndarray]:
     """`run` on each word, given as an integer in [0, 2**n_vars), stacked:
     the same 2T + 2 snapshots, each a (len(words), dim) array whose rows are
-    bitwise `run`'s. Raises ValueError on a word outside that range."""
+    bitwise `run`'s. Raises ValueError on a word outside that range or not
+    an integer (see words.index_to_word)."""
     snapshots = np.empty((2 * alg.t_queries + 2, len(words), alg.dim))
     for i, w in enumerate(words):
-        snapshots[:, i] = run(alg, index_to_word(int(w), alg.n_vars)).states
+        snapshots[:, i] = run(alg, index_to_word(w, alg.n_vars)).states
     return list(snapshots)
 
 

@@ -41,9 +41,7 @@ final matrix as a model.Kron. Truth-table documents stay at version 1.
 Variable indices in documents are 1-based; basis states are positional
 (row/column order), indexed from 0. Reals are written in shortest
 round-trip form, so dump -> load -> dump is byte-stable and loaded
-algorithms run bitwise identically to the originals. The writer's text is
-json.dumps(document, indent=2) byte for byte, but made by json's C
-encoder (see _dumps), which indent would otherwise turn off.
+algorithms run bitwise identically to the originals.
 
 Loading parses, and the constructors judge. The loader checks what JSON
 can get wrong: value types, matrix forms, keys (each object holds exactly
@@ -261,49 +259,8 @@ def document_to_algorithm(doc: dict) -> QueryAlgorithm:
         return QueryAlgorithm(n_vars, start, stages, _final(final, dim), _bits(labels, "labels"))
 
 
-# A list of these holds no strings, so json's C encoder writes it whole.
-_NUMBERS = {int, float, bool}
-# Equal values of one of these types print alike. _dumps keys a flat dict
-# by its items and their types, since 1, 1.0 and True hash equal, and
-# stores no floats, since 0.0 == -0.0.
-_PLAIN = {int, bool}
-
-
-def _dumps(value, pad: str = "\n") -> str:
-    """json.dumps(value, indent=2) of a JSON document (dicts with string
-    keys, lists and scalars) nested at pad, byte for byte, with the work
-    done by json's C encoder, which indent would turn off: a flat list of
-    numbers is encoded in one call and its ", " split into lines, and a
-    list renders each distinct dict of ints and bools, such as a query
-    slot, once."""
-    if not (isinstance(value, (dict, list)) and value):
-        return json.dumps(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if set(map(type, value)) <= _NUMBERS:
-        # No strings inside, so every ", " separates two numbers.
-        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + pad + "]"
-    memo, items = {}, []
-    for item in value:
-        # A dict's key is its items and their types; only dicts of _PLAIN
-        # values, such as query slots, are stored, so any other item misses.
-        key = (*item.items(), *map(type, item.values())) if type(item) is dict else ()
-        try:
-            text = memo.get(key)
-        except TypeError:  # a list or dict among the values
-            text = None
-        if text is None:
-            text = _dumps(item, inner)
-            if key and set(key[len(item):]) <= _PLAIN:
-                memo[key] = text
-        items.append(text)
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
-
-
 def dumps_algorithm(alg: QueryAlgorithm) -> str:
-    return _dumps(algorithm_to_document(alg))
+    return json.dumps(algorithm_to_document(alg))
 
 
 def save_algorithm(alg: QueryAlgorithm, path) -> None:

@@ -91,7 +91,12 @@ def parse_word(word: str, length: int | None = None):
 
 
 def index_to_word(index: int, length: int) -> str:
-    """The length-bit word of an integer, leftmost bit most significant."""
-    if index < 0 or index >= (1 << length):
+    """The length-bit word of a Python or numpy integer in [0, 2**length),
+    leftmost bit most significant; ValueError on a bool or a non-integer,
+    as `check_length`, and on an integer out of range."""
+    if isinstance(index, bool) or not isinstance(index, Integral):
+        raise ValueError(f"word index must be an integer, got {index!r}")
+    # int(): numpy overflows shifting by a length past int64.
+    if index < 0 or int(index) >> length:
         raise ValueError(f"index {index} out of range for {length}-bit words")
     return format(index, f"0{length}b")

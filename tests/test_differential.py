@@ -15,7 +15,7 @@ every word through `run`, on two generated families of algorithms.
   verifier with one word flipped, that word is the counterexample.
 
 Each report must also survive a document round trip unchanged, and the
-document writer must give the bytes of json.dumps(doc, indent=2).
+document writer must give the bytes of json.dumps(doc).
 """
 
 import json
@@ -62,7 +62,7 @@ def _assert_agrees(alg: QueryAlgorithm, f: BooleanFunction):
     assert report.inputs_checked == 1 << alg.n_vars
     doc = json.loads(json.dumps(algorithm_to_document(alg)))
     assert check_exact(document_to_algorithm(doc), f) == report
-    assert dumps_algorithm(alg) == json.dumps(doc, indent=2)
+    assert dumps_algorithm(alg) == json.dumps(doc)
     return report
 
 

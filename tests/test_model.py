@@ -181,7 +181,8 @@ class TestRun:
                     assert trace.states[step].dtype == np.float64
                     assert snap[row].tobytes() == trace.states[step].tobytes()
 
-    @pytest.mark.parametrize("word", [64, -1])
+    # A float, a string or a bool is refused too, even one naming an in-range word.
+    @pytest.mark.parametrize("word", [64, -1, 2.9, "3", True, np.float64(5.0)])
     def test_run_batch_rejects_words_out_of_range(self, alg6, word):
         with pytest.raises(ValueError):
             run_batch(alg6, [0, word])
