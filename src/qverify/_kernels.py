@@ -25,7 +25,7 @@ import numpy as np
 
 # Re-exported because the benchmark (perfbench/) calls both as _kernels.*.
 from .boolfunc import table_sensitivity, verify_values_range  # noqa: F401
-from .limits import MATRIX_TOL, SWEEP_BUDGET
+from .limits import MATRIX_TOL, SWEEP_BUDGET, exact
 
 # ---------------------------------------------------------------------------
 # exhaustive exactness sweep: the polynomial method
@@ -312,20 +312,20 @@ def _wht(a: np.ndarray) -> None:
 
 
 def _judge(probs, zeros, rest, want, tol):
-    """(offset of the first word not computed exactly as want, or -1; the
-    least probability of the wanted label) from the kept rows' squared
+    """(offset of the first word where limits.exact fails for want, or -1;
+    the least probability of the wanted label) from the kept rows' squared
     amplitudes, a column a word, label 0's `zeros` rows first. With rest =
     (label, norm2), label's mass is norm2 minus the kept rows', at least 0."""
     p0, p1 = probs[:zeros].sum(axis=0), probs[zeros:].sum(axis=0)
     if rest is not None:  # written into the empty slice's sum
         other, kept = (p0, p1) if rest[0] == 0 else (p1, p0)
         np.maximum(np.subtract(rest[1], kept, out=other), 0.0, out=other)
-    top = np.maximum(p0, p1)
-    if not math.isfinite(top.max(initial=0.0)):  # max keeps a nan
+    if not math.isfinite(np.maximum(p0, p1).max(initial=0.0)):  # max keeps a nan
         raise ValueError("swept output probabilities overflow: matrix entries too large")
-    ok = ((p1 > p0) == (want == 1)) & (top >= 1.0 - tol)
+    p_want = np.where(want == 1, p1, p0)
+    ok = exact(p_want, np.where(want == 1, p0, p1), tol)
     first = -1 if ok.all() else int(np.argmin(ok))
-    return first, float(np.where(want == 1, p1, p0).min(initial=math.inf))
+    return first, float(p_want.min(initial=math.inf))
 
 
 def sweep_range(start, stages, final_t, row_labels, rest, n_vars, lo, hi, expected, tol):

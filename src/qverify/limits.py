@@ -6,7 +6,8 @@ it, never by silent truncation. The sweep cap is read by its one rule,
 that use it, under the same name (`builder.MAX_BUILD_VARS`,
 `builder.MAX_DOC_DIM`, `serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`,
 `model.MATRIX_TOL`, `_kernels.MATRIX_TOL`, `model.NORM_TOL`,
-`model.EXACT_TOL`, `strings.EXACT_TOL`, `_kernels.SWEEP_BUDGET`).
+`model.EXACT_TOL`, `_kernels.SWEEP_BUDGET`), and the one exactness rule as
+`_kernels.exact`, `model.exact` and `strings.exact`.
 """
 
 # Exhaustive verification of larger instances stops being a desk job, so
@@ -43,8 +44,14 @@ MAX_STRING_LEN = 12
 MATRIX_TOL = 1e-12
 NORM_TOL = 1e-9
 
-# An output counts as exact when its probability is at least 1 - EXACT_TOL.
+# The tolerance of exact, the one exactness rule, read by every verdict.
 EXACT_TOL = 1e-9
+
+
+def exact(p_want, p_other, tol=EXACT_TOL):
+    """p_want >= 1 - tol and p_other <= tol: elementwise on arrays, a bool on floats."""
+    return (p_want >= 1.0 - tol) & (p_other <= tol)
+
 
 # Floats (16 MiB) an exhaustive sweep keeps live: the output amplitudes of
 # one block of sweep_range's words, and the polynomial's terms while a

@@ -11,8 +11,8 @@ per basis state. Running on a word applies
 where query Q_i is its var_map: slot j's amplitude is kept when entry j is
 0, and multiplied by (-1)**x_k when it is k >= 1. Measuring sums squared
 amplitudes per label, labels that pass boolfunc.bit_vector, the one
-Boolean-vector rule; an algorithm computes a function exactly when the
-correct output has probability 1 (within EXACT_TOL) on every word.
+Boolean-vector rule; an algorithm computes a function exactly when on every
+word the correct output has probability 1 and the other 0 (limits.exact).
 
 Matrices take one of two forms in memory: a stage unitary is its Nonzeros,
 and the final unitary a Kron of Nonzeros factors, one factor for a matrix
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .boolfunc import BooleanFunction, bit_vector
-from .limits import EXACT_TOL, MATRIX_TOL, NORM_TOL
+from .limits import EXACT_TOL, MATRIX_TOL, NORM_TOL, exact
 from .words import ReadOnly, check_length, check_sweep, index_to_word, parse_word
 
 
@@ -217,9 +217,9 @@ class QueryAlgorithm(ReadOnly):
     within [1, n_vars], and binary labels. Unitarity of the matrices is a
     behavioral property checked separately (`unitary_within`); keeping it
     out of the constructor lets damaged algorithms be loaded and checked.
-    Damage that changes some run is convicted by `check_exact` with a
-    concrete counterexample. Damage confined to matrix columns the start
-    state never reaches changes no run, so only `unitary_within` reveals it.
+    Damage that moves probability onto a wrong output is convicted by
+    `check_exact` with a counterexample. Damage confined to matrix columns
+    the start state never reaches changes no run: only `unitary_within` shows it.
     """
 
     __slots__ = ("n_vars", "start", "stages", "final", "labels")
@@ -377,13 +377,13 @@ def measure(final: np.ndarray, labels) -> tuple[float, float]:
 
 
 def decide(final: np.ndarray, labels) -> ComputeResult:
-    """Measure a final state: output is the more probable label, exact needs
-    probability >= 1 - EXACT_TOL. A dead tie reports output 0 with
-    probability 0.5 and exact False rather than raising."""
+    """Measure a final state: output is the more probable label, and exact is
+    limits.exact on the larger and the smaller probability. A dead tie
+    reports output 0 with probability 0.5 and exact False rather than raising."""
     p0, p1 = measure(final, labels)
     probability = max(p0, p1)
     return ComputeResult(output=1 if p1 > p0 else 0, probability=probability,
-                         exact=probability >= 1.0 - EXACT_TOL, p0=p0, p1=p1)
+                         exact=exact(probability, min(p0, p1)), p0=p0, p1=p1)
 
 
 def compute(alg: QueryAlgorithm, word: str) -> ComputeResult:

@@ -48,10 +48,10 @@ can get wrong: value types, matrix forms, keys (each object holds exactly
 its own), the fields only a document has and its int64 bounds. Every
 structural rule is QueryAlgorithm's or BooleanFunction's, and both
 loaders raise any error as ValueError("invalid document: ..."). Unitarity
-is not checked, so a damaged document loads; damage that changes some run
-loses in `check_exact` with a counterexample, and damage confined to
-columns the start state never reaches shows only in `"unitary"`, the
-unitarity report of the `check` command.
+is not checked, so a damaged document loads; damage that moves probability
+onto a wrong output loses in `check_exact` with a counterexample, and damage
+confined to columns the start state never reaches shows only in
+`"unitary"`, the unitarity report of the `check` command.
 """
 
 from __future__ import annotations

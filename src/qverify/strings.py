@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .limits import EXACT_TOL, MAX_STRING_LEN
+from .limits import MAX_STRING_LEN, exact
 from .words import ReadOnly, check_even, check_word
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -71,7 +71,7 @@ def _run_verifier(word: str) -> tuple[int, bool, float, float]:
     (sum(state) * 2**(-k/2))**2 and, the power keeping norms, p0 is
     |state|^2 - p1. Both sums are exact (math.fsum): summed in order, the
     2**k terms drift by up to 8e-14 from model.compute at k = 11. The
-    verdict is model.decide's.
+    verdict is model.decide's, by limits.exact.
     """
     k = len(word) // 2
     dim = 1 << k
@@ -88,7 +88,7 @@ def _run_verifier(word: str) -> tuple[int, bool, float, float]:
     amp0 = math.fsum(state) * 2.0 ** (-k / 2.0)
     p1 = amp0 * amp0
     p0 = max(math.fsum(v * v for v in state) - p1, 0.0)
-    return (1 if p1 > p0 else 0), max(p0, p1) >= 1.0 - EXACT_TOL, p0, p1
+    return (1 if p1 > p0 else 0), exact(max(p0, p1), min(p0, p1)), p0, p1
 
 
 def strings_equal(pair: StringPair) -> bool:
@@ -100,7 +100,7 @@ def strings_equal(pair: StringPair) -> bool:
     if k > MAX_STRING_LEN:
         raise ValueError(f"string length capped at {MAX_STRING_LEN}, got {k}")
     word = interleave(pair)
-    output, exact, p0, p1 = _run_verifier(word)
-    if not exact:
+    output, ok, p0, p1 = _run_verifier(word)
+    if not ok:
         raise RuntimeError(f"equality run was not exact on {word!r} (p={max(p0, p1)!r})")
     return output == 1

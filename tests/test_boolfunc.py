@@ -304,3 +304,27 @@ def test_tolerances_live_in_one_module():
     assert list(inspect.signature(model.QueryAlgorithm.unitary_within).parameters) == ["self"]
     assert list(inspect.signature(model.as_state).parameters) == ["v"]
     assert model.is_unitary.__defaults__ == (limits.MATRIX_TOL,)
+
+
+def test_exactness_rule_is_two_sided_at_its_boundaries():
+    import math
+
+    from qverify import _kernels, limits, model, strings
+    exact, tol = limits.exact, limits.EXACT_TOL
+    # One rule, read by the sweep, decide and equal alike.
+    assert _kernels.exact is model.exact is strings.exact is exact
+    assert exact.__defaults__ == (tol,)
+    low, high = 1.0 - tol, math.nextafter(tol, 1.0)
+    assert exact(low, tol) is True
+    assert exact(math.nextafter(low, 0.0), 0.0) is False
+    assert exact(1.0, high) is False
+    # The damaged n = 6 builder's first word: mass above 1 on the wanted
+    # label does not make up for mass on the other.
+    assert exact(1.1464213562373091, 0.005) is False
+    assert exact(math.nan, 0.0) is False and exact(1.0, math.nan) is False
+    # A tie at 0.5 is exact exactly when tol reaches 0.5.
+    assert (exact(0.5, 0.5, 0.5), exact(0.5, 0.5, 0.4)) == (True, False)
+    # Elementwise on arrays, with the same verdicts.
+    verdicts = exact(np.array([low, math.nextafter(low, 0.0), 1.0, 1.0, math.nan]),
+                     np.array([tol, 0.0, high, 0.0, 0.0]))
+    assert verdicts.dtype == bool and verdicts.tolist() == [True, False, False, True, False]

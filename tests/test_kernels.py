@@ -198,10 +198,11 @@ class TestJudge:
 
     @pytest.mark.parametrize("tol,exact", [(0.5, True), (0.4, False)])
     def test_a_tie_is_label_0(self, tol, exact):
-        # p0 == p1 == 0.5: label 0 is computed, exactly when 0.5 >= 1 - tol.
-        assert self.judge([[0.5], [0.5]], 1, [0], tol) == (-1 if exact else 0, 0.5)
-        # Label 1 never wins a tie, whatever the tolerance.
-        assert self.judge([[0.5], [0.5]], 1, [1], 1.0) == (0, 0.5)
+        # p0 == p1 == 0.5: either label is computed exactly when 0.5 >= 1 - tol
+        # and 0.5 <= tol. The rule reads only the two masses, so a tie favours
+        # neither label.
+        for want in (0, 1):
+            assert self.judge([[0.5], [0.5]], 1, [want], tol) == (-1 if exact else 0, 0.5)
 
     @pytest.mark.parametrize("zeros,want,tol,expected", [
         # Every row labelled 1: p0 is 0 and p1 the column sums, all 1.
@@ -213,9 +214,10 @@ class TestJudge:
         # One row labelled 0: p0 = [1, 0, 0.25, 0.5], p1 = [0, 1, 0.75, 0.5];
         # word 3 ties at 0.5, below 1 - tol.
         (1, [0, 1, 1, 0], 0.25, (3, 0.5)),
-        # Two: p0 = [1, 0, 0.5, 0.75], p1 = [0, 1, 0.5, 0.25].
+        # Two: p0 = [1, 0, 0.5, 0.75], p1 = [0, 1, 0.5, 0.25]; word 2 ties at
+        # 0.5, which is exact for either label at tol 0.5.
         (2, [0, 1, 0, 0], 0.5, (-1, 0.5)),
-        (2, [0, 1, 1, 0], 0.5, (2, 0.5)),
+        (2, [0, 1, 1, 0], 0.5, (-1, 0.5)),
     ], ids=["none-exact", "none-wrong", "all-exact", "all-wrong", "one", "two-exact", "two-tie"])
     def test_labels_are_two_slices(self, zeros, want, tol, expected):
         probs = self.PROBS.copy()
@@ -225,16 +227,26 @@ class TestJudge:
     def test_agrees_with_model_decide(self):
         # The final state [a0, a1], labelled [0, 1], against its squared
         # amplitudes as two kept rows: a tie, the least amplitude whose square
-        # reaches 1 - EXACT_TOL and the float just below it, and a mass above 1.
+        # reaches 1 - EXACT_TOL and the float just below it, a mass above 1,
+        # and the greatest wrong-label amplitude whose square stays within
+        # EXACT_TOL and the float just above it.
         at = math.sqrt(1.0 - EXACT_TOL)
         while at * at < 1.0 - EXACT_TOL:
             at = math.nextafter(at, 2.0)
         while math.nextafter(at, 0.0) ** 2 >= 1.0 - EXACT_TOL:
             at = math.nextafter(at, 0.0)
         below = math.nextafter(at, 0.0)
+        small = math.sqrt(EXACT_TOL)
+        while small * small > EXACT_TOL:
+            small = math.nextafter(small, 0.0)
+        while math.nextafter(small, 1.0) ** 2 <= EXACT_TOL:
+            small = math.nextafter(small, 1.0)
+        above = math.nextafter(small, 1.0)
         assert decide(np.array([at, 0.0]), [0, 1]).exact
         assert not decide(np.array([below, 0.0]), [0, 1]).exact
-        grid = [0.0, math.sqrt(0.5), below, at, 1.1]
+        assert decide(np.array([1.0, small]), [0, 1]).exact
+        assert not decide(np.array([1.0, above]), [0, 1]).exact
+        grid = [0.0, small, above, math.sqrt(0.5), below, at, 1.0, 1.1]
         for a0, a1, want in itertools.product(grid, grid, [0, 1]):
             result = decide(np.array([a0, a1]), [0, 1])
             first, least = self.judge([[a0 * a0], [a1 * a1]], 1, [want])
