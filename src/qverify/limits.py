@@ -7,7 +7,7 @@ that use it, under the same name (`builder.MAX_BUILD_VARS`,
 `builder.MAX_DOC_DIM`, `serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`,
 `model.MATRIX_TOL`, `_kernels.MATRIX_TOL`, `model.NORM_TOL`,
 `model.EXACT_TOL`, `_kernels.SWEEP_BUDGET`), and the one exactness rule as
-`_kernels.exact`, `model.exact` and `strings.exact`.
+`_kernels.exact`, `model.exact` and `strings.exact` (it reads NORM_TOL too).
 """
 
 # Exhaustive verification of larger instances stops being a desk job, so
@@ -40,7 +40,7 @@ MAX_STRING_LEN = 12
 # Exact values like 1/sqrt(2) are not representable in binary floating
 # point. MATRIX_TOL bounds the one Gram residual (is_unitary, unitary_within
 # and whether a sweep may take a probability as |s|^2 minus the others);
-# NORM_TOL bounds the norm of a start state.
+# NORM_TOL bounds the norm of a start state, and so exact's slack above 1.
 MATRIX_TOL = 1e-12
 NORM_TOL = 1e-9
 
@@ -49,8 +49,8 @@ EXACT_TOL = 1e-9
 
 
 def exact(p_want, p_other, tol=EXACT_TOL):
-    """p_want >= 1 - tol and p_other <= tol: elementwise on arrays, a bool on floats."""
-    return (p_want >= 1.0 - tol) & (p_other <= tol)
+    """1 - tol <= p_want <= 1 + tol + NORM_TOL, p_other <= tol: elementwise, a bool on floats."""
+    return (p_want >= 1.0 - tol) & (p_want <= 1.0 + tol + NORM_TOL) & (p_other <= tol)
 
 
 # Floats (16 MiB) an exhaustive sweep keeps live: the output amplitudes of

@@ -46,8 +46,9 @@ algorithms run bitwise identically to the originals.
 Loading parses, and the constructors judge. The loader checks what JSON
 can get wrong: value types, matrix forms, keys (each object holds exactly
 its own), the fields only a document has and its int64 bounds. Every
-structural rule is QueryAlgorithm's or BooleanFunction's, and both
-loaders raise any error as ValueError("invalid document: ..."). Unitarity
+structural rule is QueryAlgorithm's or BooleanFunction's. Every error, the
+decoder's included, is raised as ValueError("invalid document: ...") by
+_document_errors, and a file that cannot be read as its OSError. Unitarity
 is not checked, so a damaged document loads; damage that moves probability
 onto a wrong output loses in `check_exact` with a counterexample, and damage
 confined to columns the start state never reaches shows only in
@@ -78,10 +79,11 @@ def _require(condition: bool, message: str) -> None:
 
 @contextmanager
 def _document_errors():
-    """Each ValueError, the parser's or a constructor's, as "invalid document: ..."."""
+    """Each ValueError (the decoder's, the loader's or a constructor's) and
+    json.loads' RecursionError on deep nesting, as "invalid document: ..."."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid document: {exc}") from None
 
 
@@ -268,17 +270,9 @@ def save_algorithm(alg: QueryAlgorithm, path) -> None:
 
 
 def _read_document(path):
-    """The JSON value in the file at path, or ValueError "invalid document"
-    for bytes that are not UTF-8, text that is not JSON, or text nested too
-    deeply for json.loads, which raises RecursionError there."""
-    try:
+    """The JSON value in the file at path; a decoding error is an invalid document."""
+    with _document_errors():
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"invalid document: not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid document: not JSON: {exc}") from None
-    except RecursionError:
-        raise ValueError("invalid document: nested too deeply") from None
 
 
 def load_algorithm(path) -> QueryAlgorithm:

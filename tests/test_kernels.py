@@ -256,11 +256,11 @@ class TestJudge:
     @pytest.mark.parametrize("label", [0, 1])
     def test_rest_mass_is_clamped_at_0(self, label):
         # The kept rows, all of the other label, hold 1.3 > norm2 = 1: the
-        # rest label's mass is 0, not -0.3.
+        # rest label's mass is 0, not -0.3. Wanted, 1.3 is above exact's bound.
         kept = [[0.7, 0.5], [0.6, 0.5]]
         zeros = 0 if label == 0 else 2
         other = 1 - label
-        assert self.judge(kept, zeros, [other, other], rest=(label, 1.0)) == (-1, 1.0)
+        assert self.judge(kept, zeros, [other, other], rest=(label, 1.0)) == (0, 1.0)
         assert self.judge(kept, zeros, [label, other], rest=(label, 1.0)) == (0, 0.0)
         # Within norm2, the rest mass is norm2 minus theirs, word by word.
         first, least = self.judge([[0.25, 0.375]], 1 - other, [label, label],

@@ -7,13 +7,15 @@ be convicted by check_exact, with a counterexample that compute confirms on
 that word, or change no run: the same labels, and every word's final state
 within 1e-12 of the builder's. The mutants that change no run are exactly
 those in query slots and stage columns that the start state never reaches.
+A row of a final factor scaled by 1.1 adds mass to the correct output alone,
+and is convicted by exact's upper bound.
 """
 
 import numpy as np
 import pytest
 
-from qverify import BooleanFunction, Nonzeros, QueryAlgorithm, build_algorithm, check_exact, \
-    compute, run_batch
+from qverify import BooleanFunction, Kron, Nonzeros, QueryAlgorithm, build_algorithm, \
+    check_exact, compute, run_batch
 
 
 def _with(alg, stages=None, labels=None):
@@ -110,3 +112,29 @@ def test_wrong_label_mass_convicts_the_damaged_builder():
     assert (result.output, result.exact) == (1, False)
     assert result.p0 == pytest.approx(0.005, abs=1e-12)
     assert not damaged.unitary_within()
+
+
+def _final_rows_scaled(alg, factor):
+    """Each row of each final factor scaled by `factor`, one mutant a row."""
+    dense = [f.dense(d) for f, d in zip(alg.final.factors, alg.final.dims)]
+    for i, d in enumerate(alg.final.dims):
+        for row in range(d):
+            changed = list(dense)
+            changed[i] = dense[i].copy()
+            changed[i][row] *= factor
+            yield QueryAlgorithm(alg.n_vars, alg.start, alg.stages,
+                                 Kron(tuple(changed), alg.final.dims), alg.labels)
+
+
+def test_mass_added_to_the_correct_output_alone_is_convicted():
+    convicted = 0
+    for n in (4, 6, 8):
+        alg, f = build_algorithm(n), BooleanFunction.verify(n)
+        for mutant in _final_rows_scaled(alg, 1.1):
+            report = check_exact(mutant, f)
+            assert not report.exact
+            word = report.counterexample
+            result = compute(mutant, word)
+            assert not (result.exact and result.output == f.evaluate(word)), (n, word, result)
+            convicted += 1
+    assert convicted == 18

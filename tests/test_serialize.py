@@ -572,3 +572,25 @@ class TestFunctionDocuments:
                         encoding="utf-8")
         with pytest.raises(ValueError):
             load_function(path)
+
+
+class TestDecoding:
+    """Every decoding failure leaves either loader as one ValueError, named
+    "invalid document" by the loaders' one boundary."""
+
+    @pytest.mark.parametrize("load", [load_algorithm, load_function])
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe",
+        b"not JSON",
+        # json.loads refuses to convert an integer of more than 4300 digits.
+        b"1" * 5000,
+        # json.loads raises RecursionError on this depth.
+        b"[" * 200_000 + b"]" * 200_000,
+    ], ids=["not-utf8", "not-json", "5000-digits", "deep-nesting"])
+    def test_each_failure_is_one_invalid_document_error(self, tmp_path, load, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as excinfo:
+            load(path)
+        assert str(excinfo.value).startswith("invalid document: ")
+        assert excinfo.value.__suppress_context__
