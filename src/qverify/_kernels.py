@@ -315,7 +315,10 @@ def _judge(probs, zeros, rest, want, tol):
     """(offset of the first word where limits.exact fails for want, or -1;
     the least probability of the wanted label) from the kept rows' squared
     amplitudes, a column a word, label 0's `zeros` rows first. With rest =
-    (label, norm2), label's mass is norm2 minus the kept rows', at least 0."""
+    (label, norm2), label's mass is norm2 minus the kept rows', at least 0:
+    when every reached residual is at most MATRIX_TOL, within norm2 * ((1 +
+    MATRIX_TOL)**(T + 1) - 1) of the true mass plus rounding, about 1.3e-11
+    at T = 12 (derived from the residuals' definitions, not measured)."""
     p0, p1 = probs[:zeros].sum(axis=0), probs[zeros:].sum(axis=0)
     if rest is not None:  # written into the empty slice's sum
         other, kept = (p0, p1) if rest[0] == 0 else (p1, p0)

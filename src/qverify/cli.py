@@ -3,9 +3,9 @@
 Subcommands: build, run, verify, sensitivity, classical, equal, check.
 Exit codes: 0 success/pass, 1 verification failure (or unequal strings),
 2 usage or input errors. `check` exits 0 whenever no word is wrong, even
-when the matrices fail the unitarity test; it reports that as "unitary":
-false, which callers must read too. Human output rounds amplitudes to 6
-decimals; --json emits one machine-readable line at full precision.
+when the matrices or the start state's norm fail the unitarity test; it
+reports that as "unitary": false, which callers must read too. Human output
+rounds amplitudes to 6 decimals; --json emits one line at full precision.
 
 Every command handler computes its result and returns (exit code, JSON
 payload, text lines); `main` alone writes it to stdout, the payload as one
@@ -239,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[as_json],
                        help="check a stored algorithm against a function",
-                       description="Exits 0 when no word is wrong, even if the matrices fail "
-                                   "the unitarity test (\"unitary\": false).")
+                       description="Exits 0 when no word is wrong, even if the matrices or "
+                                   "the start's norm fail the unitarity test (\"unitary\": false).")
     p.add_argument("--algorithm", required=True, help="path to an algorithm document")
     p.add_argument("--function", default="verify",
                    help="'verify' or a path to a truth-table document")

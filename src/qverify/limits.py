@@ -5,9 +5,9 @@ it, never by silent truncation. The sweep cap is read by its one rule,
 `words.check_sweep`; every other cap, tolerance and budget by the modules
 that use it, under the same name (`builder.MAX_BUILD_VARS`,
 `builder.MAX_DOC_DIM`, `serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`,
-`model.MATRIX_TOL`, `_kernels.MATRIX_TOL`, `model.NORM_TOL`,
-`model.EXACT_TOL`, `_kernels.SWEEP_BUDGET`), and the one exactness rule as
-`_kernels.exact`, `model.exact` and `strings.exact` (it reads NORM_TOL too).
+`model.MATRIX_TOL`, `_kernels.MATRIX_TOL`, `model.EXACT_TOL`,
+`_kernels.SWEEP_BUDGET`), and the one exactness rule as `_kernels.exact`,
+`model.exact` and `strings.exact`.
 """
 
 # Exhaustive verification of larger instances stops being a desk job, so
@@ -24,13 +24,10 @@ MAX_SWEEP_VARS = 24
 # The one cap on a matrix built or read whole: the largest dimension
 # hadamard_power builds (t <= 12, 128 MiB dense), and the largest an
 # algorithm document may declare, whatever form its matrices take: that of
-# the builder's n = 24 algorithm. The loader keeps the nonzeros and kron
-# forms without scattering them, but a small document could otherwise
-# declare any size. The one Gram residual (_kernels.gram_residual) scatters
-# each connected column block of a stage or final factor and takes its
-# Gram product: a builder stage is 1 x 1 and 2 x 2 blocks, but a dense
-# stage is one block of up to dim**2 floats, 128 MiB at this cap, so the
-# cap stays. The builder's own final factors are 4 x 4.
+# the builder's n = 24 algorithm. A small document in the nonzeros or kron
+# form could otherwise declare any size, and the one Gram residual
+# (_kernels.gram_residual) takes a dense stage as one connected column
+# block of up to dim**2 floats, 128 MiB at this cap.
 MAX_DOC_DIM = 1 << 12
 
 # Keeps the 2**k amplitude vector of string equality small; longer strings
@@ -38,19 +35,18 @@ MAX_DOC_DIM = 1 << 12
 MAX_STRING_LEN = 12
 
 # Exact values like 1/sqrt(2) are not representable in binary floating
-# point. MATRIX_TOL bounds the one Gram residual (is_unitary, unitary_within
-# and whether a sweep may take a probability as |s|^2 minus the others);
-# NORM_TOL bounds the norm of a start state, and so exact's slack above 1.
+# point. MATRIX_TOL bounds the one Gram residual (is_unitary, unitary_within,
+# which reads the start state as one column, and whether a sweep may take a
+# probability as |s|^2 minus the others).
 MATRIX_TOL = 1e-12
-NORM_TOL = 1e-9
 
 # The tolerance of exact, the one exactness rule, read by every verdict.
 EXACT_TOL = 1e-9
 
 
 def exact(p_want, p_other, tol=EXACT_TOL):
-    """1 - tol <= p_want <= 1 + tol + NORM_TOL, p_other <= tol: elementwise, a bool on floats."""
-    return (p_want >= 1.0 - tol) & (p_want <= 1.0 + tol + NORM_TOL) & (p_other <= tol)
+    """|p_want - 1| <= tol and p_other <= tol: elementwise, a bool on floats."""
+    return (abs(p_want - 1.0) <= tol) & (p_other <= tol)
 
 
 # Floats (16 MiB) an exhaustive sweep keeps live: the output amplitudes of

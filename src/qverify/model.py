@@ -14,12 +14,10 @@ amplitudes per label, labels that pass boolfunc.bit_vector, the one
 Boolean-vector rule; an algorithm computes a function exactly when on every
 word the correct output has probability 1 and the other 0 (limits.exact).
 
-Matrices take one of two forms in memory: a stage unitary is its Nonzeros,
-and the final unitary a Kron of Nonzeros factors, one factor for a matrix
-given whole. `run` is the one executor: it applies each stage straight from
-its stored entries, and the final unitary one factor at a time, making
-each factor dense on every call (all K x K entries for a final unitary
-given whole); `run_batch` is `run` on each word, stacked.
+A stage unitary is held as its Nonzeros, the final unitary as a Kron of
+them. `run`, the one executor, applies each stage from its stored entries
+and the final one factor at a time, each made dense on every call (K x K
+for a final given whole); `run_batch` is `run` on each word, stacked.
 
 All objects are immutable after construction and safe to share across
 threads: records are NamedTuples of read-only arrays, and QueryAlgorithm's
@@ -37,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .boolfunc import BooleanFunction, bit_vector
-from .limits import EXACT_TOL, MATRIX_TOL, NORM_TOL, exact
+from .limits import EXACT_TOL, MATRIX_TOL, exact
 from .words import ReadOnly, check_length, check_sweep, index_to_word, parse_word
 
 
@@ -122,17 +120,12 @@ def as_matrix(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def as_state(v: np.ndarray) -> np.ndarray:
-    """Coerce a start state to a float64 vector of power-of-two length
-    whose squared norm is 1 within NORM_TOL."""
+    """A start state as a float64 vector of power-of-two length; unitary_within judges its norm."""
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"start state must be a vector, got shape {a.shape}")
     if not is_power_of_two(a.shape[0]):
         raise ValueError(f"start state length {a.shape[0]} is not a power of two")
-    with np.errstate(over="ignore"):
-        norm_sq = float(a @ a)
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(f"start state is not normalized: |v|^2 = {norm_sq!r}")
     return a
 
 
@@ -212,14 +205,15 @@ class QueryAlgorithm(ReadOnly):
     Nonzeros arrays passed in, int64 indices and float64 values with no
     zero entry, are shared, not copied, and set read-only in place.
 
-    Construction validates structure: a unit-norm power-of-two start state,
-    finite entries and matching dimensions everywhere, variable indices
-    within [1, n_vars], and binary labels. Unitarity of the matrices is a
-    behavioral property checked separately (`unitary_within`); keeping it
-    out of the constructor lets damaged algorithms be loaded and checked.
-    Damage that moves probability onto a wrong output is convicted by
-    `check_exact` with a counterexample. Damage confined to matrix columns
-    the start state never reaches changes no run: only `unitary_within` shows it.
+    Construction validates structure: a power-of-two start state, finite
+    entries and matching dimensions everywhere, variable indices within
+    [1, n_vars], and binary labels. The start state's norm and the
+    matrices' unitarity are behavioral properties checked separately
+    (`unitary_within`); keeping them out of the constructor lets damaged
+    algorithms be loaded and checked. Damage that moves probability onto a
+    wrong output, or adds it to the right one, is convicted by `check_exact`
+    with a counterexample. Damage confined to matrix columns the start state
+    never reaches changes no run: only `unitary_within` shows it.
     """
 
     __slots__ = ("n_vars", "start", "stages", "final", "labels")
@@ -262,15 +256,17 @@ class QueryAlgorithm(ReadOnly):
         return self.final.dense()
 
     def unitary_within(self) -> bool:
-        """True iff every stage's _kernels.gram_residual, taken from its
-        stored entries on all columns, is at most MATRIX_TOL, and so is the
-        final unitary's _kernels.kron_bound from its factors'. That bound is
-        sufficient, not necessary: 2H (x) H/2 is the unitary H (x) H, yet
-        its factors are far from unitary. The sweep takes the same residual
-        on the columns the start state reaches."""
+        """True iff ||start|^2 - 1|, the start's Gram residual as one column,
+        each stage's _kernels.gram_residual on all its columns and the final
+        unitary's _kernels.kron_bound are at most MATRIX_TOL. The kron bound
+        is sufficient, not necessary: 2H (x) H/2 is the unitary H (x) H, yet
+        its factors are far from unitary. The sweep takes the matrices'
+        residuals on the columns the start state reaches."""
+        with np.errstate(over="ignore"):
+            norm = abs(float(self.start @ self.start) - 1.0) <= MATRIX_TOL
         every = np.ones(self.dim, dtype=bool)
-        return all(_kernels.gram_residual(st.nonzeros, every) <= MATRIX_TOL
-                   for st in self.stages) \
+        return norm and all(_kernels.gram_residual(st.nonzeros, every) <= MATRIX_TOL
+                            for st in self.stages) \
             and _kernels.kron_bound(self.final, every) <= MATRIX_TOL
 
 
@@ -394,8 +390,10 @@ def compute(alg: QueryAlgorithm, word: str) -> ComputeResult:
 def run_batch(alg: QueryAlgorithm, words) -> list[np.ndarray]:
     """`run` on each word, given as an integer in [0, 2**n_vars), stacked:
     the same 2T + 2 snapshots, each a (len(words), dim) array whose rows are
-    bitwise `run`'s. Raises ValueError on a word outside that range or not
-    an integer (see words.index_to_word)."""
+    bitwise `run`'s. Raises ValueError past the sweep cap, whose words the
+    integers index (words.check_sweep), and on a word outside that range or
+    not an integer (see words.index_to_word)."""
+    check_sweep(alg.n_vars, "run_batch")
     snapshots = np.empty((2 * alg.t_queries + 2, len(words), alg.dim))
     for i, w in enumerate(words):
         snapshots[:, i] = run(alg, index_to_word(w, alg.n_vars)).states

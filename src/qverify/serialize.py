@@ -48,11 +48,11 @@ can get wrong: value types, matrix forms, keys (each object holds exactly
 its own), the fields only a document has and its int64 bounds. Every
 structural rule is QueryAlgorithm's or BooleanFunction's. Every error, the
 decoder's included, is raised as ValueError("invalid document: ...") by
-_document_errors, and a file that cannot be read as its OSError. Unitarity
-is not checked, so a damaged document loads; damage that moves probability
-onto a wrong output loses in `check_exact` with a counterexample, and damage
-confined to columns the start state never reaches shows only in
-`"unitary"`, the unitarity report of the `check` command.
+_document_errors, and a file that cannot be read as its OSError. Neither
+unitarity nor the start's norm is checked, so a damaged document loads;
+damage that moves probability onto a wrong output, or adds it to the right
+one, loses in `check_exact` with a counterexample, and damage confined to
+columns the start never reaches shows only in `check`'s `"unitary"`.
 """
 
 from __future__ import annotations

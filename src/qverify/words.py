@@ -6,8 +6,8 @@ therefore the numeric order of their integer values.
 
 Every size passes `check_length` before any arithmetic on it. `check_even`,
 the one even-size rule, serves builder, boolfunc, classical and strings;
-`check_sweep`, the one cap on an exhaustive sweep (limits.MAX_SWEEP_VARS),
-serves model.check_exact and boolfunc's sensitivity, query counts and table.
+`check_sweep`, the one cap on a sweep's 2**n words (MAX_SWEEP_VARS), serves
+model.check_exact and run_batch, and boolfunc's sensitivity, counts and table.
 
 Only `parse_word` imports numpy, so `check_word` and `ReadOnly`, the one
 read-only base of the value classes, serve callers that never load it.

@@ -11,22 +11,21 @@ out entry by entry, independent of the builder's index arithmetic.
 import numpy as np
 
 from qverify import measure, run
-from qverify.model import EXACT_TOL, NORM_TOL
+from qverify.model import EXACT_TOL
 
 
 def naive_check(alg, f):
     """(counterexample, min correct probability) computed word by word with
     the naive `run`: the values check_exact must reproduce. A word passes
-    when the expected label's probability lies in [1 - EXACT_TOL,
-    1 + EXACT_TOL + NORM_TOL] and the other label's is at most EXACT_TOL."""
+    when the expected label's probability is within EXACT_TOL of 1 and the
+    other label's is at most EXACT_TOL."""
     counterexample, probs = None, []
     for w in range(1 << alg.n_vars):
         word = format(w, f"0{alg.n_vars}b")
         p0, p1 = measure(run(alg, word).final, alg.labels)
         right, wrong = (p1, p0) if f.evaluate(word) else (p0, p1)
         probs.append(right)
-        if counterexample is None and not (1.0 - EXACT_TOL <= right <= 1.0 + EXACT_TOL + NORM_TOL
-                                           and wrong <= EXACT_TOL):
+        if counterexample is None and not (abs(right - 1.0) <= EXACT_TOL and wrong <= EXACT_TOL):
             counterexample = word
     return counterexample, min(probs)
 

@@ -294,10 +294,9 @@ def test_size_caps_live_in_one_module():
 
 def test_tolerances_live_in_one_module():
     from qverify import limits, model
-    assert (limits.MATRIX_TOL, limits.NORM_TOL, limits.EXACT_TOL) == (1e-12, 1e-9, 1e-9)
+    assert (limits.MATRIX_TOL, limits.EXACT_TOL) == (1e-12, 1e-9)
     # The same float objects: re-exported, not defined again with equal values.
     assert model.MATRIX_TOL is limits.MATRIX_TOL
-    assert model.NORM_TOL is limits.NORM_TOL
     assert model.EXACT_TOL is limits.EXACT_TOL
     # Only is_unitary takes a tolerance; the algorithm's unitarity and a
     # start state's norm are read against the limits values.
@@ -328,3 +327,21 @@ def test_exactness_rule_is_two_sided_at_its_boundaries():
     verdicts = exact(np.array([low, math.nextafter(low, 0.0), 1.0, 1.0, math.nan]),
                      np.array([tol, 0.0, high, 0.0, 0.0]))
     assert verdicts.dtype == bool and verdicts.tolist() == [True, False, False, True, False]
+
+
+def test_exactness_rule_has_no_slack_above_one():
+    import math
+
+    from qverify import limits
+    exact, tol = limits.exact, limits.EXACT_TOL
+    # The start state's norm is judged by unitary_within, not by a second
+    # tolerance, so the wanted label's mass may lie no further above 1 than
+    # below it.
+    assert not hasattr(limits, "NORM_TOL")
+    assert exact(1.0 + 1.5e-9, 0.0) is False
+    top = 1.0 + 4503599 * 2.0 ** -52  # the largest float within tol above 1
+    assert exact(top, 0.0) is True and exact(math.nextafter(top, 2.0), 0.0) is False
+    # Below 1 the rule reads p_want >= 1 - tol, as before, on every float
+    # near that bound.
+    p = 1.0 - tol + np.arange(-50, 51) * 2.0 ** -53
+    assert (exact(p, 0.0) == (p >= 1.0 - tol)).all()

@@ -23,6 +23,52 @@ from qverify.builder import final_factors
 import refdata
 
 
+H2 = np.array([[refdata.R, refdata.R], [refdata.R, -refdata.R]])
+
+
+class TestHadamardPower:
+    def test_t1_is_the_hadamard_matrix(self):
+        assert np.allclose(hadamard_power(1), H2, atol=1e-12)
+
+    def test_t3_first_row(self):
+        m = hadamard_power(3)
+        assert m.shape == (8, 8)
+        assert np.allclose(m[0], refdata.E, atol=1e-12)
+
+    def test_t2_collapses_uniform_negative_state(self):
+        # Final step of the 4-bit run table for word 1100.
+        out = hadamard_power(2) @ np.full(4, -0.5)
+        assert np.allclose(out, [-1, 0, 0, 0], atol=1e-9)
+
+    def test_rejects_t0(self):
+        with pytest.raises(ValueError):
+            hadamard_power(0)
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_entries_are_exact(self, t):
+        # Entry (i, j) is exactly 2**(-t/2) with the sign (-1)**popcount(i & j):
+        # no rounding, and no zero whose sign bit could differ.
+        both = np.arange(1 << t)[:, None] & np.arange(1 << t)
+        odd = np.zeros_like(both)
+        for bit in range(t):
+            odd ^= (both >> bit) & 1
+        expected = np.where(odd == 1, -(2.0 ** (-t / 2)), 2.0 ** (-t / 2))
+        assert hadamard_power(t).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_self_inverse(self, t):
+        m = hadamard_power(t)
+        delta = m @ m - np.eye(1 << t)
+        assert np.abs(delta).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_matches_repeated_tensor(self, t):
+        expected = H2
+        for _ in range(t - 1):
+            expected = np.kron(expected, H2)
+        assert np.abs(hadamard_power(t) - expected).max() <= 1e-12
+
+
 class TestIndexSet:
     def test_first_stage_of_eight(self):
         # 1-based form {1, 5}.

@@ -81,8 +81,6 @@ BAD_INPUTS = [
                                              "values": []}),
     ("sparse", ["stages", 0, "unitary"], {"kron": [[[1.0]]]}),
     ("sparse", ["final_unitary", "kron", 0, 0, 0], float("inf")),
-    # A start state whose norm overflows float64.
-    ("algorithm", ["start", 0], 1e308),
     # Arrays of the wrong shape: the model refuses these, except a short
     # start, which the loader checks against dim.
     ("algorithm", ["start"], [[1.0, 0.0], [0.0, 0.0]]),
@@ -110,6 +108,8 @@ BAD_INPUTS = [
 SWEEP_OVERFLOWS = [
     ("algorithm", ["final_unitary", 0, 0], 1e200),
     ("algorithm", ["stages", 0, "unitary", 0, 0], 1e300),
+    # A start state whose norm overflows float64.
+    ("algorithm", ["start", 0], 1e308),
 ]
 
 
@@ -354,6 +354,26 @@ class TestCheck:
         code, out = cli(["check", "--algorithm", str(path), "--json"])
         assert code == 0
         assert (json.loads(out)["unitary"], json.loads(out)["exact"]) == (False, True)
+
+    # (start, exit code, exact, counterexample, min_probability): the start's
+    # norm is judged like the matrices', by unitary_within and the sweep.
+    @pytest.mark.parametrize("start,code,exact,counterexample,least", [
+        ([1.0, 1.0, 0.0, 0.0], 1, False, "0000", 0.9999999999999996),
+        ([0.0, 0.0, 0.0, 0.0], 1, False, "0000", 0.0),
+        ([1.0, 3e-5, 0.0, 0.0], 0, True, None, 0.9999999999999996),
+    ], ids=["norm-2", "norm-0", "norm-1+9e-10"])
+    def test_start_state_norm_is_judged_by_behaviour(self, tmp_path, start, code, exact,
+                                                      counterexample, least):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({**algorithm_to_document(build_algorithm(4)), "start": start}),
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out = cli(["check", "--algorithm", str(path), "--json"])
+        payload = json.loads(out)
+        assert got == code
+        assert (payload["unitary"], payload["exact"], payload["counterexample"],
+                payload["min_probability"]) == (False, exact, counterexample, least)
 
     @pytest.mark.parametrize("command", [["verify", "--n", "4"],
                                          ["classical", "--n", "4", "--input", "1111"]])

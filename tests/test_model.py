@@ -1,7 +1,10 @@
 import copy
 import itertools
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from qverify import (
     build_algorithm,
     check_exact,
     compute,
+    is_unitary,
     measure,
     realize_query,
     run,
@@ -23,10 +27,56 @@ from qverify import (
 )
 from qverify import _kernels, model
 from qverify._kernels import sweep_range
-from qverify.model import EXACT_TOL, _sweep_arrays
+from qverify.model import EXACT_TOL, _sweep_arrays, as_state
 from qverify.serialize import load_algorithm, save_algorithm
 
 import refdata
+
+
+class TestIsUnitary:
+    def test_identity(self):
+        assert is_unitary(np.eye(8), tol=1e-12)
+
+    def test_zeros(self):
+        assert not is_unitary(np.zeros((4, 4)), tol=1e-12)
+
+    def test_six_bit_stage_matrix(self):
+        assert is_unitary(refdata.SIX_BIT_U1, tol=1e-12)
+
+    def test_rows_are_compared_not_columns(self):
+        # Unit rows at 0.6 to each other: the rows' Gram error has row sums
+        # 0.6, the columns' 0.36 + 0.48 = 0.84.
+        m = np.array([[1.0, 0.0], [0.6, 0.8]])
+        assert is_unitary(m, tol=0.7)
+        assert not is_unitary(m.T, tol=0.7)
+
+    def test_row_sums_are_measured_not_entries(self):
+        # Four unit rows at 0.3 to each other: the largest entry of the Gram
+        # error is 0.3, but each of its row sums is 0.9.
+        m = np.linalg.cholesky(0.7 * np.eye(4) + 0.3)
+        np.testing.assert_allclose(m @ m.T, 0.7 * np.eye(4) + 0.3, atol=1e-15)
+        assert not is_unitary(m, tol=0.5)
+        assert is_unitary(m, tol=0.95)
+
+    def test_tolerance_is_respected(self):
+        nearly = np.eye(3)
+        nearly[0, 0] += 1e-10
+        assert not is_unitary(nearly, tol=1e-12)
+        assert is_unitary(nearly, tol=1e-9)
+
+
+class TestAsState:
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError):
+            as_state(np.array([1.0, 0.0, 0.0]))
+
+    def test_rejects_unnormalized(self):
+        # as_state has no norm rule: a start of [1, 1] loads, and
+        # unitary_within and check_exact reject it by its behaviour.
+        assert as_state(np.array([1.0, 1.0])).tolist() == [1.0, 1.0]
+        alg = QueryAlgorithm(2, [1.0, 1.0], [(np.eye(2), [1, 2])], np.eye(2), [1, 0])
+        assert not alg.unitary_within()
+        assert not check_exact(alg, BooleanFunction.verify(2)).exact
 
 
 class TestVarMap:
@@ -186,6 +236,27 @@ class TestRun:
     def test_run_batch_rejects_words_out_of_range(self, alg6, word):
         with pytest.raises(ValueError):
             run_batch(alg6, [0, word])
+
+    def test_run_batch_caps_n_vars_before_building_a_word(self):
+        # Each integer indexes one of 2**n_vars words; at 2**34 variables the
+        # first word alone would be 16 GiB of characters. Run under a 1 GiB
+        # address-space limit, so that a missing cap fails with MemoryError.
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from qverify import QueryAlgorithm, run_batch\n"
+            "alg = QueryAlgorithm(1 << 34, [1.0, 0.0], [(np.eye(2), [1, 0])], np.eye(2), [1, 0])\n"
+            "try:\n"
+            "    run_batch(alg, [0])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        assert (proc.returncode, proc.stdout) == \
+            (0, "run_batch capped at 24 variables, got 17179869184\n"), proc.stderr
 
     def test_runs_past_63_variables(self):
         # Query signs come from the word's bits, never from an integer of
@@ -792,9 +863,13 @@ class TestBlockWalk:
 
 class TestQueryAlgorithmValidation:
     def test_rejects_unnormalized_start(self):
-        with pytest.raises(ValueError):
-            QueryAlgorithm(2, [1.0, 1.0], [(np.eye(2), [1, 2])],
-                           np.eye(2), [1, 0])
+        # The start's norm is behaviour, like a matrix's unitarity: a start
+        # of [1, 1] loads, and unitary_within and check_exact reject it.
+        alg = QueryAlgorithm(2, [1.0, 1.0], [(np.eye(2), [1, 2])],
+                             np.eye(2), [1, 0])
+        assert alg.unitary_within() is False
+        report = check_exact(alg, BooleanFunction.verify(2))
+        assert (report.exact, report.counterexample) == (False, "00")
 
     def test_rejects_var_beyond_n_vars(self):
         with pytest.raises(ValueError):
