@@ -30,7 +30,7 @@ _EXPORTS = {
               "realize_query", "run", "run_batch"),
     "serialize": ("algorithm_to_document", "document_to_algorithm", "dumps_algorithm",
                   "load_algorithm", "load_function", "save_algorithm"),
-    "strings": ("StringPair", "deinterleave", "interleave", "strings_equal"),
+    "strings": ("StringPair", "interleave", "strings_equal"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

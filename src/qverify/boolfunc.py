@@ -54,10 +54,6 @@ class BooleanFunction(ReadOnly):
         """The n-variable codeword verifier (n even)."""
         return cls(arity=n)
 
-    @classmethod
-    def from_table(cls, bits) -> "BooleanFunction":
-        return cls(arity=len(bits).bit_length() - 1, table=bits)
-
     def evaluate(self, word: str) -> int:
         """Function value on one word; raises ValueError on a length mismatch."""
         w = int(check_word(word, self.arity), 2)

@@ -2,10 +2,10 @@
 
 Subcommands: build, run, verify, sensitivity, classical, equal, check.
 Exit codes: 0 success/pass, 1 verification failure (or unequal strings),
-2 usage or input errors. `check` exits 0 whenever no word is wrong, even
-when the matrices or the start state's norm fail the unitarity test; it
-reports that as "unitary": false, which callers must read too. Human output
-rounds amplitudes to 6 decimals; --json emits one line at full precision.
+2 usage or input errors, or running out of memory. `check` exits 0 whenever
+no word is wrong, even when the matrices or the start state's norm fail the
+unitarity test; it reports that as "unitary": false, which callers must read
+too. Human output rounds amplitudes to 6 decimals, --json keeps full precision.
 
 Every command handler computes its result and returns (exit code, JSON
 payload, text lines); `main` alone writes it to stdout, the payload as one
@@ -262,7 +262,9 @@ def main(argv=None) -> int:
                 lines = [json.dumps(payload, default=list, allow_nan=False)]
             for line in lines:
                 print(line)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
+            if isinstance(exc, MemoryError):  # numpy's names its allocation; MemoryError() is empty
+                exc = f"out of memory: {str(exc) or 'an allocation failed'}"
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         return code

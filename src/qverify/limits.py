@@ -49,7 +49,7 @@ def exact(p_want, p_other, tol=EXACT_TOL):
     return (abs(p_want - 1.0) <= tol) & (p_other <= tol)
 
 
-# Floats (16 MiB) an exhaustive sweep keeps live: the output amplitudes of
-# one block of sweep_range's words, and the polynomial's terms while a
-# propagation moves and merges them, each charged the floats it occupies.
+# Floats (16 MiB) in one block of sweep_range's output amplitudes, and in a
+# propagation's terms as it moves and merges them. Not the sweep's live set,
+# which peaks near 163 MiB at n = 24: the truth table and nine such arrays.
 SWEEP_BUDGET = 1 << 21

@@ -58,6 +58,7 @@ columns the start never reaches shows only in `check`'s `"unitary"`.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -270,21 +271,20 @@ def save_algorithm(alg: QueryAlgorithm, path) -> None:
 
 
 def _read_document(path):
-    """The JSON value in the file at path; a decoding error is an invalid document."""
+    """The JSON value in the file at path; a decoding error is an invalid
+    document, and the limit on an integer's digits is named without advice."""
     with _document_errors():
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # json.loads' only other one: the limit on an integer's digits
+            raise ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits")
 
 
 def load_algorithm(path) -> QueryAlgorithm:
     return document_to_algorithm(_read_document(path))
-
-
-def function_to_document(f: BooleanFunction) -> dict:
-    return {
-        "schema_version": FUNCTION_SCHEMA_VERSION,
-        "arity": f.arity,
-        "table": f.values().tolist(),
-    }
 
 
 def document_to_function(doc: dict) -> BooleanFunction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .limits import MAX_STRING_LEN, exact
-from .words import ReadOnly, check_even, check_word
+from .words import ReadOnly, check_word
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -53,12 +53,6 @@ class StringPair(ReadOnly):
 def interleave(pair: StringPair) -> str:
     """The 2k-bit word with y on odd positions and z on even positions."""
     return "".join(a + b for a, b in zip(pair.y, pair.z))
-
-
-def deinterleave(word: str) -> StringPair:
-    """Inverse of interleave; requires an even-length word."""
-    check_even(len(check_word(word)), "word length")
-    return StringPair(y=word[0::2], z=word[1::2])
 
 
 def _run_verifier(word: str) -> tuple[int, bool, float, float]:

@@ -60,7 +60,7 @@ class TestEvaluate:
         assert type(f.arity) is int and f.arity == 4
 
     def test_immutable_and_compared_by_identity(self):
-        f = BooleanFunction.from_table([0, 1, 1, 0])
+        f = BooleanFunction(2, [0, 1, 1, 0])
         alg = build_algorithm(6)
         fields = [getattr(alg, name) for name in QueryAlgorithm.__slots__]
         for obj in (f, alg):
@@ -73,7 +73,7 @@ class TestEvaluate:
             f.table[0] = 1
         assert (f.arity, f.table.tolist()) == (2, [0, 1, 1, 0])
         assert all(getattr(alg, name) is v for name, v in zip(QueryAlgorithm.__slots__, fields))
-        assert f == f and f != BooleanFunction.from_table([0, 1, 1, 0])
+        assert f == f and f != BooleanFunction(2, [0, 1, 1, 0])
         assert alg == alg and alg != build_algorithm(6)
         # A copy is rebuilt through the constructor: equal content, new identity.
         g = pickle.loads(pickle.dumps(f))
@@ -83,7 +83,7 @@ class TestEvaluate:
         assert c != alg and (c.n_vars, c.labels.tolist()) == (6, alg.labels.tolist())
 
     def test_truth_table_lookup(self):
-        f = BooleanFunction.from_table([0, 1, 1, 0])
+        f = BooleanFunction(2, [0, 1, 1, 0])
         assert [f.evaluate(w) for w in ("00", "01", "10", "11")] == [0, 1, 1, 0]
 
     def test_table_must_cover_the_cube(self):
@@ -94,13 +94,13 @@ class TestEvaluate:
         for table in ([0, 1, 2, 0], [0, 1, -1, 0], [0.0, 1.0, 0.5, 0.0], [0.0, 1.0, np.nan, 0.0],
                       np.array(["0", "1", "1", "0"]), np.array([0, 1, None, 0], dtype=object)):
             with pytest.raises(ValueError, match="^truth table entries must be 0 or 1$"):
-                BooleanFunction.from_table(table)
+                BooleanFunction(2, table)
 
     @pytest.mark.parametrize("table", [[0.0, 1.0, 1.0, -0.0], [False, True, True, False],
                                        np.array([0, 1, 1, 0], dtype=np.uint64),
                                        np.array([0, 1, 1.0, False], dtype=object)])
     def test_table_of_any_dtype_holding_bits_is_accepted(self, table):
-        f = BooleanFunction.from_table(table)
+        f = BooleanFunction(2, table)
         assert (f.table.dtype, f.table.tolist()) == (np.uint8, [0, 1, 1, 0])
 
     def test_table_is_a_read_only_copy_of_the_callers(self):
@@ -140,7 +140,7 @@ class TestSensitivity:
         assert sensitivity(BooleanFunction.verify(8))[0] == 8
 
     def test_constant_function_has_zero_sensitivity(self):
-        value, witness = sensitivity(BooleanFunction.from_table([0] * 8))
+        value, witness = sensitivity(BooleanFunction(3, [0] * 8))
         assert value == 0
         assert witness == "000"
 
@@ -148,7 +148,7 @@ class TestSensitivity:
         # Parity is fully sensitive everywhere, so the witness must be the
         # smallest word.
         table = [bin(w).count("1") % 2 for w in range(16)]
-        value, witness = sensitivity(BooleanFunction.from_table(table))
+        value, witness = sensitivity(BooleanFunction(4, table))
         assert (value, witness) == (4, "0000")
 
     def test_arity_cap(self):
@@ -162,7 +162,7 @@ class TestSensitivity:
             table = (rng.random(1 << n) < density).astype(np.uint8)
             value, first = refdata.naive_sensitivity(table, n)
             assert table_sensitivity(table, n) == (value, first)
-            assert sensitivity(BooleanFunction.from_table(table)) == \
+            assert sensitivity(BooleanFunction(n, table)) == \
                 (value, format(first, f"0{n}b"))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -171,7 +171,7 @@ class TestSensitivity:
         table = np.full(1 << n, bit, dtype=np.uint8)
         assert refdata.naive_sensitivity(table, n) == (0, 0)
         assert table_sensitivity(table, n) == (0, 0)
-        assert sensitivity(BooleanFunction.from_table(table)) == (0, "0" * n)
+        assert sensitivity(BooleanFunction(n, table)) == (0, "0" * n)
 
     @pytest.mark.parametrize("n,word", [(2, 3), (3, 5), (8, 200)])
     def test_maximum_first_reached_past_word_zero(self, n, word):
@@ -181,7 +181,7 @@ class TestSensitivity:
         table[word] = 1
         assert refdata.naive_sensitivity(table, n) == (n, word)
         assert table_sensitivity(table, n) == (n, word)
-        assert sensitivity(BooleanFunction.from_table(table)) == (n, format(word, f"0{n}b"))
+        assert sensitivity(BooleanFunction(n, table)) == (n, format(word, f"0{n}b"))
 
     @pytest.mark.parametrize("n", range(2, 21, 2))
     def test_verify_bits_is_the_verifier_table(self, n):

@@ -276,7 +276,7 @@ class TestSensitivity:
             "table = f.values()\n"
             "assert int(table.sum()) == 16\n"
             "assert int(classical_query_counts(8).max()) == 8\n"
-            "assert sensitivity(BooleanFunction.from_table(table)) == (8, '0' * 8)\n"
+            "assert sensitivity(BooleanFunction(8, table)) == (8, '0' * 8)\n"
             "assert 'qverify._kernels' not in sys.modules\n")
 
     def test_huge_n_is_refused_before_any_table_is_built(self, capsys):
@@ -547,6 +547,16 @@ class TestCheck:
         assert main(["check", "--algorithm", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: invalid document: {message}\n")
 
+    def test_integer_past_the_digit_limit_is_named_without_advice(self, tmp_path, capsys):
+        # json.loads' own message advises sys.set_int_max_str_digits().
+        path = tmp_path / "alg.json"
+        text = json.dumps(algorithm_to_document(build_algorithm(4)))
+        path.write_text(text.replace('"n_vars": 4,', f'"n_vars": {"1" * 5000},', 1),
+                        encoding="utf-8")
+        assert main(["check", "--algorithm", str(path)]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: invalid document: an integer has more than 4300 digits\n")
+
 
 _RUN_4_1100 = "output: 1  probability: 1.000000  exact: yes\n"
 _CHECK_JSON = ('{"command": "check", "algorithm": "alg.json", "function": %s, "n_vars": 6, '
@@ -641,6 +651,27 @@ class TestStrictJson:
         assert err.startswith("error: Out of range float values are not JSON compliant")
         assert main(["sensitivity", "--n", "4"]) == 0
         assert capsys.readouterr() == ("sensitivity: inf\n", "")
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError("Unable to allocate 16.0 MiB"), "Unable to allocate 16.0 MiB"),
+        (MemoryError(), "an allocation failed"),
+    ], ids=["numpy-message", "bare"])
+    @pytest.mark.parametrize("command", ["verify", "check"])
+    def test_out_of_memory_is_one_usage_error(self, tmp_path, monkeypatch, capsys,
+                                              command, exc, line):
+        # Exit 1 means a failed verification, so running out of memory is 2.
+        def check_exact(alg, f):
+            raise exc
+
+        monkeypatch.setattr("qverify.model.check_exact", check_exact)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(algorithm_to_document(build_algorithm(4))), encoding="utf-8")
+        argv = ["verify", "--n", "4"] if command == "verify" else \
+            ["check", "--algorithm", str(path), "--json"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: out of memory: {line}\n")
 
 
 class TestUsage:

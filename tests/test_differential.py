@@ -91,7 +91,7 @@ def random_algorithms(draw):
         # so that the first counterexample is not always the first word.
         own = [compute(alg, format(w, f"0{n}b")).output for w in range(1 << n)]
         table = np.array(own) ^ (rng.random(1 << n) < 0.125)
-    return alg, BooleanFunction.from_table(table.tolist())
+    return alg, BooleanFunction(n, table.tolist())
 
 
 @st.composite
@@ -132,7 +132,7 @@ def derived_algorithms(draw):
     table = BooleanFunction.verify(n).values()[builder_words]
     flipped = draw(st.integers(0, (1 << n) - 1))
     table[flipped] ^= 1
-    return derived, BooleanFunction.from_table(table.tolist()), format(flipped, f"0{n}b")
+    return derived, BooleanFunction(n, table.tolist()), format(flipped, f"0{n}b")
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -12,7 +12,8 @@ keep the file near 10 s.
 On each, `cli.main` must either exit 0 or 1 with one strict JSON line on
 stdout and nothing on stderr, or exit 2 with nothing on stdout and one line
 on stderr: an invalid document, or one of the few errors that a valid
-document can still cause (ERRORS). No exception may leave main.
+document can still cause (ERRORS), naming no Python call (`sys.`). No
+exception may leave main.
 """
 
 import json
@@ -25,7 +26,6 @@ import pytest
 
 from qverify import BooleanFunction, algorithm_to_document, build_algorithm
 from qverify.cli import main
-from qverify.serialize import function_to_document
 
 SEED = 7
 N6_SAMPLE = 80
@@ -100,14 +100,14 @@ def _broken_contract(argv, capsys):
             return None
         except ValueError as exc:
             return f"exit {code}: {exc}"
-    if code == 2 and not out and err.count("\n") == 1 and ERRORS.match(err):
+    if code == 2 and not out and err.count("\n") == 1 and ERRORS.match(err) and "sys." not in err:
         return None
     return f"exit {code}, stdout {out[:200]!r}, stderr {err[:200]!r}"
 
 
 def _documents(name):
-    doc = function_to_document(BooleanFunction.verify(4)) if name == "table" else \
-        algorithm_to_document(build_algorithm(int(name[1:])))
+    doc = {"schema_version": 1, "arity": 4, "table": BooleanFunction.verify(4).values().tolist()} \
+        if name == "table" else algorithm_to_document(build_algorithm(int(name[1:])))
     paths = [path for path, _ in _nodes(doc)]
     if name == "n6":
         paths = random.Random(SEED).sample(paths, N6_SAMPLE)

@@ -393,7 +393,7 @@ class TestCheckExact:
 def _flipped_at_last_word(f):
     table = f.values().copy()
     table[-1] ^= 1
-    return BooleanFunction.from_table(table)
+    return BooleanFunction(f.arity, table)
 
 
 def _variables_permuted(n, seed):
@@ -410,7 +410,7 @@ def _variables_permuted(n, seed):
     original = np.zeros_like(words)
     for k in range(1, n + 1):
         original |= bits[:, k - 1] << (n - perm[k])
-    return renamed, BooleanFunction.from_table(BooleanFunction.verify(n).values()[original])
+    return renamed, BooleanFunction(n, BooleanFunction.verify(n).values()[original])
 
 
 def _final_scaled(n, factor):
@@ -486,7 +486,7 @@ def _random_algorithm(seed, perturbed=()):
     labels = np.zeros(dim, dtype=np.uint8)
     labels[rng.permutation(dim)[:3]] = 1
     alg = QueryAlgorithm(n, start, stages, matrix("final" in perturbed), labels)
-    return alg, BooleanFunction.from_table(rng.integers(0, 2, size=1 << n))
+    return alg, BooleanFunction(n, rng.integers(0, 2, size=1 << n))
 
 
 _RANDOM_VARIANTS = {"orthogonal": (), "perturbed-final": ("final",),
@@ -504,7 +504,7 @@ def _sweep_cases():
     yield "out-of-order-vs-verify", renamed, BooleanFunction.verify(8), True
     # Labels 0 are the smaller set here: p0 is computed, p1 derived.
     yield "complemented-labels", _labels_complemented(6), \
-        BooleanFunction.from_table(1 - BooleanFunction.verify(6).values()), True
+        BooleanFunction(6, 1 - BooleanFunction.verify(6).values()), True
     yield "final-scaled", _final_scaled(6, 1.0 + 1e-6), BooleanFunction.verify(6), False
     alg = build_algorithm(6)
     final = np.array(alg.final_unitary)
@@ -529,7 +529,7 @@ def _sweep_cases():
     # No output row is kept: one probability is 0 on every word, the other
     # |start|^2.
     yield "uniform-labels-0", _labels_uniform(6, 0), \
-        BooleanFunction.from_table(np.zeros(1 << 6, dtype=np.uint8)), True
+        BooleanFunction(6, np.zeros(1 << 6, dtype=np.uint8)), True
     yield "uniform-labels-1", _labels_uniform(6, 1), BooleanFunction.verify(6), True
     yield "stage-undone", _stage_undone(), BooleanFunction.verify(4), True
     # A zeroed last stage reaches no column: every word fails with p = 0.
@@ -542,7 +542,7 @@ def _sweep_cases():
         yield f"random-{name}", *_random_algorithm(11, perturbed), not perturbed
     # Non-orthogonal stages change each word's |s|^2; against the zero
     # function the minimum is over p0 alone.
-    zero = BooleanFunction.from_table(np.zeros(1 << 7, dtype=np.uint8))
+    zero = BooleanFunction(7, np.zeros(1 << 7, dtype=np.uint8))
     yield "random-perturbed-stages-vs-zero", _random_algorithm(11, ("stages",))[0], zero, False
     yield "random-perturbed-early-stages-vs-zero", \
         _random_algorithm(11, ("early-stages",))[0], zero, False

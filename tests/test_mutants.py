@@ -5,8 +5,10 @@ A mutant sets one query slot to another value in 0..n, adds 0.1 to one
 stored stage entry or flips its sign, or flips one label. Each must either
 be convicted by check_exact, with a counterexample that compute confirms on
 that word, or change no run: the same labels, and every word's final state
-within 1e-12 of the builder's. The mutants that change no run are exactly
-those in query slots and stage columns that the start state never reaches.
+within 1e-12 of the builder's. A mutant is convicted exactly when the start
+state reaches its site (_reach): a stage entry's site is its column before
+that stage, a query slot's its row after its unitary, and a label's its row
+through the final matrix.
 A row of a final factor scaled by 1.1 adds mass to the correct output alone,
 and is convicted by exact's upper bound.
 """
@@ -29,31 +31,45 @@ def _with_stage(alg, i, stage):
     return _with(alg, stages=stages)
 
 
-def _query_slots(alg):
+def _reach(alg):
+    """The basis states the start reaches, walked as _kernels.sweep_arrays
+    walks them: from the start's nonzeros through each stage's stored
+    entries != 0. Item i is the set before stage i + 1, and the last one
+    the output rows that the final matrix reaches."""
+    on = [alg.start != 0]
+    for (rows, cols, values), _ in alg.stages:
+        hit = on[-1][cols] & (values != 0)
+        on.append(np.bincount(rows[hit], minlength=alg.dim) > 0)
+    on.append((alg.final_unitary[:, on[-1]] != 0).any(axis=1))
+    return on
+
+
+# Each family yields (mutant, whether the start reaches its site).
+def _query_slots(alg, on):
     for i, (nonzeros, query) in enumerate(alg.stages):
         for slot in range(alg.dim):
             for value in range(alg.n_vars + 1):
                 if value != query[slot]:
                     changed = query.copy()
                     changed[slot] = value
-                    yield _with_stage(alg, i, (nonzeros, changed))
+                    yield _with_stage(alg, i, (nonzeros, changed)), on[i + 1][slot]
 
 
 def _entries(change):
-    def mutants(alg):
+    def mutants(alg, on):
         for i, ((rows, cols, values), query) in enumerate(alg.stages):
             for k in range(values.size):
                 changed = values.copy()
                 changed[k] = change(changed[k])
-                yield _with_stage(alg, i, (Nonzeros(rows, cols, changed), query))
+                yield _with_stage(alg, i, (Nonzeros(rows, cols, changed), query)), on[i][cols[k]]
     return mutants
 
 
-def _labels(alg):
+def _labels(alg, on):
     for j in range(alg.dim):
         changed = alg.labels.copy()
         changed[j] ^= 1
-        yield _with(alg, labels=changed)
+        yield _with(alg, labels=changed), on[-1][j]
 
 
 FAMILIES = {
@@ -80,8 +96,9 @@ def test_every_mutant_is_convicted_or_changes_no_run(n, family):
     words = range(1 << n)
     finals = run_batch(alg, words)[-1]
     convicted = unchanged = 0
-    for mutant in FAMILIES[family](alg):
+    for mutant, reached in FAMILIES[family](alg, _reach(alg)):
         report = check_exact(mutant, f)
+        assert report.exact != reached, (family, report.counterexample)
         if report.exact:
             # A survivor must be equivalent to the builder, not missed damage.
             assert np.array_equal(mutant.labels, alg.labels)
