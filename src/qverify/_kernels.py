@@ -1,8 +1,8 @@
 """Numeric kernels for exhaustive sweeps.
 
 Every kernel has one numpy implementation, and shared steps are written
-once: _wht is the one Walsh-Hadamard transform (for the sweep, pair_run and
-builder.hadamard_power), _pair_states the one paired-stage loop,
+once: _wht is the one Walsh-Hadamard transform (for the sweep and
+pair_run), _pair_states the one paired-stage loop,
 gram_residual the one Gram residual (the sweep's norm tests,
 model.unitary_within and model.is_unitary), taken one connected column
 block at a time with blocks of one shape stacked, kron_bound the one bound

@@ -37,7 +37,7 @@ class BooleanFunction(ReadOnly):
 
     def __init__(self, arity: int, table: np.ndarray | None = None) -> None:
         if table is None:
-            arity = check_even(arity, "arity")
+            arity = check_even(arity, "verifier arity")
         else:
             import numpy as np
 

@@ -12,9 +12,8 @@ hand notation is converted), takes them as consecutive pairs (t1, t2), and
 
 The final transformation is the T-fold Hadamard tensor power, held as its
 Kronecker factors: T // 2 copies of the 4 x 4 power, then one 2 x 2
-Hadamard when T is odd, whose product is bitwise the dense power. The
-start state is (1, 0, ..., 0), and only basis state 0 is labeled as
-output 1.
+Hadamard when T is odd, whose product is hadamard_power(T). The start
+state is (1, 0, ..., 0), and only basis state 0 is labeled as output 1.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ import math
 
 import numpy as np
 
-from ._kernels import _wht
-from .limits import MAX_BUILD_VARS, MAX_DOC_DIM
+from ._kernels import _SIGNS
+from .limits import MAX_BUILD_VARS
 from .model import Kron, Nonzeros, QueryAlgorithm, is_power_of_two
 from .words import check_even, check_length
 
@@ -32,23 +31,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def hadamard_power(t: int) -> np.ndarray:
-    """The t-fold tensor power of the 2x2 Hadamard matrix, t <= 12.
+    """The t-fold tensor power of the 2x2 Hadamard matrix, t <= 12: the
+    builder's final factors multiplied out, as a new read-only array.
 
-    Entry (i, j) equals 2**(-t/2) * (-1)**popcount(i & j), exactly: it is
-    the fast Walsh-Hadamard transform of the scaled identity. t = 0 is
+    Entry (i, j) equals 2**(-t/2) * (-1)**popcount(i & j), exactly. t = 0 is
     rejected rather than defined as the 1x1 identity so that construction
     bugs surface early.
     """
-    if (t := check_length(t, "t")) >= MAX_DOC_DIM.bit_length():  # 1 << t > MAX_DOC_DIM
-        raise ValueError(f"dimension 2**{t} exceeds the supported maximum {MAX_DOC_DIM}")
-    k = 1 << t
-    # Row i of the power is the transform of the unit row e_i, scaled; 512
-    # rows at a time bound the transform's temporaries.
-    out = np.zeros((k, k), dtype=np.float64)
-    np.fill_diagonal(out, 2.0 ** (-t / 2.0))
-    for lo in range(0, k, 512):
-        _wht(out[lo:lo + 512])
-    return out
+    return final_factors(t).dense()
 
 
 def index_set(i: int, k: int) -> np.ndarray:
@@ -98,7 +88,7 @@ def final_factors(t: int) -> Kron:
     power, shared T // 2 times, then the 2 x 2 Hadamard when T is odd."""
     if (t := check_length(t, "t")) > MAX_BUILD_VARS // 2:
         raise ValueError(f"t must be at most {MAX_BUILD_VARS // 2}, got {t}")
-    h2, h1 = Nonzeros.of(hadamard_power(2)), Nonzeros.of(hadamard_power(1))
+    h2, h1 = Nonzeros.of(0.5 * _SIGNS[4]), Nonzeros.of(2.0 ** -0.5 * _SIGNS[2])
     return Kron((h2,) * (t // 2) + (h1,) * (t % 2), (4,) * (t // 2) + (2,) * (t % 2))
 
 

@@ -41,7 +41,8 @@ _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt_state(state) -> str:
-    return "  ".join(f"{x: .6f}" for x in state)
+    """A float64 vector's entries to 6 decimals, by one format string."""
+    return "  ".join(["% .6f"] * len(state)) % tuple(state.tolist())
 
 
 def _step_names(t_queries: int) -> list[str]:
@@ -52,29 +53,30 @@ def _step_names(t_queries: int) -> list[str]:
     return names
 
 
+def _build_text(alg):
+    """`build --format text`, one line at a time: each dense matrix is made
+    only when its turn comes."""
+    yield from (f"n_vars: {alg.n_vars}", f"t_queries: {alg.t_queries}", f"dim: {alg.dim}", "")
+    for i, stage in enumerate(alg.stages, start=1):
+        yield f"U{i} ="
+        yield from ("  " + _fmt_state(row) for row in stage.unitary)
+        diag = ", ".join("1" if v == 0 else f"(-1)^x{v}" for v in stage.query)
+        yield from (f"Q{i} = diag({diag})", "")
+    yield "final ="
+    yield from ("  " + _fmt_state(row) for row in alg.final_unitary)
+    yield from ("", f"start: {_fmt_state(alg.start)}",
+                f"labels: {' '.join(str(b) for b in alg.labels)}")
+
+
 def _cmd_build(args):
     from .builder import build_algorithm
     from .serialize import dumps_algorithm
 
     alg = build_algorithm(args.n)
-    if args.format == "json":
-        lines = [dumps_algorithm(alg)]
-    else:
-        lines = [f"n_vars: {alg.n_vars}", f"t_queries: {alg.t_queries}", f"dim: {alg.dim}", ""]
-        for i, stage in enumerate(alg.stages, start=1):
-            lines.append(f"U{i} =")
-            lines += ["  " + _fmt_state(row) for row in stage.unitary]
-            diag = ", ".join("1" if v == 0 else f"(-1)^x{v}" for v in stage.query)
-            lines.append(f"Q{i} = diag({diag})")
-            lines.append("")
-        lines.append("final =")
-        lines += ["  " + _fmt_state(row) for row in alg.final_unitary]
-        lines.append("")
-        lines.append(f"start: {_fmt_state(alg.start)}")
-        lines.append(f"labels: {' '.join(str(b) for b in alg.labels)}")
+    lines = [dumps_algorithm(alg)] if args.format == "json" else _build_text(alg)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(line + "\n" for line in lines)
         lines = []
     return EXIT_OK, None, lines
 

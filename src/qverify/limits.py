@@ -4,14 +4,14 @@ Every cap is enforced with a loud ValueError at the call that would exceed
 it, never by silent truncation. The sweep cap is read by its one rule,
 `words.check_sweep`; every other cap, tolerance and budget by the modules
 that use it, under the same name (`builder.MAX_BUILD_VARS`,
-`builder.MAX_DOC_DIM`, `serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`,
-`model.MATRIX_TOL`, `_kernels.MATRIX_TOL`, `model.EXACT_TOL`,
-`_kernels.SWEEP_BUDGET`), and the one exactness rule as `_kernels.exact`,
-`model.exact` and `strings.exact`.
+`serialize.MAX_DOC_DIM`, `strings.MAX_STRING_LEN`, `model.MATRIX_TOL`,
+`_kernels.MATRIX_TOL`, `model.EXACT_TOL`, `_kernels.SWEEP_BUDGET`), and the
+one exactness rule as `_kernels.exact`, `model.exact` and `strings.exact`.
 """
 
 # Exhaustive verification of larger instances stops being a desk job, so
-# the builder refuses them outright.
+# the builder refuses them outright; its dense views, hadamard_power
+# included, stay within 2**12 (128 MiB).
 MAX_BUILD_VARS = 24
 
 # 2**24 words is the upper limit of every exhaustive sweep, checked by
@@ -21,13 +21,11 @@ MAX_BUILD_VARS = 24
 # at 24 variables on a 2-vCPU guest.
 MAX_SWEEP_VARS = 24
 
-# The one cap on a matrix built or read whole: the largest dimension
-# hadamard_power builds (t <= 12, 128 MiB dense), and the largest an
-# algorithm document may declare, whatever form its matrices take: that of
-# the builder's n = 24 algorithm. A small document in the nonzeros or kron
-# form could otherwise declare any size, and the one Gram residual
-# (_kernels.gram_residual) takes a dense stage as one connected column
-# block of up to dim**2 floats, 128 MiB at this cap.
+# The largest dimension an algorithm document may declare, whatever form
+# its matrices take: that of the builder's n = 24 algorithm. A small
+# document in the nonzeros or kron form could otherwise declare any size,
+# and the one Gram residual (_kernels.gram_residual) takes a loaded dense
+# stage as one connected column block of up to dim**2 floats, 128 MiB here.
 MAX_DOC_DIM = 1 << 12
 
 # Keeps the 2**k amplitude vector of string equality small; longer strings

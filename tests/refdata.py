@@ -4,8 +4,9 @@ FOUR_BIT_RUNS holds, for every 4-bit word, the state after stage 1
 (unitary + query), the state after stage 2, the final state, and the output
 bit. The 6-bit fixtures are the stage matrices and query layouts written
 out entry by entry, independent of the builder's index arithmetic.
-`naive_check` is the word-by-word reference for exhaustive sweeps, and
-`naive_sensitivity` the flip-by-flip one for sensitivity.
+`naive_check` is the word-by-word reference for exhaustive sweeps,
+`naive_sensitivity` the flip-by-flip one for sensitivity, and
+`hadamard_rows` the entry formula of the Hadamard power.
 """
 
 import numpy as np
@@ -40,6 +41,18 @@ def naive_sensitivity(table, n):
         counts += table != table[idx ^ (1 << pos)]
     best = int(np.argmax(counts))
     return int(counts[best]), best
+
+
+def hadamard_rows(t, rows):
+    """Rows `rows` (a slice) of the t-fold Hadamard power by its entry
+    formula, 2**(-t/2) * (-1)**popcount(i & j), without the builder."""
+    k = np.arange(1 << t)
+    parity = np.zeros(k.size, dtype=np.uint8)
+    for bit in range(t):
+        parity ^= (k >> bit & 1).astype(np.uint8)
+    odd = parity[k[rows, None] & k]
+    return np.where(odd == 1, -(2.0 ** (-t / 2)), 2.0 ** (-t / 2))
+
 
 R = 1.0 / np.sqrt(2.0)   # 1/sqrt(2)
 H = 0.5

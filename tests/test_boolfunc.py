@@ -46,13 +46,13 @@ class TestEvaluate:
             BooleanFunction.verify(4).evaluate("011")
 
     def test_rejects_odd_arity(self):
-        with pytest.raises(ValueError, match="^arity must be even, got 5$"):
+        with pytest.raises(ValueError, match="^verifier arity must be even, got 5$"):
             BooleanFunction.verify(5)
         # So is an arity that is not an integer >= 1; below 1 keeps its message.
         for arity, message in [(2.0, "an integer, got 2.0"), (True, "an integer, got True"),
                                (np.float64(4), "an integer, got "), (np.bool_(True), "an integer"),
                                (0, "positive, got 0"), (np.int64(-2), "positive, got -2")]:
-            with pytest.raises(ValueError, match=f"^arity must be {message}"):
+            with pytest.raises(ValueError, match=f"^verifier arity must be {message}"):
                 BooleanFunction(arity)
         with pytest.raises(ValueError, match="^arity must be an integer, got True$"):
             BooleanFunction(True, table=[0, 1])
@@ -271,12 +271,15 @@ class TestClassicalVerify:
 def test_size_caps_live_in_one_module():
     from qverify import _kernels, boolfunc, builder, limits, model, serialize, strings, words
     # Every exhaustive sweep goes through words.check_sweep, under the one
-    # sweep cap; a matrix built or read whole, under the one dimension cap.
-    assert (builder.MAX_BUILD_VARS, words.MAX_SWEEP_VARS,
-            builder.MAX_DOC_DIM, serialize.MAX_DOC_DIM, strings.MAX_STRING_LEN) == \
-        (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS,
-         limits.MAX_DOC_DIM, limits.MAX_DOC_DIM, limits.MAX_STRING_LEN) == \
-        (24, 24, 1 << 12, 1 << 12, 12)
+    # sweep cap; a document's matrices, under the one document cap.
+    assert (builder.MAX_BUILD_VARS, words.MAX_SWEEP_VARS, serialize.MAX_DOC_DIM,
+            strings.MAX_STRING_LEN) == \
+        (limits.MAX_BUILD_VARS, limits.MAX_SWEEP_VARS, limits.MAX_DOC_DIM,
+         limits.MAX_STRING_LEN) == (24, 24, 1 << 12, 12)
+    # serialize is MAX_DOC_DIM's one reader; the builder's dense views sit
+    # under MAX_BUILD_VARS, and its Hadamard power is no transform.
+    assert not any(hasattr(m, "MAX_DOC_DIM") for m in (builder, model, _kernels))
+    assert not hasattr(builder, "_wht")
     assert not any(hasattr(m, "MAX_SWEEP_VARS") for m in (boolfunc, model))
     assert not hasattr(limits, "MAX_SENSITIVITY_VARS")
     assert not hasattr(limits, "MAX_DIM")

@@ -48,12 +48,9 @@ class TestHadamardPower:
     def test_entries_are_exact(self, t):
         # Entry (i, j) is exactly 2**(-t/2) with the sign (-1)**popcount(i & j):
         # no rounding, and no zero whose sign bit could differ.
-        both = np.arange(1 << t)[:, None] & np.arange(1 << t)
-        odd = np.zeros_like(both)
-        for bit in range(t):
-            odd ^= (both >> bit) & 1
-        expected = np.where(odd == 1, -(2.0 ** (-t / 2)), 2.0 ** (-t / 2))
-        assert hadamard_power(t).tobytes() == expected.tobytes()
+        m = hadamard_power(t)
+        assert m.tobytes() == refdata.hadamard_rows(t, slice(None)).tobytes()
+        assert not m.flags.writeable
 
     @pytest.mark.parametrize("t", range(1, 7))
     def test_self_inverse(self, t):
@@ -163,31 +160,34 @@ class TestBuildAlgorithm:
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_final_factors_are_bitwise_the_hadamard_power(self, t):
+        # Against the entry formula, which does not call the builder, 512
+        # rows at a time; hadamard_power(t) is this product.
         final = final_factors(t)
         assert final.dims == (4,) * (t // 2) + (2,) * (t % 2)
-        assert final.dense().tobytes() == hadamard_power(t).tobytes()
+        dense = final.dense()
+        assert not dense.flags.writeable
+        for lo in range(0, 1 << t, 512):
+            rows = slice(lo, lo + 512)
+            assert dense[rows].tobytes() == refdata.hadamard_rows(t, rows).tobytes()
 
     @pytest.mark.parametrize("t", [13, 16, 64])
-    def test_hadamard_power_is_capped_by_the_document_cap(self, t, monkeypatch):
+    def test_hadamard_power_is_capped_by_the_builder_cap(self, t, monkeypatch):
         # Refused before any array is built: 2**13 would be 512 MiB dense,
         # 2**16 32 GiB.
         monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("built an array"))
-        with pytest.raises(ValueError, match=rf"^dimension 2\*\*{t} exceeds the supported "
-                                             r"maximum 4096$"):
+        with pytest.raises(ValueError, match=rf"^t must be at most 12, got {t}$"):
             hadamard_power(t)
 
     def test_n24_final_is_six_shared_factors(self, monkeypatch):
         # The 4096 x 4096 power is never built: six references to one
-        # stored 4 x 4 factor, under 1 KB, in place of 16.7 M entries.
-        powers = []
-        monkeypatch.setattr(builder, "hadamard_power",
-                            lambda t: powers.append(t) or hadamard_power(t))
+        # stored 4 x 4 block, under 1 KB, in place of 16.7 M entries.
+        monkeypatch.setattr(model.Kron, "dense", lambda self: pytest.fail("built the power"))
         alg = build_algorithm(24)
-        assert max(powers) <= 2
         assert alg.final.dims == (4,) * 6
-        assert all(f.values.size == 16 for f in alg.final.factors)
-        stored = {id(a): a.nbytes for f in alg.final.factors for a in f}
-        assert sum(stored.values()) < 1024
+        block = alg.final.factors[0]
+        assert block.values.size == 16
+        assert all(a is b for f in alg.final.factors for a, b in zip(f, block))
+        assert sum(a.nbytes for a in block) < 1024
 
     def test_stages_are_stored_as_their_nonzeros(self):
         alg = build_algorithm(20)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -213,6 +214,18 @@ class TestBuild:
         assert main(["build", "--n", "2", "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "U1 =" in out and "Q1 = diag((-1)^x1, (-1)^x2)" in out
+
+    def test_text_format_prints_each_line_as_it_is_made(self):
+        # The n = 16 text is 6.5 MB and one 256 x 256 matrix 0.5 MB, so a
+        # peak under 2 MB means each line was printed as it was made.
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["build", "--n", "16", "--format", "text"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
     def test_rejects_bad_n(self, capsys):
         assert main(["build", "--n", "7"]) == 2

@@ -40,7 +40,7 @@ ODD_VALUES = [math.nan, math.inf, -math.inf, 1e308, -0.0, 0, -1, 1, 2, 0.5, 1.0,
 
 ERRORS = re.compile("error: (invalid document: "
                     "|exhaustive check capped at 24 variables, got "
-                    "|arity must be even, got "
+                    "|verifier arity must be even, got "
                     r"|algorithm has \d+ variables, function has \d+$"
                     "|swept output probabilities overflow: )")
 

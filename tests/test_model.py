@@ -682,9 +682,10 @@ class TestSweepKernel:
         assert factored.unitary_within() == whole.unitary_within() == (noise == 0)
 
     def test_concurrent_callers_get_their_own_reports(self, monkeypatch):
-        # 16-word blocks, so that two concurrent checks interleave.
+        # 16-word blocks, so that two concurrent checks interleave: 256
+        # blocks each at n = 12, every one propagating its own polynomial.
         walked = _record_blocks(monkeypatch, 16)
-        n = 16
+        n = 12
         alg = build_algorithm(n)
         functions = [BooleanFunction.verify(n), _flipped_at_last_word(BooleanFunction.verify(n))]
         serial = [check_exact(alg, f) for f in functions]

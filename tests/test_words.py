@@ -53,13 +53,15 @@ NOT_SIZES = (4.0, "4", None)
     (lambda n: classical_verify(bit_oracle("1111"), n), NOT_SIZES,
      "verifier arity must be an integer, got {!r}"),
     (hadamard_power, NOT_SIZES, "t must be an integer, got {!r}"),
+    (hadamard_power, [13, 10**30], "t must be at most 12, got {}"),
     (final_factors, NOT_SIZES, "t must be an integer, got {!r}"),
     (final_factors, [10**30], "t must be at most 12, got {}"),
     (lambda i: index_set(i, 8), NOT_SIZES, "stage number must be an integer, got {!r}"),
     (lambda k: index_set(1, k), NOT_SIZES, "dimension must be an integer, got {!r}"),
 ], ids=["build_algorithm", "build_algorithm-odd", "classical_query_counts",
-        "classical_query_counts-odd", "classical_verify", "hadamard_power", "final_factors",
-        "final_factors-huge", "index_set", "index_set-dimension"])
+        "classical_query_counts-odd", "classical_verify", "hadamard_power",
+        "hadamard_power-huge", "final_factors", "final_factors-huge", "index_set",
+        "index_set-dimension"])
 def test_sizes_go_through_check_length(call, sizes, message):
     # words.check_length refuses a size that is not an integer before any
     # arithmetic on it, and words.check_even an odd one after it; a cap
@@ -83,7 +85,7 @@ limit = pages * resource.getpagesize() + (256 << 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 huge = 1 << 34
 for call, message in [
-        (lambda: hadamard_power(huge), f"dimension 2**{huge} exceeds the supported maximum 4096"),
+        (lambda: hadamard_power(huge), f"t must be at most 12, got {huge}"),
         (lambda: index_set(huge, 8), f"stage {huge} needs spacing k/2**i >= 1, but k = 8"),
         (lambda: BooleanFunction(huge, np.zeros(4, np.uint8)),
          f"truth table must have 2**{huge} entries, got shape (4,)")]:
